@@ -6,7 +6,7 @@
 PY_ENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
 .PHONY: install test check bench bench-host bench-farm bench-parallel \
-	bench-engines bench-tickets bench-overload bench-events perf-gate \
+	bench-engines bench-tickets bench-overload perf-gate \
 	perf-baseline lint examples smoke smoke-wallclock smoke-farm \
 	artifacts all
 
@@ -40,10 +40,6 @@ bench-farm:
 bench-parallel:
 	$(PY_ENV) python benchmarks/bench_parallel_farm.py
 
-# Golden-cycle regression gate: re-captures every registered scenario and
-# requires an exact match against the committed baselines/*.json.  CI runs
-# this under both REPRO_FASTPATH=1 and =0; the report file is uploaded as
-# an artifact when the gate fails.
 # Crypto-engine offload backend: the same bulk-heavy HTTPS workload with
 # and without a Section 6.2 engine pool, plus the saturation sweep showing
 # the software-fallback knee; writes BENCH_engine_offload.json at the
@@ -65,13 +61,10 @@ bench-tickets:
 bench-overload:
 	$(PY_ENV) python benchmarks/bench_overload.py
 
-# Discrete-event scheduler core vs the legacy scan loop: rounds-scanned
-# and transactions-touched reductions on sparse/dense Pareto arrivals at
-# bit-identical signatures, plus the flat streaming-admission memory
-# curve; writes BENCH_event_core.json at the repository root.
-bench-events:
-	$(PY_ENV) python benchmarks/bench_event_core.py
-
+# Golden-cycle regression gate: re-captures every registered scenario and
+# requires an exact match against the committed baselines/*.json.  CI runs
+# this under both REPRO_FASTPATH=1 and =0; the report file is uploaded as
+# an artifact when the gate fails.
 perf-gate:
 	$(PY_ENV) python -m repro.tools.perfgate --check --report perf_gate_report.txt
 
@@ -102,7 +95,7 @@ smoke-farm:
 
 smoke: smoke-wallclock smoke-farm
 
-artifacts: bench-overload bench-events
+artifacts: bench-overload
 	$(PY_ENV) pytest tests/ 2>&1 | tee test_output.txt
 	$(PY_ENV) pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 

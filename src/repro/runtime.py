@@ -104,40 +104,3 @@ def parallel(processes: int) -> Iterator[None]:
     finally:
         set_parallel(previous)
 
-
-# ---------------------------------------------------------------------------
-# Discrete-event scheduler core (REPRO_EVENTS)
-# ---------------------------------------------------------------------------
-
-#: Default scheduling core for the simulator and farm loops: the
-#: discrete-event heap (:mod:`repro.webserver.events`) that skips idle
-#: rounds and keeps parked transactions out of the per-round scan.
-#: ``REPRO_EVENTS=0`` selects the legacy scan-everything round loop --
-#: the reference semantics the event core must reproduce bit-identically
-#: (and the comparison arm of ``make bench-events``).  Like the fast
-#: path, the switch is a host-execution choice: modeled cycles,
-#: transcripts and every anatomy counter are identical either way.
-_events: bool = os.environ.get("REPRO_EVENTS", "1").lower() not in _FALSEY
-
-
-def events_enabled() -> bool:
-    """True when the discrete-event scheduler core is selected."""
-    return _events
-
-
-def set_events(enabled: bool) -> bool:
-    """Select the scheduler core; returns the previous setting."""
-    global _events
-    previous = _events
-    _events = bool(enabled)
-    return previous
-
-
-@contextmanager
-def events(enabled: bool) -> Iterator[None]:
-    """Temporarily select a scheduler core (tests compare the two)."""
-    previous = set_events(enabled)
-    try:
-        yield
-    finally:
-        set_events(previous)

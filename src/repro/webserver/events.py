@@ -1,37 +1,35 @@
 """Discrete-event scheduler core for the simulator and farm round loops.
 
-The legacy round loops (``WebServerSimulator._run_concurrent`` and the
-farm's ``_run_worker_round``) scan *every* in-flight transaction every
-scheduling round -- including transactions parked in the batch queue
-(whose steps are charge-free no-ops) and rounds in which nothing at all
-is runnable (the idle arrival gaps an
-:class:`~repro.webserver.overload.AdversarialWorkload` produces by
-construction).  :class:`TxnScheduler` replaces the scan with an event
-heap keyed ``(wake_round, admission_order)`` so one round costs
-O(runnable + log heap) instead of O(active), and tells its driver the
-round of the *next* event so empty rounds can be skipped outright
-(the virtual round clock jumps; see ``next_event_round``).
+Every round loop -- ``WebServerSimulator._run_concurrent``, the farm's
+``_run_worker_round`` and the process-parallel children -- steps its
+transactions through a :class:`TxnScheduler`: an event heap keyed
+``(wake_round, admission_order)``, so one round costs O(runnable + log
+heap) rather than O(active).  The scheduler also tells its driver the
+round of the *next* event, so rounds in which nothing is runnable (the
+idle arrival gaps an :class:`~repro.webserver.overload.
+AdversarialWorkload` produces by construction) are skipped outright:
+the virtual round clock jumps (see ``next_event_round``).
 
-**The bit-identity contract.**  Every committed golden baseline was
-recorded under the scan loop, and stays authoritative: the event core
-must reproduce the legacy schedule *exactly* -- same step order, same
-round numbering, same batcher tick/flush placement, same
-stalled-straggler accounting.  The contract rests on three facts about
-the legacy loop:
+**The reference schedule.**  The committed golden baselines were
+recorded under a loop that stepped *every* in-flight transaction every
+round -- parked ones and idle rounds included.  The heap reproduces that
+schedule exactly -- same step order, same round numbering, same batcher
+tick/flush placement, same stalled-straggler accounting -- because of
+three facts about it:
 
 * **no-op steps are free.**  A transaction whose ``step()`` returned
   ``False`` is waiting on a batch flush; until one happens, re-stepping
   it relays empty buffers -- no modeled charges, no state change
   (``SslConnection.pending_output`` on an empty buffer is
-  side-effect-free).  Parking it instead of re-scanning is therefore
+  side-effect-free).  Parking it instead of re-stepping it is therefore
   invisible in every modeled number.
 * **only a flush wakes a parked transaction.**  Within one round, a
   flush triggered mid-step (``SslServer._after_receive`` on a full
   batch) un-parks transactions *after* the current one in admission
-  order this round and the rest next round -- exactly the order the
-  scan loop would have reached them.  The scheduler watches
+  order this round and the rest next round -- exactly the order a full
+  sweep would have reached them.  The scheduler watches
   :attr:`~repro.ssl.server.HandshakeBatcher.flushes` to reproduce this.
-* **heap order is scan order.**  Runnable transactions pop in
+* **heap order is sweep order.**  Runnable transactions pop in
   ``(wake_round, admission_order)`` order; every wake pushed during
   round ``r`` is ``(r, .)`` or ``(r + 1, .)``, so within a round the
   pops are exactly the admission-order sweep of the runnable subset.
@@ -45,15 +43,9 @@ can happen in it (free slots + pending work, or an
 :class:`~repro.webserver.overload.AcceptQueue` arrival release, each
 cap the jump).  Skipped rounds still advance the batch clock
 (``tick(ticks)``) and the straggler counter (``stalled += ticks``),
-because that is what the legacy loop's no-op rounds did.  When in doubt
-the driver executes the round: running a round the legacy loop would
-have executed is always bit-identical, only *skipping* is the
-optimization.
-
-``REPRO_EVENTS=0`` (:func:`repro.runtime.events_enabled`) selects scan
-mode: the same object steps every live transaction every round -- the
-legacy reference semantics, kept runnable as the comparison arm of
-``make bench-events`` and as an escape hatch.
+because the reference schedule's no-op rounds did.  When in doubt the
+driver executes the round: executing a no-op round is always
+bit-identical, only *skipping* is the optimization.
 """
 
 from __future__ import annotations
@@ -67,8 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ssl.server import HandshakeBatcher
     from .simulator import _Transaction
 
-#: Consecutive no-progress rounds the legacy loop tolerates before
-#: failing the stragglers (the loop's ``stalled > 4``).
+#: Consecutive no-progress rounds tolerated before the stragglers are
+#: failed (``stalled > STALL_LIMIT``).
 STALL_LIMIT = 4
 
 
@@ -79,32 +71,24 @@ class TxnScheduler:
     entry ``(wake_round, admission_order)`` in the heap -- or *parked*
     (waiting on a batch flush) with no heap entry at all.  ``run_round``
     pops and steps this round's runnable transactions in admission
-    order, reproduces the legacy batcher tick/flush placement, and
+    order, reproduces the reference batcher tick/flush placement, and
     maintains the stalled-straggler counter; ``next_event_round`` tells
     the driver the earliest future round that can differ from a no-op.
 
-    Transactions are keyed by a per-scheduler admission counter (their
-    append position in the legacy ``active`` list); the key doubles as
-    the O(1) completion-removal handle the old ``active.remove(txn)``
-    scan lacked.
+    Transactions are keyed by a per-scheduler admission counter; the
+    key doubles as the O(1) completion-removal handle.
     """
 
-    def __init__(self, batcher: Optional["HandshakeBatcher"] = None, *,
-                 events: bool = True):
+    def __init__(self, batcher: Optional["HandshakeBatcher"] = None):
         self.batcher = batcher
-        self.events = events
         self._txns: Dict[int, "_Transaction"] = {}  # admission order -> txn
         self._heap: List[Tuple[int, int]] = []      # (wake_round, order)
         self._parked: Set[int] = set()
         self._next_order = 0
         self.stalled = 0
-        # -- scheduler-work counters (bench only; never in signatures) --
+        # -- scheduler-work counters (diagnostics; never in signatures) --
         #: Transactions actually stepped.
         self.touched = 0
-        #: Transactions a scan of every live entry would have stepped
-        #: (live count summed over every *virtual* round, skipped ones
-        #: included) -- what the legacy loop's work would have been.
-        self.scan_touched = 0
         #: Rounds this scheduler executed.
         self.rounds_executed = 0
         #: Rounds the virtual clock covered (executed + skipped).
@@ -118,13 +102,13 @@ class TxnScheduler:
         return bool(self._txns)
 
     def transactions(self) -> List["_Transaction"]:
-        """Live transactions in admission order (the legacy ``active``
-        list; dicts preserve insertion order)."""
+        """Live transactions in admission order (dicts preserve
+        insertion order)."""
         return list(self._txns.values())
 
     def add(self, txn: "_Transaction", round_no: int) -> None:
         """Admit a transaction, runnable in ``round_no`` (its admission
-        round -- the legacy loop steps new admissions the same round)."""
+        round -- new admissions step the same round)."""
         order = self._next_order
         self._next_order += 1
         self._txns[order] = txn
@@ -136,9 +120,8 @@ class TxnScheduler:
         self._heap.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Scheduler-work snapshot for benchmarks and diagnostics."""
+        """Scheduler-work snapshot for diagnostics."""
         return {"touched": self.touched,
-                "scan_touched": self.scan_touched,
                 "rounds_executed": self.rounds_executed,
                 "rounds_virtual": self.rounds_virtual}
 
@@ -146,7 +129,7 @@ class TxnScheduler:
     def _wake_parked(self, round_no: int, after_order: int = -1) -> None:
         """Un-park everything after a flush.  Orders past ``after_order``
         (the transaction being stepped when a mid-step flush fired) wake
-        *this* round -- the scan loop would still reach them -- and the
+        *this* round -- a full sweep would still reach them -- and the
         rest wake next round."""
         for order in self._parked:
             wake = round_no if order > after_order else round_no + 1
@@ -164,58 +147,45 @@ class TxnScheduler:
 
         ``on_done`` fires for each transaction retiring through its own
         completion (the farm's cross-resumption accounting) -- not for
-        stragglers failed by the stall limit, which the legacy loop never
-        accounted either.  Returns the legacy loop's ``progressed`` flag.
+        stragglers failed by the stall limit.  Returns whether anything
+        progressed (a step or a batch flush).
         """
         self.rounds_executed += 1
         self.rounds_virtual += ticks
-        self.scan_touched += len(self._txns) * ticks
         batcher = self.batcher
         flushes = batcher.flushes if batcher is not None else 0
         progressed = False
-        if self.events:
-            heap = self._heap
-            while heap and heap[0][0] <= round_no:
-                _, order = heapq.heappop(heap)
-                txn = self._txns.get(order)
-                if txn is None:  # defensively tolerate a stale entry
-                    continue
-                self.touched += 1
-                stepped = txn.step()
-                if stepped:
-                    progressed = True
-                if txn.done:
-                    del self._txns[order]
-                    if on_done is not None:
-                        on_done(txn)
-                elif stepped:
-                    heapq.heappush(heap, (round_no + 1, order))
-                else:
-                    # Waiting on a batch flush; off the scan until one.
-                    self._parked.add(order)
-                if batcher is not None and batcher.flushes != flushes:
-                    # A mid-step flush (a full batch formed inside this
-                    # step's receive) resumed suspended handshakes.
-                    flushes = batcher.flushes
-                    self._wake_parked(round_no, after_order=order)
-        else:
-            # Scan mode: the legacy loop verbatim -- step every live
-            # transaction in admission order, no-ops included.
-            for order, txn in list(self._txns.items()):
-                self.touched += 1
-                if txn.step():
-                    progressed = True
-                if txn.done:
-                    del self._txns[order]
-                    if on_done is not None:
-                        on_done(txn)
+        heap = self._heap
+        while heap and heap[0][0] <= round_no:
+            _, order = heapq.heappop(heap)
+            txn = self._txns.get(order)
+            if txn is None:  # defensively tolerate a stale entry
+                continue
+            self.touched += 1
+            stepped = txn.step()
+            if stepped:
+                progressed = True
+            if txn.done:
+                del self._txns[order]
+                if on_done is not None:
+                    on_done(txn)
+            elif stepped:
+                heapq.heappush(heap, (round_no + 1, order))
+            else:
+                # Waiting on a batch flush; off the heap until one.
+                self._parked.add(order)
+            if batcher is not None and batcher.flushes != flushes:
+                # A mid-step flush (a full batch formed inside this
+                # step's receive) resumed suspended handshakes.
+                flushes = batcher.flushes
+                self._wake_parked(round_no, after_order=order)
         if batcher is not None:
             with perf.activate(profiler):
                 batcher.tick(ticks)
                 if not progressed and len(batcher):
                     batcher.flush()
                     progressed = True
-            if self.events and batcher.flushes != flushes:
+            if batcher.flushes != flushes:
                 # Deadline-tick or not-progressed flush: every still-
                 # parked transaction steps productively next round.
                 self._wake_parked(round_no + 1)
@@ -247,13 +217,11 @@ class TxnScheduler:
         if self.batcher is not None and len(self.batcher):
             # A queued continuation can outlive its transaction (a
             # mid-handshake abandon retires the transaction, not its
-            # submitted decrypt), and the legacy loop's not-progressed
-            # flush fires next round even with nothing else live.
+            # submitted decrypt), and the not-progressed flush fires
+            # next round even with nothing else live.
             return round_no + 1
         if not self._txns:
             return None
-        if not self.events:
-            return round_no + 1
         if self._heap:
             return self._heap[0][0]
         return round_no + max(1, STALL_LIMIT + 1 - self.stalled)

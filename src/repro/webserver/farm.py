@@ -424,15 +424,14 @@ class _WorkerState:
 
     __slots__ = ("index", "sim", "profiler", "result", "sched")
 
-    def __init__(self, index: int, sim: WebServerSimulator,
-                 events: bool = True):
+    def __init__(self, index: int, sim: WebServerSimulator):
         self.index = index
         self.sim = sim
         self.profiler = perf.Profiler()
         self.result = SimulationResult(profiler=self.profiler)
         #: The worker's transaction scheduler: live set, event heap,
         #: stall counter (the old ``active`` list + ``stalled`` int).
-        self.sched = TxnScheduler(sim._batcher, events=events)
+        self.sched = TxnScheduler(sim._batcher)
 
 
 def _run_worker_round(state: _WorkerState, pool: ClientPool,
@@ -466,8 +465,7 @@ def _run_worker_round(state: _WorkerState, pool: ClientPool,
 
 
 def _next_round_target(queue: AcceptQueue,
-                       worker_events: List[Optional[int]],
-                       events: bool) -> int:
+                       worker_events: List[Optional[int]]) -> int:
     """The next round the farm loop must execute, given each worker's
     next-event round (``None`` = no live transactions).  Shared by the
     serial loop and the process-parallel parent so both backends agree
@@ -482,11 +480,8 @@ def _next_round_target(queue: AcceptQueue,
     * the next arrival's release round (never before ``round + 1``).
 
     With no candidate at all the loop is about to terminate; ``round +
-    1`` keeps the clock sane.  Under ``REPRO_EVENTS=0`` the target is
-    always ``round + 1``: the legacy cadence.
+    1`` keeps the clock sane.
     """
-    if not events:
-        return queue.round + 1
     candidates = [ev for ev in worker_events if ev is not None]
     if queue.depth() > 0:
         candidates.append(queue.round + 1)
@@ -746,11 +741,10 @@ class ServerFarm:
             parallel = runtime.parallel_processes()
         start = time.perf_counter()
         self._concurrency = concurrency_per_worker
-        self._events_on = runtime.events_enabled()
         groups = connection_groups(workload.requests(nrequests),
                                    requests_per_connection)
 
-        self._states = [_WorkerState(i, sim, events=self._events_on)
+        self._states = [_WorkerState(i, sim)
                         for i, sim in enumerate(self._sims)]
         self._parallel_active = None
         queue = AcceptQueue(groups, self.admission)
@@ -772,7 +766,6 @@ class ServerFarm:
 
     def _run_serial(self, queue: AcceptQueue) -> FarmResult:
         states = self._states
-        events = self._events_on
         txn_id = 0
         cross_resumed = 0
         target = 0
@@ -785,8 +778,7 @@ class ServerFarm:
                     state, self._pool, queue.round, ticks)
             target = _next_round_target(
                 queue,
-                [s.sched.next_event_round(queue.round) for s in states],
-                events)
+                [s.sched.next_event_round(queue.round) for s in states])
         return self._assemble_result(cross_resumed, backend="serial")
 
     def _assemble_result(self, cross_resumed: int,

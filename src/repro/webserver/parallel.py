@@ -367,7 +367,6 @@ def run_parallel(farm: "ServerFarm", queue, nprocs: int) -> "FarmResult":
 
     states = farm._states
     pool = farm._pool
-    events = getattr(farm, "_events_on", runtime.events_enabled())
     txn_id = 0
     cross = 0
 
@@ -461,7 +460,7 @@ def run_parallel(farm: "ServerFarm", queue, nprocs: int) -> "FarmResult":
                 cross += delta
                 active[i] = count
                 next_events[i] = next_event
-            target = _next_round_target(queue, next_events, events)
+            target = _next_round_target(queue, next_events)
 
         # -- collect final worker states ------------------------------------
         for p in range(nprocs):

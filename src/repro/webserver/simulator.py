@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .. import perf, runtime
+from .. import perf
 from ..crypto.batch_rsa import BatchRsaKeySet
 from ..crypto.rand import PseudoRandom
 from ..crypto.rsa import RsaPrivateKey
@@ -26,7 +26,7 @@ from ..perf.categories import crypto_breakdown
 from ..ssl.ciphersuites import CipherSuite, DEFAULT_SUITE
 from ..ssl.client import SslClient
 from ..ssl.errors import SslError
-from ..ssl.loopback import make_server_identity, pump
+from ..ssl.loopback import make_server_identity
 from ..ssl.server import HandshakeBatcher, SslServer
 from ..ssl.session import SessionCache
 from ..ssl.ticket import TicketKeyRing
@@ -83,10 +83,9 @@ class SimulationResult:
     #: and p99 of the overload scenarios are computed from it.
     handshake_latencies: List[float] = field(default_factory=list)
     #: Scheduler-work snapshot (:meth:`~repro.webserver.events.
-    #: TxnScheduler.stats`: transactions touched vs the scan-loop
-    #: equivalent, rounds executed vs virtual); ``None`` on the
-    #: sequential path.  Host-execution accounting -- never part of
-    #: baseline signatures.
+    #: TxnScheduler.stats`: transactions touched, rounds executed vs
+    #: virtual), set when the run finishes.  Host-execution accounting
+    #: -- never part of baseline signatures.
     scheduler: Optional[Dict[str, int]] = None
 
     def module_shares(self) -> Dict[str, float]:
@@ -173,13 +172,14 @@ def _admit_transaction(sim: "WebServerSimulator", txn_id: int,
 class _Transaction:
     """One interleavable HTTPS transaction (connection + its requests).
 
-    The sequential :meth:`WebServerSimulator._run_connection` drives a
-    connection to completion before starting the next, so no two handshakes
-    are ever in flight together and a batch queue could never fill.  This
-    class splits the same work into :meth:`step` increments -- one
-    client/server byte exchange or one HTTP request per call -- letting the
-    simulator hold many transactions open at once, exactly the concurrency
-    batch RSA needs.
+    The work of one connection -- kernel setup charges, handshake, the
+    keep-alive requests, close -- split into :meth:`step` increments: one
+    client/server byte exchange or one HTTP request per call.  Every
+    simulator and farm run steps transactions through a
+    :class:`~repro.webserver.events.TxnScheduler`; at concurrency 1 that
+    is one connection at a time, and above it many transactions are open
+    at once, exactly the concurrency batch RSA needs.  An
+    :class:`SslError` in any step is counted as a failure, never raised.
     """
 
     HANDSHAKE, REQUESTS, CLOSING, DONE = range(4)
@@ -453,8 +453,6 @@ class WebServerSimulator:
         if key is None or cert is None:
             key, cert = make_server_identity(1024, seed=seed + b"-identity")
         key.use_crt = use_crt
-        self._key = key
-        self._cert = cert
         self._suite = suite
         self._client_suites = (tuple(client_suites) if client_suites
                                else (suite,))
@@ -479,84 +477,6 @@ class WebServerSimulator:
         self._next_identity = 0
         self._engines = OffloadPool(engines) if engines is not None else None
 
-    # -- one connection (one or more requests) ----------------------------------
-    def _run_connection(self, requests: List[Request],
-                        server_prof: perf.Profiler,
-                        result: SimulationResult,
-                        tag: bytes = b"") -> None:
-        client_prof = perf.Profiler()  # client machine: separate, discarded
-        hs_start = server_prof.seconds()
-        total_kb = sum(r.size_bytes for r in requests) / 1024.0
-
-        # Kernel TCP connection setup + per-byte processing (vmlinux).
-        with perf.activate(server_prof):
-            perf.charge_cycles(self._costs.kernel_cycles(total_kb),
-                               function="tcp_stack", module=perf.VMLINUX)
-            perf.charge_cycles(self._costs.other_cycles(total_kb),
-                               function="libc_misc", module=perf.OTHER)
-
-        resume = self._client_sessions.offer(requests[0])
-
-        with perf.activate(server_prof):
-            server = SslServer(self._key, self._cert, suites=(self._suite,),
-                               session_cache=self._session_cache,
-                               rng=PseudoRandom(self._seed + b"-s" + tag),
-                               clock=server_prof.seconds,
-                               session_lifetime=self._session_lifetime,
-                               offload=self._engines,
-                               ticket_keys=self._tickets)
-        with perf.activate(client_prof):
-            client = SslClient(suites=self._client_suites, session=resume,
-                               version=self._version,
-                               rng=PseudoRandom(self._seed + b"-c" + tag),
-                               session_tickets=self._tickets is not None)
-            client.start_handshake()
-        pump(client, server, client_prof, server_prof)
-        if not server.handshake_complete:
-            result.failures += len(requests)
-            result.wire_bytes += (server.stats.bytes_sent
-                                  + server.stats.bytes_received)
-            _fold_ticket_counters(result, server)
-            result.renegotiations_served += server.renegotiations
-            return
-        result.handshake_latencies.append(server_prof.seconds() - hs_start)
-        if server.resumed:
-            result.resumed_handshakes += 1
-
-        # One or more HTTP requests over the same encrypted channel
-        # (keep-alive: the handshake amortizes across them).
-        for request in requests:
-            with perf.activate(client_prof):
-                client.write(build_request(request.path))
-                wire = client.pending_output()
-            with perf.activate(server_prof):
-                server.receive(wire)
-                worker = ApacheWorker(self._costs, request.size_bytes)
-                response = worker.handle(server.read())
-                server.write(response)
-                wire = server.pending_output()
-            with perf.activate(client_prof):
-                client.receive(wire)
-                status, body = parse_response(client.read())
-                if not status.startswith("HTTP/1.1 200"):
-                    result.failures += 1
-                    continue
-            result.requests_completed += 1
-            result.bytes_served += len(body)
-
-        with perf.activate(client_prof):
-            client.close()
-            wire = client.pending_output()
-        with perf.activate(server_prof):
-            server.receive(wire)
-            server.close()
-        result.wire_bytes += (server.stats.bytes_sent
-                              + server.stats.bytes_received)
-        _fold_ticket_counters(result, server)
-        result.renegotiations_served += server.renegotiations
-
-        self._client_sessions.store(requests[0].client_id, client.session)
-
     def _next_server_identity(self) -> tuple:
         """Round-robin (key, cert) assignment across batch members."""
         identity = self._identities[self._next_identity
@@ -575,7 +495,8 @@ class WebServerSimulator:
         long B2B-style sessions amortize the handshake across many
         requests.  ``concurrency > 1`` keeps that many transactions in
         flight simultaneously (required for batch RSA: handshakes must
-        overlap for the batch queue to fill).
+        overlap for the batch queue to fill).  Handshake failures are
+        counted in :attr:`SimulationResult.failures`, not raised.
         """
         if requests_per_connection < 1:
             raise ValueError("requests_per_connection must be >= 1")
@@ -588,22 +509,7 @@ class WebServerSimulator:
         # O(concurrency + lookahead) admission state.
         groups = connection_groups(workload.requests(nrequests),
                                    requests_per_connection)
-        # Adversarial behaviours (abandons, renegotiation storms) live
-        # in the _Transaction state machine, so such workloads take the
-        # concurrent path even at concurrency 1.  The workload declares
-        # the possibility up front (a property of its configuration) --
-        # scanning the stream would both materialize it and consume the
-        # generator's rng.
-        if (concurrency > 1 or self._batcher is not None
-                or workload.adversarial):
-            self._run_concurrent(groups, server_prof, result, concurrency)
-        else:
-            # Per-connection rng tags, exactly like the concurrent path's
-            # transaction ids: reusing one seed across connections lets a
-            # fresh server re-mint the very session id it just declined.
-            for i, group in enumerate(groups):
-                self._run_connection(group, server_prof, result,
-                                     tag=str(i).encode())
+        self._run_concurrent(groups, server_prof, result, concurrency)
         if self._batcher is not None:
             result.batches = dict(self._batcher.batches)
             result.batched_ops = self._batcher.ops_submitted
@@ -623,13 +529,13 @@ class WebServerSimulator:
         virtual clock; a round in which nothing progressed means every
         active handshake is parked in the batch queue, so the queue is
         flushed (partial batch) rather than deadlocking.  The
-        :class:`~repro.webserver.events.TxnScheduler` reproduces the
-        legacy scan loop's schedule exactly -- under ``REPRO_EVENTS=0``
-        it *is* the scan loop -- while skipping rounds in which nothing
-        can happen and keeping batch-parked transactions off the scan.
+        :class:`~repro.webserver.events.TxnScheduler` skips rounds in
+        which nothing can happen and keeps batch-parked transactions off
+        the per-round sweep.  Transaction ids double as the per-connection
+        rng tags: reusing one seed across connections would let a fresh
+        server re-mint the very session id it just declined.
         """
-        sched = TxnScheduler(self._batcher,
-                             events=runtime.events_enabled())
+        sched = TxnScheduler(self._batcher)
         pending = iter(groups)
         head: Optional[List[Request]] = next(pending, None)
         txn_id = 0

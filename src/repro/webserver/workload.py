@@ -111,11 +111,10 @@ class RequestWorkload:
     @property
     def adversarial(self) -> bool:
         """True when the stream can carry adversarial annotations
-        (abandons, renegotiation storms) that only the concurrent
-        transaction state machine handles.  Declared up front -- a
-        property of the generator's configuration -- so the simulator
-        can pick its path without materializing (and consuming) the
-        stream; plain workloads never produce them."""
+        (abandons, renegotiation storms).  Declared up front -- a
+        property of the generator's configuration -- so a caller can
+        tell without materializing (and consuming) the stream; plain
+        workloads never produce them."""
         return False
 
     def _pick_size(self) -> int:

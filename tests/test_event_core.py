@@ -2,10 +2,11 @@
 the committed golden baselines, and streaming-admission memory bounds.
 
 The contract under test (``repro.webserver.events``): the event heap
-must reproduce the legacy scan loop's schedule *exactly* -- admission
-order among runnable transactions, batcher flush wake placement, the
-stalled-straggler countdown -- while never touching parked transactions
-and telling the driver how far the round clock may jump.
+must reproduce the schedule the baselines were recorded under *exactly*
+-- admission order among runnable transactions, batcher flush wake
+placement, the stalled-straggler countdown -- while never touching
+parked transactions and telling the driver how far the round clock may
+jump.
 """
 
 import tracemalloc
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import runtime
 from repro.crypto import rsa
 from repro.perf import baseline
 from repro.ssl.loopback import make_server_identity
@@ -163,7 +163,7 @@ class TestTxnScheduler:
         sched.run_round(1, 1, Profiler())   # mid flushes during its step
         round1 = log[log_before:]
         # late (order 2 > the flusher's order 1) is re-stepped within
-        # round 1 -- the scan loop would still have reached it; early
+        # round 1 -- a full sweep would still have reached it; early
         # (order 0 <= 1) was already passed and waits for round 2.
         assert round1 == [("mid", "go"), ("late", "go")]
         sched.run_round(2, 1, Profiler())
@@ -184,24 +184,13 @@ class TestTxnScheduler:
 
     def test_next_event_round_tracks_batcher_continuations(self):
         # A queued decrypt can outlive its transaction (mid-handshake
-        # abandons); the legacy loop still flushes it next round.
+        # abandons); it still flushes next round.
         batcher = FakeBatcher()
         batcher.queued = 1
         sched = TxnScheduler(batcher)
         assert sched.next_event_round(7) == 8
         batcher.queued = 0
         assert sched.next_event_round(7) is None
-
-    def test_scan_mode_steps_everything_every_round(self):
-        log = []
-        sched = TxnScheduler(events=False)
-        sched.add(FakeTxn("a", ["go", "park", "park", "done"], log), 0)
-        sched.add(FakeTxn("b", ["go", "go", "go", "done"], log), 0)
-        for round_no in range(4):
-            sched.run_round(round_no, 1, Profiler())
-        # The scan loop re-steps parked transactions as no-ops.
-        assert [e[0] for e in log] == ["a", "b"] * 4
-        assert sched.touched == 8
 
     def test_work_counters(self):
         log = []
@@ -215,11 +204,11 @@ class TestTxnScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: event core vs legacy scan loop vs committed baselines
+# Bit-identity: event core vs committed baselines
 # ---------------------------------------------------------------------------
 
-#: One representative per golden scenario family touched by the event
-#: core (simulator, farm, engines, tickets, overload).
+#: One representative per golden scenario family the event core drives
+#: (simulator, farm, engines, tickets, overload).
 FAMILY_SCENARIOS = (
     "webserver_https",
     "farm_2workers",
@@ -233,52 +222,24 @@ FAMILY_SCENARIOS = (
 def test_event_core_matches_committed_baseline(name):
     from repro.tools.perfgate import baseline_path, capture_scenario
     committed = baseline.load_json(baseline_path(Path("baselines"), name))
-    with runtime.events(True):
-        fresh = capture_scenario(name)
+    fresh = capture_scenario(name)
     assert baseline.diff_signatures(committed, fresh) == []
 
 
-@pytest.mark.parametrize("name", ("farm_2workers", "overload_flash_crowd"))
-def test_legacy_scan_loop_still_matches_baseline(name):
-    # REPRO_EVENTS=0 keeps the reference semantics runnable; it must
-    # stay pinned to the same goldens.
-    from repro.tools.perfgate import baseline_path, capture_scenario
-    committed = baseline.load_json(baseline_path(Path("baselines"), name))
-    with runtime.events(False):
-        fresh = capture_scenario(name)
-    assert baseline.diff_signatures(committed, fresh) == []
-
-
-def _farm_signature(result):
-    return (result.requests_completed, result.failures,
-            round(result.total_cycles(), 3), result.wire_bytes,
-            tuple(round(lat, 9) for lat in result.handshake_latencies),
-            result.queue_wait_rounds_total, result.peak_queue_depth,
-            result.handshakes_abandoned, result.resumed_handshakes)
-
-
-def _run_overload_farm(events):
+def test_event_core_skips_idle_rounds():
+    # Pareto gaps averaging four rounds leave idle rounds between
+    # arrivals; the round clock must jump over them rather than execute
+    # them one by one.
     rsa.reset_error_tables()
     key, cert = make_server_identity(512, seed=b"evcore-test")
     farm = ServerFarm(2, key=key, cert=cert, use_crt=True, seed=b"evcore")
     workload = AdversarialWorkload.fixed(
         2048, resumption_rate=0.5, seed=b"evcore-wl", clients=8,
         mean_gap_rounds=4.0, flood_rate=0.25)
-    with runtime.events(events):
-        result = farm.run(workload, 24, concurrency_per_worker=4)
-    return _farm_signature(result), [r.scheduler for r in result.results]
-
-
-def test_event_core_signature_equals_scan_loop():
-    sig_on, stats_on = _run_overload_farm(True)
-    sig_off, stats_off = _run_overload_farm(False)
-    assert sig_on == sig_off
-    # ... and the event core did strictly less scheduler work.
-    rounds_on = sum(s["rounds_executed"] for s in stats_on)
-    rounds_off = sum(s["rounds_executed"] for s in stats_off)
-    assert rounds_on < rounds_off
-    assert (sum(s["touched"] for s in stats_on)
-            <= sum(s["touched"] for s in stats_off))
+    result = farm.run(workload, 24, concurrency_per_worker=4)
+    stats = [r.scheduler for r in result.results]
+    assert (sum(s["rounds_executed"] for s in stats)
+            < sum(s["rounds_virtual"] for s in stats))
 
 
 # ---------------------------------------------------------------------------

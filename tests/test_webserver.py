@@ -270,6 +270,22 @@ class TestTransactionAccounting:
         assert result.failures == 2
         assert result.requests_completed == 3
 
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_handshake_failure_counts_at_every_concurrency(
+            self, identity512, concurrency):
+        """A handshake that dies mid-flight (no common cipher suite) is
+        a counted failure, never an exception escaping run() -- at
+        concurrency 1 exactly as above it."""
+        from repro.ssl.ciphersuites import AES128_SHA, RC4_MD5
+
+        key, cert = identity512
+        sim = WebServerSimulator(key=key, cert=cert, use_crt=True,
+                                 suite=AES128_SHA, client_suites=(RC4_MD5,))
+        result = sim.run(RequestWorkload.fixed(1024), 3,
+                         concurrency=concurrency)
+        assert result.failures == 3
+        assert result.requests_completed == 0
+
 
 class TestKeepAlive:
     @pytest.fixture(scope="class")
