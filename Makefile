@@ -5,7 +5,7 @@
 
 PY_ENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test check bench bench-host bench-farm bench-parallel \
+.PHONY: install test check bench bench-host bench-farm \
 	bench-engines bench-tickets bench-overload perf-gate \
 	perf-baseline lint examples smoke smoke-wallclock smoke-farm \
 	artifacts all
@@ -32,13 +32,6 @@ bench-host:
 # writes BENCH_farm_scaling.json at the repository root.
 bench-farm:
 	$(PY_ENV) python benchmarks/bench_farm_scaling.py
-
-# Serial vs process-parallel farm wall-clock (pools of 1/2/4/8 workers)
-# with modeled-signature identity verified at every point; writes
-# BENCH_parallel_farm.json at the repository root.  Speedup is bounded by
-# the host's usable cores, which the artifact records.
-bench-parallel:
-	$(PY_ENV) python benchmarks/bench_parallel_farm.py
 
 # Crypto-engine offload backend: the same bulk-heavy HTTPS workload with
 # and without a Section 6.2 engine pool, plus the saturation sweep showing

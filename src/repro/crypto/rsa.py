@@ -62,10 +62,7 @@ class ErrorTables:
     experiment, however many keys exist).  A :meth:`RsaPrivateKey.replica`
     carries its own fresh ``ErrorTables`` instead: each pre-fork farm
     worker is its own process and pays the one-shot charge on its first
-    private-key operation.  Because the flag travels *with the key*, a
-    serial farm loop and the process-parallel backend charge it at the
-    same point on each worker's clock by construction -- no serial-prefix
-    special case in the parallel protocol.
+    private-key operation, on its own clock.
     """
 
     __slots__ = ("loaded",)
@@ -83,24 +80,6 @@ def reset_error_tables() -> None:
     """
     global _err_tables_loaded
     _err_tables_loaded = False
-
-
-def error_tables_loaded() -> bool:
-    """Whether this process has already paid the one-time ERR_LOAD charge.
-
-    The charge is *process*-global state that the paper's profile observes
-    exactly once (Table 8's ``ERR_load_BN_strings`` row).  The parallel
-    farm backend ships this flag to its worker processes so that a pool
-    run charges it in exactly the same place the serial interleaving
-    would -- never once per process.
-    """
-    return _err_tables_loaded
-
-
-def set_error_tables_loaded(loaded: bool) -> None:
-    """Overwrite the one-time-charge flag (parallel-worker handoff)."""
-    global _err_tables_loaded
-    _err_tables_loaded = bool(loaded)
 
 
 def _charge_data_conv(nbytes: int, function: str) -> None:

@@ -42,11 +42,8 @@ width, as schoolbook multiplication and exponent length both grow
 linearly.
 
 Everything here is plain arithmetic over profiler timestamps: a pool is
-deterministic, pickles cleanly (it rides inside each farm worker's
-state through the process-parallel protocol), and is strictly
-worker-local -- one pool per worker, like the batcher and the
-partitioned session-cache shards, so the lockstep merge needs no new
-synchronisation.
+deterministic and strictly worker-local -- one pool per farm worker,
+like the batcher and the partitioned session-cache shards.
 """
 
 from __future__ import annotations
@@ -153,7 +150,7 @@ def default_engine_config() -> OffloadConfig:
 
 @dataclass
 class _UnitState:
-    """Mutable per-unit scheduling state (worker-local, pickles)."""
+    """Mutable per-unit scheduling state (worker-local)."""
 
     design: UnitDesign
     free_at: float = 0.0

@@ -61,15 +61,6 @@ class CpuModel:
         if missing:
             raise ValueError(f"cost table missing mnemonics: {missing}")
 
-    def __reduce__(self):
-        # Unpickle to one canonical instance per parameter set.  Profiler
-        # merging and the InstrMix cost memo compare CPU models by
-        # identity, so profiles that cross a process boundary (the
-        # parallel farm backend) must come back holding the *same* model
-        # object as profiles built locally -- e.g. the PENTIUM4 singleton.
-        return (_canonical_cpu, (self.name, self.frequency_hz,
-                                 dict(self.costs)))
-
     # -- core conversions ---------------------------------------------------
     def cycles(self, m: InstrMix, stall_factor: float = 1.0) -> float:
         """Cycles to retire ``m`` given the kernel's dependency stall factor."""
@@ -108,36 +99,8 @@ class CpuModel:
         return instructions / nbytes
 
 
-#: Interned models keyed by their full parameter set; populated lazily by
-#: :func:`_canonical_cpu` and pre-seeded with the module-level singletons.
-_INTERNED: Dict[tuple, CpuModel] = {}
-
-
-def _intern_key(name: str, frequency_hz: float,
-                costs: Dict[str, float]) -> tuple:
-    return (name, frequency_hz, tuple(sorted(costs.items())))
-
-
-def _canonical_cpu(name: str, frequency_hz: float,
-                   costs: Dict[str, float]) -> CpuModel:
-    """Pickle-restore hook: return the one shared instance for this
-    parameter set, so identity-based CPU checks survive a round trip."""
-    key = _intern_key(name, frequency_hz, costs)
-    model = _INTERNED.get(key)
-    if model is None:
-        model = CpuModel(name=name, frequency_hz=frequency_hz,
-                         costs=dict(costs))
-        _INTERNED[key] = model
-    return model
-
-
-def _intern(model: CpuModel) -> CpuModel:
-    return _INTERNED.setdefault(
-        _intern_key(model.name, model.frequency_hz, model.costs), model)
-
-
 #: The machine the paper profiled: a 2.26 GHz Pentium 4 workstation.
-PENTIUM4 = _intern(CpuModel())
+PENTIUM4 = CpuModel()
 
 
 def _scaled(base: Dict[str, float], factor: float,
@@ -151,19 +114,19 @@ def _scaled(base: Dict[str, float], factor: float,
 #: A P6-class core (Pentium III era, ~1 GHz): narrower issue (everything a
 #: bit slower per clock) but a fast barrel shifter -- the P4's
 #: double-pumped ALU had notoriously slow shifts/rotates, the P6 did not.
-PENTIUM3 = _intern(CpuModel(
+PENTIUM3 = CpuModel(
     name="P6-1.0", frequency_hz=1.0e9,
     costs=_scaled(DEFAULT_COSTS, 1.25, {
         I.SHRL: 0.45, I.SHLL: 0.45, I.ROLL: 0.45, I.RORL: 0.45,
         I.MULL: 4.0,
-    })))
+    }))
 
 #: A modern wide out-of-order core (~3 GHz, 4+-wide, 3-cycle pipelined
 #: multiplier): per-instruction reciprocal throughputs roughly halve and
 #: the multiplier stops dominating RSA.
-WIDE_CORE = _intern(CpuModel(
+WIDE_CORE = CpuModel(
     name="wide-3.0", frequency_hz=3.0e9,
     costs=_scaled(DEFAULT_COSTS, 0.55, {
         I.MULL: 1.0, I.ADCL: 0.30, I.SBBL: 0.30,
         I.CALL: 1.5, I.RET: 1.5,
-    })))
+    }))

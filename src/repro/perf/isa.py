@@ -214,8 +214,7 @@ class MixAccumulator:
         # *never* recomputed from ``_counts``: summing the folded
         # per-mnemonic columns would group the float additions
         # differently, so ``total()`` would drift in the last ulp
-        # depending on when (or whether) a fold happened -- e.g. across
-        # the parallel farm's pickle boundary versus a serial run.
+        # depending on when (or whether) a fold happened.
         self._pending_total = 0.0
 
     def add(self, m: InstrMix, times: float = 1.0) -> None:
@@ -237,19 +236,3 @@ class MixAccumulator:
 
     def total(self) -> float:
         return self._pending_total
-
-    def __getstate__(self):
-        # Fold before serializing: a profiler that crosses a process
-        # boundary (parallel farm workers) would otherwise drag along one
-        # pending entry per charge -- megabytes for a long run.  The fold
-        # replays the pending ``counts[k] += v * times`` sequence exactly
-        # as a later fold would, and the lifetime total travels alongside,
-        # so every observable stays bit-identical.
-        self._fold()
-        return (dict(self._counts), self._pending_total)
-
-    def __setstate__(self, state) -> None:
-        counts, total = state
-        self._counts = Counter(counts)
-        self._pending = []
-        self._pending_total = total

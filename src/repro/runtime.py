@@ -58,49 +58,3 @@ def fastpath(enabled: bool) -> Iterator[None]:
         yield
     finally:
         set_fastpath(previous)
-
-
-# ---------------------------------------------------------------------------
-# Process-parallel farm execution (REPRO_PARALLEL)
-# ---------------------------------------------------------------------------
-
-def _parse_parallel(raw: str) -> int:
-    try:
-        value = int(raw.strip() or "0")
-    except ValueError:
-        return 0
-    return max(0, value)
-
-
-#: Default pool size for ``ServerFarm.run``: 0/1 = serial (the default),
-#: N > 1 = drive the per-worker simulation loops through N processes.
-#: Mirrors ``REPRO_FASTPATH``: an environment default that call sites can
-#: override per run, with the same determinism contract (modeled cycles
-#: never depend on the execution backend).
-_parallel: int = _parse_parallel(os.environ.get("REPRO_PARALLEL", "0"))
-
-
-def parallel_processes() -> int:
-    """The configured default farm pool size (0/1 means serial)."""
-    return _parallel
-
-
-def set_parallel(processes: int) -> int:
-    """Set the default farm pool size; returns the previous setting."""
-    global _parallel
-    if processes < 0:
-        raise ValueError("pool size cannot be negative")
-    previous = _parallel
-    _parallel = int(processes)
-    return previous
-
-
-@contextmanager
-def parallel(processes: int) -> Iterator[None]:
-    """Temporarily select a default farm pool size."""
-    previous = set_parallel(processes)
-    try:
-        yield
-    finally:
-        set_parallel(previous)
-

@@ -20,7 +20,7 @@ from .record import (
     TLS1_VERSION,
 )
 from .server import SslServer
-from .session import CacheReplayDivergence, SessionCache, SslSession
+from .session import SessionCache, SslSession
 from .ticket import SESSION_TICKET_EXT, TicketKeyRing, TicketState
 from .trace import TraceEvent, WireTracer, format_trace
 from .x509 import (
@@ -41,7 +41,7 @@ __all__ = [
     "pump", "run_session",
     "ConnectionState", "ContentType", "KeyMaterial", "RecordLayer",
     "SSL3_VERSION", "TLS1_VERSION",
-    "CacheReplayDivergence", "SessionCache", "SslSession",
+    "SessionCache", "SslSession",
     "SESSION_TICKET_EXT", "TicketKeyRing", "TicketState",
     "TraceEvent", "WireTracer", "format_trace",
     "Certificate", "make_ca_signed_pair", "make_self_signed",

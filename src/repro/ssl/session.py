@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 
 @dataclass(slots=True)
@@ -44,28 +44,6 @@ class SslSession:
 
     def expired_at(self, now: float) -> bool:
         return now - self.created_at > self.lifetime
-
-
-#: One recorded cache mutation, replayable through :meth:`SessionCache.replay`:
-#: ``("get", session_id, now, hit)``, ``("put", session)`` or
-#: ``("remove", session_id)``.  Plain tuples so logs cross pickle/pipe
-#: boundaries without custom reducers.
-CacheOp = Tuple
-
-
-class CacheReplayDivergence(RuntimeError):
-    """A replayed lookup disagreed with the outcome its recorder observed.
-
-    Raised by :meth:`SessionCache.replay` when a worker's round-local view
-    of the shared cache let a handshake hit (or miss) where the
-    serial-order fold says the opposite.  This can only happen when two
-    workers race on the *same* entry within one scheduling round -- an
-    expiry-boundary duplicate offer or a capacity eviction landing on the
-    very session another worker resumes -- which lockstep fan-out cannot
-    replicate.  The run's modeled results would no longer be bit-identical
-    to the serial loop, so the parallel backend fails loudly instead of
-    merging a silently divergent result; re-run with ``parallel=0``.
-    """
 
 
 class SessionCache:
@@ -150,54 +128,8 @@ class SessionCache:
 
     def peek(self, session_id: bytes) -> Optional[SslSession]:
         """Non-mutating lookup: no counters, no LRU reordering, no expiry
-        drop.  The process-parallel farm backend uses this to resolve the
-        round-boundary cache view it ships to worker processes."""
+        drop -- a probe that leaves the cache exactly as it was."""
         return self._entries.get(session_id)
-
-    def replay(self, ops: Iterable[CacheOp]) -> int:
-        """Fold a recorded mutation log into this cache, in order.
-
-        The process-parallel farm backend records every cache touch a
-        worker process makes (against its round-local mirror) and replays
-        the per-worker logs here, in worker-index order -- the order the
-        serial loop interleaves workers.  Each ``get`` is re-executed for
-        real, so hit/miss/eviction counters and LRU order end up exactly
-        as the serial loop would have left them.
-
-        A replayed ``get`` whose hit/miss outcome differs from what the
-        recording worker observed raises :class:`CacheReplayDivergence`:
-        the worker's handshake already acted on the stale outcome, so the
-        merged result would not be bit-identical to serial.  (The benign
-        disagreement -- recorder saw its entry expire, fold finds the
-        entry already dropped by an earlier worker -- is *not* a
-        divergence: both sides missed, and the fold's counters are the
-        serial ones by construction.)
-
-        Returns the number of operations replayed.
-        """
-        count = 0
-        for op in ops:
-            kind = op[0]
-            if kind == "get":
-                _, session_id, now, saw_hit = op
-                hit = self.get(session_id, now) is not None
-                if hit != saw_hit:
-                    raise CacheReplayDivergence(
-                        f"shared-cache fold diverged for session id "
-                        f"{session_id.hex()}: the worker's round-local "
-                        f"view {'resumed' if saw_hit else 'missed'} but "
-                        f"the serial-order replay "
-                        f"{'hits' if hit else 'misses'}; a same-round "
-                        f"cross-worker race on this entry cannot be "
-                        f"fanned out -- run with parallel=0")
-            elif kind == "put":
-                self.put(op[1])
-            elif kind == "remove":
-                self.remove(op[1])
-            else:
-                raise ValueError(f"unknown cache op {kind!r}")
-            count += 1
-        return count
 
     def stats(self) -> dict:
         """Lookup/churn counters plus current occupancy, for farm metrics."""

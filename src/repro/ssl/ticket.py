@@ -25,11 +25,10 @@ name||iv||ciphertext).  The sealed state is::
 :class:`TicketKeyRing` provides deterministic virtual-clock key rotation:
 keys are *derived*, not stored -- ``(seed, epoch)`` hashes to the AES and
 MAC keys, where ``epoch = floor(now / rotation_interval)`` on the
-caller's virtual clock.  That makes the ring pure configuration: it
-pickles trivially into farm worker processes, every worker derives
-identical keys, and rotation needs no mutable shared state.  A
-configurable ``accept_window`` keeps the last N epochs' keys decryptable
-(mint always uses the current epoch); a ticket sealed under an
+caller's virtual clock.  That makes the ring pure configuration: every
+farm worker derives identical keys, and rotation needs no mutable shared
+state.  A configurable ``accept_window`` keeps the last N epochs' keys
+decryptable (mint always uses the current epoch); a ticket sealed under an
 acceptable-but-stale key is accepted *and renewed* -- the server re-mints
 it under the current key, the RFC 5077 rollover flow.
 
@@ -93,7 +92,7 @@ class TicketKeyRing:
     epochs' keys still open tickets (0 = only the current key).  The ring
     holds no mutable state -- keys are re-derived per call from
     ``(seed, epoch)`` -- so one ring can be shared by every worker of a
-    farm, serial or process-parallel, and stays deterministic.
+    farm and stays deterministic.
     """
 
     def __init__(self, seed: bytes = b"ticket-keys",

@@ -284,9 +284,6 @@ def _farm_signature(result) -> Tuple[Profiler, Dict[str, Any]]:
         "cross_worker_resumptions": result.cross_worker_resumptions,
         "wire_bytes": result.wire_bytes,
         "per_worker_cycles": [w.cycles for w in result.worker_stats()],
-        # Session-cache hit/miss/eviction counters per shard: the
-        # shared-topology round-boundary sync must leave them (and the
-        # cache occupancy) exactly where the serial loop does.
         "shard_stats": result.shard_stats,
     }
 
@@ -303,34 +300,24 @@ def _farm_2workers():
 
 
 @scenario("farm_2workers_partitioned", "Farm scaling",
-          "Two-worker partitioned farm, session-affinity routing; "
-          "eligible for the process-parallel backend, so CI checks it "
-          "under REPRO_PARALLEL settings against this one baseline")
+          "Two-worker partitioned farm, session-affinity routing")
 def _farm_2workers_partitioned():
     from ..webserver import PARTITIONED, RequestWorkload, ServerFarm
     key, cert = _identity(seed=b"pg-farm-part")
     farm = ServerFarm(2, topology=PARTITIONED, policy="session-affinity",
                       key=key, cert=cert, use_crt=True)
     workload = RequestWorkload.fixed(2048, resumption_rate=0.5)
-    # No explicit ``parallel=``: the run honors REPRO_PARALLEL, which is
-    # exactly the point -- the signature must not depend on it.
     result = farm.run(workload, 6, concurrency_per_worker=2)
     return _farm_signature(result)
 
 
 @scenario("farm_2workers_shared", "Farm scaling",
-          "Two-worker shared-cache farm with cross-worker resumption; "
-          "eligible for the process-parallel backend (round-boundary "
-          "cache sync), so CI checks it under REPRO_PARALLEL settings "
-          "against this one baseline")
+          "Two-worker shared-cache farm with cross-worker resumption")
 def _farm_2workers_shared():
     from ..webserver import RequestWorkload, ServerFarm, SHARED
     key, cert = _identity(seed=b"pg-farm-shared")
     farm = ServerFarm(2, topology=SHARED, key=key, cert=cert, use_crt=True)
     workload = RequestWorkload.fixed(2048, resumption_rate=0.5)
-    # No explicit ``parallel=``: honors REPRO_PARALLEL, like the
-    # partitioned scenario -- a parallel run must reproduce the serially
-    # recorded signature, shared-cache counters included.
     result = farm.run(workload, 8, concurrency_per_worker=2)
     assert result.cross_worker_resumptions > 0, \
         "shared farm scenario stopped exercising cross-worker resumption"
@@ -441,7 +428,7 @@ def _engines_1x_bulk():
           "Two-worker shared-cache farm over a heterogeneous engine pool "
           "(fast 3DES core + slow generic core, tight saturation bound): "
           "exercises preferential assignment and the software-fallback "
-          "path; eligible for the process-parallel backend")
+          "path")
 def _engines_preferential_farm():
     from ..engines import (
         GENERIC_CIPHER_UNIT, HASH_UNIT, MODEXP_UNIT, OffloadConfig,
@@ -460,9 +447,6 @@ def _engines_preferential_farm():
     farm = ServerFarm(2, topology=SHARED, key=key, cert=cert, use_crt=True,
                       engines=config)
     workload = RequestWorkload.fixed(32768, resumption_rate=0.5)
-    # No explicit ``parallel=``: honors REPRO_PARALLEL, so CI's engine
-    # gate re-checks this baseline through the process pool (engine
-    # pools ship inside the pickled worker states).
     result = farm.run(workload, 8, concurrency_per_worker=2)
     summary = result.offload_summary()
     assert summary is not None and summary["ops"] > 0, \
@@ -478,8 +462,7 @@ def _engines_preferential_farm():
 def _overload_signature(result) -> Tuple[Profiler, Dict[str, Any]]:
     """Farm signature plus the overload anatomy: every offered/shed/
     abandoned/downgraded counter, the per-handshake modeled latencies and
-    their p50/p99.  All of it is deterministic and must fold identically
-    on the process-parallel backend."""
+    their p50/p99."""
     profiler, extra = _farm_signature(result)
     extra.update({
         "offered_connections": result.offered_connections,
@@ -502,9 +485,7 @@ def _overload_signature(result) -> Tuple[Profiler, Dict[str, Any]]:
 
 @scenario("overload_flash_crowd", "Overload anatomy",
           "Two-worker shared farm under a flash-crowd ramp with handshake "
-          "floods and renegotiation storms, deadline-shedding admission; "
-          "eligible for the process-parallel backend, so CI re-checks the "
-          "serially recorded signature through the process pool")
+          "floods and renegotiation storms, deadline-shedding admission")
 def _overload_flash_crowd():
     from ..webserver import (
         AdversarialWorkload, DeadlineShedPolicy, ServerFarm, SHARED,
@@ -517,9 +498,6 @@ def _overload_flash_crowd():
         2048, resumption_rate=0.5, seed=b"pg-overload-1", clients=4,
         mean_gap_rounds=2.0, flash=(3, 6.0), flood_rate=0.25,
         reneg_rate=0.15)
-    # No explicit ``parallel=``: honors REPRO_PARALLEL.  Every anatomy
-    # counter in the signature is planned parent-side or folded in
-    # worker-index order, so the parallel run must reproduce it exactly.
     result = farm.run(workload, 14, concurrency_per_worker=2)
     assert result.shed_queue_full > 0 and result.shed_deadline > 0, \
         "flash crowd stopped exercising both shedding modes"
@@ -533,8 +511,7 @@ def _overload_flash_crowd():
 @scenario("overload_downgrade_policy", "Overload anatomy",
           "Two-worker shared farm under a zero-gap burst: drop-tail "
           "admission plus the cipher-suite downgrade engine steering "
-          "ServerHello toward RC4/MD5 at queue pressure; eligible for "
-          "the process-parallel backend")
+          "ServerHello toward RC4/MD5 at queue pressure")
 def _overload_downgrade_policy():
     from ..ssl.ciphersuites import DES_CBC3_SHA, RC4_MD5
     from ..webserver import (

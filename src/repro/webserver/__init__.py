@@ -21,7 +21,6 @@ from .overload import (
     DropTailPolicy, PressureSignal, ResumptionPreferredPolicy, SuitePolicy,
     suite_cost_per_kb,
 )
-from .parallel import run_parallel
 from .simulator import SimulationResult, WebServerSimulator, run_experiment
 from .workload import Request, RequestWorkload, document_bytes
 
@@ -33,7 +32,7 @@ __all__ = [
     "PARTITIONED", "POLICIES", "SHARED", "TOPOLOGIES",
     "FarmResult", "LeastConnectionsPolicy", "LoadBalancerPolicy",
     "RoundRobinPolicy", "ServerFarm", "SessionAffinityPolicy",
-    "WorkerStats", "run_parallel",
+    "WorkerStats",
     "ApacheWorker", "HttpError", "HttpRequest", "build_request",
     "build_response", "parse_request", "parse_response",
     "ABANDON_HELLO", "ABANDON_MID_KX", "ABANDON_MODES",

@@ -1,8 +1,8 @@
 """Discrete-event scheduler core for the simulator and farm round loops.
 
-Every round loop -- ``WebServerSimulator._run_concurrent``, the farm's
-``_run_worker_round`` and the process-parallel children -- steps its
-transactions through a :class:`TxnScheduler`: an event heap keyed
+Both round loops -- ``WebServerSimulator._run_concurrent`` and the
+farm's ``ServerFarm._run_serial`` -- step their transactions through a
+:class:`TxnScheduler`: an event heap keyed
 ``(wake_round, admission_order)``, so one round costs O(runnable + log
 heap) rather than O(active).  The scheduler also tells its driver the
 round of the *next* event, so rounds in which nothing is runnable (the

@@ -24,22 +24,28 @@ session-affinity hashing (route a resuming client back to the worker that
 minted its session -- which recovers resumption hits even under the
 partitioned topology).
 
-**The N=1 invariant**: a one-worker farm is *bit-identical* -- cycle
-totals, charge stream, transcript bytes -- to
-``WebServerSimulator.run(..., concurrency=k)``.  The farm does not model
-anything new at N=1; it only adds the sharding axis.  The scheduling loop
-therefore mirrors ``WebServerSimulator._run_concurrent`` exactly
-(admission, stepping order, batch ticking, stall handling), per worker.
+**The N=1 invariant**: on a workload whose requests all arrive at round
+0, a one-worker farm is *bit-identical* -- cycle totals, charge stream,
+transcript bytes -- to ``WebServerSimulator.run(..., concurrency=k)``.
+The farm does not model anything new at N=1; it only adds the sharding
+axis.  The scheduling loop therefore mirrors
+``WebServerSimulator._run_concurrent`` (admission, stepping order, batch
+ticking, stall handling), per worker.  Arrival gaps break the identity:
+the farm's :class:`~repro.webserver.overload.AcceptQueue` releases a
+connection no earlier than its :attr:`~repro.webserver.workload.Request.
+arrival_round`, while ``_run_concurrent`` ignores arrival rounds and
+admits whenever a slot is free, so on an :class:`~repro.webserver.
+overload.AdversarialWorkload` with ``mean_gap_rounds > 0`` the two
+schedules -- and the modeled handshake latencies -- differ.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import perf, runtime
+from .. import perf
 from ..crypto.batch_rsa import BatchRsaKeySet
 from ..crypto.rsa import RsaPrivateKey
 from ..engines.offload import OffloadConfig
@@ -55,6 +61,7 @@ from .events import TxnScheduler
 from .overload import AcceptQueue, AdmissionPolicy, PressureSignal, SuitePolicy
 from .simulator import (
     SimulationResult, WebServerSimulator, _Transaction, _admit_transaction,
+    _batch_mark, _fold_batch_counts,
 )
 from .workload import Request, RequestWorkload, connection_groups
 
@@ -165,20 +172,13 @@ class WorkerStats:
 class FarmResult:
     """Aggregate + per-shard measurements of one farm run.
 
-    Two unrelated clocks appear in this result; every figure below is
-    explicit about which one it reads:
-
-    * **virtual (modeled) time** -- each worker's private
-      :class:`~repro.perf.Profiler` accumulates the Pentium 4 cycles the
-      paper's cost model charges; :meth:`makespan_seconds`,
-      :meth:`capacity_rps` and :meth:`analytic_capacity_rps` are derived
-      from it.  Virtual figures are *deterministic* and independent of
-      the execution backend (serial, fast path, process pool);
-    * **host wall-clock** -- how long ``run()`` took on the machine
-      executing the simulation.  :attr:`wall_seconds` records it, making
-      serial-vs-parallel speedup a first-class output instead of a
-      quantity benchmarks re-time around the call.  Wall figures are
-      *not* deterministic and never enter baseline signatures.
+    Every time figure here is **virtual (modeled) time**: each worker's
+    private :class:`~repro.perf.Profiler` accumulates the Pentium 4
+    cycles the paper's cost model charges, and :meth:`makespan_seconds`,
+    :meth:`capacity_rps` and :meth:`analytic_capacity_rps` are derived
+    from it.  Virtual figures are *deterministic* and independent of the
+    host backend (fast path or faithful loops); how long the host took
+    to run the simulation is not part of the result.
     """
 
     nworkers: int
@@ -194,24 +194,6 @@ class FarmResult:
     #: Resumptions served by a worker other than the session's minter
     #: (only possible under the shared topology).
     cross_worker_resumptions: int = 0
-    #: Host wall-clock duration of the ``run()`` call, in real seconds.
-    #: Excluded from the determinism contract (and from signatures).
-    wall_seconds: float = 0.0
-    #: Execution backend that produced this result: ``"serial"`` or
-    #: ``"parallel:<nprocs>"``.  Modeled results are bit-identical across
-    #: backends; this field only reports how the host executed the run.
-    backend: str = "serial"
-    #: Host parallelism the ``run()`` call asked for, after resolving
-    #: ``parallel=None`` against ``REPRO_PARALLEL`` (0/1 mean serial) --
-    #: recorded before any clamping, so degradation is detectable.
-    parallel_requested: int = 0
-    #: Worker processes that actually drove scheduling rounds: ``1`` for
-    #: the in-process serial loop, the pool size otherwise.  A caller
-    #: (or benchmark) that requested ``N > 1`` can
-    #: compare the two fields instead of parsing :attr:`backend`:
-    #: ``parallel_effective < min(parallel_requested, nworkers)`` means
-    #: the run degraded.
-    parallel_effective: int = 1
 
     # -- aggregates ---------------------------------------------------------
     @property
@@ -358,8 +340,7 @@ class FarmResult:
 
     def makespan_seconds(self) -> float:
         """**Virtual** duration of the run: the busiest worker's modeled
-        clock (charged cycles over the modeled CPU frequency).  Compare
-        :attr:`wall_seconds` for how long the host actually took."""
+        clock (charged cycles over the modeled CPU frequency)."""
         return max(r.profiler.seconds() for r in self.results)
 
     def capacity_rps(self) -> float:
@@ -369,8 +350,7 @@ class FarmResult:
         This is the farm-scale analogue of the paper's Table 1 capacity
         (requests/s at saturation): the modeled workers run on one CPU
         each, so the run "takes" as long as its most loaded worker.  It
-        says nothing about host execution speed -- a process-parallel run
-        reports exactly the same figure as a serial one.
+        says nothing about host execution speed.
         """
         makespan = self.makespan_seconds()
         if makespan <= 0.0:
@@ -385,15 +365,6 @@ class FarmResult:
             [r.profiler.total_cycles() for r in self.results],
             [r.requests_completed for r in self.results],
             self.results[0].profiler.cpu)
-
-    def wall_speedup_over(self, other: "FarmResult") -> float:
-        """Host wall-clock speedup of this run relative to ``other``
-        (typically a serial run of the same workload).  Purely a host
-        execution figure; both runs' modeled results should be identical.
-        """
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return other.wall_seconds / self.wall_seconds
 
     def merged_profiler(self) -> perf.Profiler:
         """All workers folded into one profile (Table 1 at farm scale)."""
@@ -422,7 +393,8 @@ class FarmResult:
 class _WorkerState:
     """Run-time bookkeeping for one worker replica."""
 
-    __slots__ = ("index", "sim", "profiler", "result", "sched")
+    __slots__ = ("index", "sim", "profiler", "result", "sched",
+                 "batch_mark")
 
     def __init__(self, index: int, sim: WebServerSimulator):
         self.index = index
@@ -432,44 +404,14 @@ class _WorkerState:
         #: The worker's transaction scheduler: live set, event heap,
         #: stall counter (the old ``active`` list + ``stalled`` int).
         self.sched = TxnScheduler(sim._batcher)
-
-
-def _run_worker_round(state: _WorkerState, pool: ClientPool,
-                      round_no: int, ticks: int = 1) -> int:
-    """One scheduling round of one worker: step this round's runnable
-    transactions, retire done ones, tick/flush the batch clock, track
-    stalls.  ``ticks`` is the virtual-clock advance since the worker's
-    last executed round (> 1 after skipped idle rounds).  Returns the
-    number of cross-worker resumptions retired this round.
-
-    This is *the* worker inner loop: the serial path calls it in worker
-    order inside ``ServerFarm.run`` and the process-parallel backend
-    (:mod:`repro.webserver.parallel`) calls it inside each child process.
-    Keeping one shared body -- and computing each worker's next-event
-    round with the same :class:`~repro.webserver.events.TxnScheduler`
-    code on both backends -- is what makes the two backends (and their
-    skip decisions) bit-identical by construction rather than by
-    parallel maintenance.
-    """
-    pool.current_worker = state.index
-    cross = 0
-
-    def on_done(txn: _Transaction) -> None:
-        nonlocal cross
-        owner = txn._farm_offered_owner
-        if txn.server.resumed and owner is not None and owner != state.index:
-            cross += 1
-
-    state.sched.run_round(round_no, ticks, state.profiler, on_done=on_done)
-    return cross
+        #: The batcher's lifetime counters before this run.
+        self.batch_mark = _batch_mark(sim._batcher)
 
 
 def _next_round_target(queue: AcceptQueue,
                        worker_events: List[Optional[int]]) -> int:
     """The next round the farm loop must execute, given each worker's
-    next-event round (``None`` = no live transactions).  Shared by the
-    serial loop and the process-parallel parent so both backends agree
-    on every skip by construction.
+    next-event round (``None`` = no live transactions).
 
     The candidates, each an upper bound on how far the clock may jump:
 
@@ -529,9 +471,8 @@ class ServerFarm:
 
         ``engines`` attaches crypto-engine offload: every worker gets its
         *own* :class:`~repro.engines.OffloadPool` built from the config --
-        engines are per-machine hardware, and worker-local pools (like
-        the batcher and partitioned cache shards) are what keeps the
-        process-parallel backend merge-free and bit-identical.
+        engines are per-machine hardware, like the batcher and the
+        partitioned cache shards.
 
         ``tickets`` attaches one :class:`~repro.ssl.ticket.TicketKeyRing`
         shared by every worker (the ring is pure configuration -- all
@@ -547,8 +488,7 @@ class ServerFarm:
         ``client_suites`` is the ClientHello offer list every simulated
         client sends (default: just ``suite`` -- offer the downgrade
         suite too, or the policy has nothing to steer to).  All three
-        are evaluated in the parent on both execution backends, so
-        their decisions and counters are backend-invariant."""
+        are evaluated once per connection, in admission order."""
         if nworkers < 1:
             raise ValueError("need at least one worker")
         if topology not in TOPOLOGIES:
@@ -568,11 +508,10 @@ class ServerFarm:
         # warmed Montgomery contexts) is generated once, then every worker
         # gets its own key *replica* with private blinding state -- the
         # way each prefork server process owns its OpenSSL key structure.
-        # Worker-local blinding is also what makes the process-parallel
-        # backend cycle-exact: a single shared key would couple the
-        # workers through the order its blinding pair is consumed.  At
-        # N=1 the original key is used directly, preserving the
-        # bit-identity with ``WebServerSimulator``.
+        # A single shared key would couple the workers' modeled charges
+        # through the order its blinding pair is consumed.  At N=1 the
+        # original key is used directly, preserving the bit-identity
+        # with ``WebServerSimulator``.
         worker_keys = ([key] if nworkers == 1 else
                        [key.replica() for _ in range(nworkers)])
         shared_cache = (SessionCache(session_cache_capacity)
@@ -604,22 +543,13 @@ class ServerFarm:
         self._accept_queue: Optional[AcceptQueue] = None
         self._downgraded = 0
         self._states: List[_WorkerState] = []
-        # When the process-parallel backend runs, worker states live in
-        # child processes; the parent tracks in-flight counts here so the
-        # balancing policies keep working unchanged.
-        self._parallel_active: Optional[List[int]] = None
 
     # -- policy callbacks ---------------------------------------------------
-    def _active_of(self, worker: int) -> int:
-        if self._parallel_active is not None:
-            return self._parallel_active[worker]
-        return len(self._states[worker].sched)
-
     def free_slots(self, worker: int) -> bool:
-        return self._active_of(worker) < self._concurrency
+        return len(self._states[worker].sched) < self._concurrency
 
     def active_connections(self, worker: int) -> int:
-        return self._active_of(worker)
+        return len(self._states[worker].sched)
 
     def offered_session(self, group: Sequence[Request],
                         ) -> Optional[SslSession]:
@@ -636,37 +566,19 @@ class ServerFarm:
         return [sim._session_cache for sim in self._sims]
 
     # -- admission ----------------------------------------------------------
-    def _admission_plan(self, group: Sequence[Request],
-                        ) -> Optional[Tuple[int, Optional[SslSession],
-                                            Optional[int]]]:
-        """Decide where the connection at the head of the accept queue
-        goes: ``(worker, offered_session, offered_owner)``, or ``None``
-        to hold it for this round.  Pure policy -- no transaction is
-        built, so the parallel backend can plan admissions in the parent
-        and ship them to worker processes."""
-        worker = self.policy.select(self, group)
-        if worker is None:
-            return None
-        offered = self.offered_session(group)
-        owner = (self._pool.owners.get(offered.session_id)
-                 if offered is not None else None)
-        return worker, offered, owner
-
     def _suites_for_admission(self, queue: AcceptQueue,
                               ) -> Optional[Tuple[CipherSuite, ...]]:
-        """Consult the suite policy for the connection being admitted.
-
-        Runs in the parent on both backends -- once per successful
-        admission plan, in admission order -- so the pressure reading
-        (and therefore the downgrade decision and its counter) is
-        backend-invariant.  ``None`` means no policy: the worker's
+        """Consult the suite policy for the connection being admitted:
+        once per admission, in admission order, before the connection
+        leaves the queue.  ``None`` means no policy: the worker's
         default single-suite preference applies.
         """
         if self.suite_policy is None:
             return None
         pressure = PressureSignal(
             queue_depth=queue.depth(),
-            active=sum(self._active_of(w) for w in range(self.nworkers)),
+            active=sum(self.active_connections(w)
+                       for w in range(self.nworkers)),
             slots=self.nworkers * self._concurrency,
             round=queue.round)
         order = self.suite_policy.suites_for(pressure)
@@ -675,17 +587,19 @@ class ServerFarm:
         return order
 
     def _admit(self, queue: AcceptQueue, txn_id: int) -> int:
-        """Serial-path admission: drain the accept queue through the
-        balancing policy, building transactions in place.  Returns the
-        next transaction id."""
+        """Drain the accept queue through the balancing policy (which
+        may hold the head connection for this round), building
+        transactions in place.  Returns the next transaction id."""
         while True:
             group = queue.head()
             if group is None:
                 break
-            plan = self._admission_plan(group)
-            if plan is None:
+            worker = self.policy.select(self, group)
+            if worker is None:
                 break
-            worker, _, owner = plan
+            offered = self.offered_session(group)
+            owner = (self.session_owner(offered.session_id)
+                     if offered is not None else None)
             suites = self._suites_for_admission(queue)
             queue.pop()
             state = self._states[worker]
@@ -703,91 +617,71 @@ class ServerFarm:
     # -- the experiment -----------------------------------------------------
     def run(self, workload: RequestWorkload, nrequests: int,
             requests_per_connection: int = 1,
-            concurrency_per_worker: int = 4,
-            parallel: Optional[int] = None) -> FarmResult:
+            concurrency_per_worker: int = 4) -> FarmResult:
         """Process ``nrequests`` requests across the farm.
 
         Scheduling interleaves the workers round by round: admit from the
         global accept queue through the balancing policy, advance every
         in-flight transaction of every worker one step, then tick each
-        worker's batch clock -- the exact per-worker mirror of
-        ``WebServerSimulator._run_concurrent`` (which is what makes the
-        N=1 farm bit-identical to the single simulator).
-
-        ``parallel`` selects the host execution backend: ``None`` reads
-        the ``REPRO_PARALLEL`` default (:func:`repro.runtime.
-        parallel_processes`), ``0``/``1`` force the in-process serial
-        loop, and ``N > 1`` drives the per-worker loops through ``N``
-        OS processes (:mod:`repro.webserver.parallel`).  The backend is
-        *not observable* in the modeled results: cycles, transcripts and
-        cache counters are bit-identical either way.  Both topologies
-        fan out -- the partitioned topology ships whole cache shards
-        with the worker states, while the shared topology keeps the one
-        cache authoritative in the parent and synchronises it at round
-        boundaries (admissions carry the entries a round can look up;
-        reports carry each worker's mutation log back for a
-        worker-index-order replay).  ``parallel`` is clamped to the
-        worker count; the result records both the requested and the
-        effective parallelism (:attr:`FarmResult.parallel_requested` /
-        :attr:`FarmResult.parallel_effective`) so callers can detect the
-        degradation instead of inferring it from :attr:`FarmResult.
-        backend`.
+        worker's batch clock -- the per-worker mirror of
+        ``WebServerSimulator._run_concurrent``.  That makes the N=1 farm
+        bit-identical to the single simulator on workloads whose
+        requests all arrive at round 0; the farm's accept queue honours
+        arrival rounds and the simulator does not (see the module
+        docstring).
         """
         if requests_per_connection < 1:
             raise ValueError("requests_per_connection must be >= 1")
         if concurrency_per_worker < 1:
             raise ValueError("concurrency_per_worker must be >= 1")
-        if parallel is None:
-            parallel = runtime.parallel_processes()
-        start = time.perf_counter()
         self._concurrency = concurrency_per_worker
         groups = connection_groups(workload.requests(nrequests),
                                    requests_per_connection)
 
         self._states = [_WorkerState(i, sim)
                         for i, sim in enumerate(self._sims)]
-        self._parallel_active = None
         queue = AcceptQueue(groups, self.admission)
         self._accept_queue = queue
         self._downgraded = 0
-
-        requested = int(parallel or 0)
-        nprocs = min(requested, self.nworkers)
-        if nprocs > 1:
-            from .parallel import run_parallel
-            result = run_parallel(self, queue, nprocs)
-        else:
-            result = self._run_serial(queue)
-        result.parallel_requested = requested
-        result.parallel_effective = (
-            nprocs if result.backend.startswith("parallel") else 1)
-        result.wall_seconds = time.perf_counter() - start
-        return result
+        return self._run_serial(queue)
 
     def _run_serial(self, queue: AcceptQueue) -> FarmResult:
+        """The round loop: admit, then run one round of every worker in
+        worker order -- step its runnable transactions, retire done ones,
+        tick/flush its batch clock -- and jump to the next round anything
+        can happen in."""
         states = self._states
+        pool = self._pool
         txn_id = 0
         cross_resumed = 0
         target = 0
+
+        def on_done(txn: _Transaction) -> None:
+            # A resumption served by a worker other than the minter.
+            nonlocal cross_resumed
+            owner = txn._farm_offered_owner
+            if (txn.server.resumed and owner is not None
+                    and owner != pool.current_worker):
+                cross_resumed += 1
+
         while queue or any(s.sched for s in states):
             ticks = target - queue.round
             queue.begin_round(target)
             txn_id = self._admit(queue, txn_id)
             for state in states:
-                cross_resumed += _run_worker_round(
-                    state, self._pool, queue.round, ticks)
+                pool.current_worker = state.index
+                state.sched.run_round(queue.round, ticks, state.profiler,
+                                      on_done=on_done)
             target = _next_round_target(
                 queue,
                 [s.sched.next_event_round(queue.round) for s in states])
-        return self._assemble_result(cross_resumed, backend="serial")
+        return self._assemble_result(cross_resumed)
 
-    def _assemble_result(self, cross_resumed: int,
-                         backend: str) -> FarmResult:
+    def _assemble_result(self, cross_resumed: int) -> FarmResult:
         for state in self._states:
             state.result.scheduler = state.sched.stats()
-            if state.sim._batcher is not None:
-                state.result.batches = dict(state.sim._batcher.batches)
-                state.result.batched_ops = state.sim._batcher.ops_submitted
+            _fold_batch_counts(state.result, state.sim._batcher,
+                               state.batch_mark)
             if state.sim._engines is not None:
                 state.result.offload = state.sim._engines.snapshot(
                     state.profiler.now())
@@ -806,8 +700,7 @@ class ServerFarm:
             policy=self.policy.name,
             results=[s.result for s in self._states],
             shard_stats=shard_stats,
-            cross_worker_resumptions=cross_resumed,
-            backend=backend)
+            cross_worker_resumptions=cross_resumed)
         queue = self._accept_queue
         if queue is not None:
             result.offered_connections = queue.offered_connections

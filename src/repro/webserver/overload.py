@@ -23,9 +23,7 @@ exceeds capacity.  Three pieces:
   queue-wait deadline), :class:`ResumptionPreferredPolicy` (a full
   backlog evicts the youngest full-handshake connection in favour of a
   resuming client -- resumption is ~10x cheaper, Table 2 vs the
-  abbreviated handshake).  The queue lives in the parent on both farm
-  backends, so shed/offered counters fold identically under
-  ``parallel=N``.
+  abbreviated handshake).
 
 * :class:`SuitePolicy` -- the cipher-suite downgrade engine.  Under
   measured pressure (accept-queue depth) the ServerHello preference
@@ -186,7 +184,7 @@ class AdversarialWorkload(RequestWorkload):
 # ---------------------------------------------------------------------------
 
 class AcceptQueue:
-    """Round-structured accept queue shared by both farm backends.
+    """Round-structured accept queue in front of the farm's balancer.
 
     Connection groups enter at their ``arrival_round`` (normalised to be
     non-decreasing) and wait until the load balancer finds them a free
@@ -209,10 +207,6 @@ class AcceptQueue:
     every shipped policy -- they only inspect queued entries), which the
     farm guarantees by never jumping past ``round + 1`` at nonzero
     depth.
-
-    The queue lives in the *parent* on the serial and process-parallel
-    backends alike (admission is planned parent-side either way), so its
-    offered/shed/wait counters fold identically under ``parallel=N``.
     """
 
     def __init__(self, groups: Iterable[List[Request]],
@@ -454,10 +448,10 @@ class SuitePolicy:
     The server picks the first of *its* preference order that the client
     offered, so flipping the order is the entire downgrade mechanism: no
     protocol change, just a different ServerHello.  The decision is made
-    parent-side at admission (it must be identical on the serial and
-    process-parallel backends) and priced from :func:`suite_cost_per_kb`
-    -- for the paper's suites the payoff is the Table 11 vs Table 12
-    ratio, roughly an order of magnitude of record-path cycles per byte.
+    once per connection at admission and priced from
+    :func:`suite_cost_per_kb` -- for the paper's suites the payoff is the
+    Table 11 vs Table 12 ratio, roughly an order of magnitude of
+    record-path cycles per byte.
     """
 
     def __init__(self, primary: CipherSuite = DEFAULT_SUITE,

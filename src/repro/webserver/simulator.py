@@ -509,10 +509,9 @@ class WebServerSimulator:
         # O(concurrency + lookahead) admission state.
         groups = connection_groups(workload.requests(nrequests),
                                    requests_per_connection)
+        mark = _batch_mark(self._batcher)
         self._run_concurrent(groups, server_prof, result, concurrency)
-        if self._batcher is not None:
-            result.batches = dict(self._batcher.batches)
-            result.batched_ops = self._batcher.ops_submitted
+        _fold_batch_counts(result, self._batcher, mark)
         if self._engines is not None:
             result.offload = self._engines.snapshot(server_prof.now())
         return result
@@ -558,6 +557,29 @@ class WebServerSimulator:
                                                            round_no + 1)
             round_no = nxt if nxt is not None else round_no + 1
         result.scheduler = sched.stats()
+
+
+def _batch_mark(batcher: Optional[HandshakeBatcher],
+                ) -> Tuple[Dict[int, int], int]:
+    """A batcher's lifetime counters -- batch-size histogram and ops
+    submitted -- taken before a run."""
+    if batcher is None:
+        return {}, 0
+    return dict(batcher.batches), batcher.ops_submitted
+
+
+def _fold_batch_counts(result: SimulationResult,
+                       batcher: Optional[HandshakeBatcher],
+                       mark: Tuple[Dict[int, int], int]) -> None:
+    """Report on ``result`` only the flushes and ops since ``mark``: the
+    batcher outlives a run, and its counters cover its whole life."""
+    if batcher is None:
+        return
+    sizes, ops = mark
+    result.batches = {size: count - sizes.get(size, 0)
+                      for size, count in batcher.batches.items()
+                      if count > sizes.get(size, 0)}
+    result.batched_ops = batcher.ops_submitted - ops
 
 
 def run_experiment(file_size_bytes: int, nrequests: int = 3, *,

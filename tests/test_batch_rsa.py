@@ -434,6 +434,17 @@ class TestConcurrentSimulator:
         assert sum(size * count for size, count in result.batches.items()) \
             == 5
 
+    def test_rerun_reports_only_its_own_batches(self, batch_keys4):
+        # The batcher outlives a run and its counters span its whole
+        # life; each result must report only its own run's flushes/ops.
+        sim = WebServerSimulator(key_set=batch_keys4, batch_size=4,
+                                 use_crt=True, seed=b"batch-rerun")
+        for _ in range(2):
+            result = sim.run(RequestWorkload.fixed(1024), 8, concurrency=4)
+            assert result.requests_completed == 8
+            assert result.batched_ops == 8
+            assert result.batches == {4: 2}
+
     def test_concurrent_unbatched_matches_sequential(self, identity512):
         key, cert = identity512
         wl = RequestWorkload.fixed(1024)

@@ -1,7 +1,8 @@
 """Sharded server farm: N=1 bit-exactness, topologies, balancing policies.
 
-The farm's core invariant (DESIGN.md): a one-worker farm is *bit-identical*
-to ``WebServerSimulator.run(..., concurrency=k)`` -- cycle totals, full
+The farm's core invariant (DESIGN.md): on a workload whose requests all
+arrive at round 0, a one-worker farm is *bit-identical* to
+``WebServerSimulator.run(..., concurrency=k)`` -- cycle totals, full
 charge stream, transcript bytes.  The remaining tests pin the sharding
 semantics: cross-worker resumption works under the shared cache topology
 and misses under the partitioned one, session-affinity routing recovers
@@ -10,8 +11,13 @@ the partitioned misses, and batch-RSA continuations stay worker-local.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.crypto.batch_rsa import BatchRsaError, generate_batch_keys
 from repro.crypto.rand import PseudoRandom
 from repro.webserver import (
@@ -273,6 +279,19 @@ class TestFarmBatching:
         assert sum(size * count
                    for size, count in result.batch_histogram().items()) == 8
 
+    def test_rerun_reports_only_its_own_batches(self, batch_keys,
+                                                identity512):
+        # Each worker's batcher outlives a run; a second run on the same
+        # farm must report its own flushes and ops, not lifetime totals.
+        key, cert = identity512
+        farm = ServerFarm(2, key=key, cert=cert, key_set=batch_keys,
+                          batch_size=2)
+        for _ in range(2):
+            result = farm.run(workload(0.0), 8, concurrency_per_worker=2)
+            assert result.requests_completed == 8
+            assert result.batched_ops == 8
+            assert result.batch_histogram() == {2: 4}
+
     def test_keyset_partition_disjoint(self, batch_keys):
         subsets = batch_keys.partition(2)
         assert [len(s) for s in subsets] == [2, 2]
@@ -329,3 +348,23 @@ class TestFarmMetrics:
             farm_requests_per_second([], [], cpu)
         with pytest.raises(ValueError):
             farm_requests_per_second([-1.0], [1], cpu)
+
+
+# ---------------------------------------------------------------------------
+# Import footprint
+# ---------------------------------------------------------------------------
+
+class TestImportFootprint:
+    def test_webserver_does_not_load_multiprocessing(self):
+        # Every benchmark process imports the package; nothing in it
+        # runs in a child process, so importing it must not drag in the
+        # multiprocessing machinery.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        code = ("import sys; import repro.webserver; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing'))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"

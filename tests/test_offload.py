@@ -1,9 +1,8 @@
 """Crypto-engine offload pool (Section 6.2 wired into the simulator).
 
 Unit level: the preferential scheduler (cheapest capable core, spill to
-the generic unit, saturation refusal), the skip-small policy, the
-timeline accounting, and pickling (the pool rides inside farm worker
-states through the process-parallel protocol).
+the generic unit, saturation refusal), the skip-small policy and the
+timeline accounting.
 
 Integration level: offload must never change the transcript -- wire
 bytes are bit-identical to a software run -- while cutting modeled CPU
@@ -13,16 +12,13 @@ and an aggregate summary.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro import perf
 from repro.crypto import rsa
 from repro.engines import (
     AES_UNIT, GENERIC_CIPHER_UNIT, HASH_UNIT, MODEXP_UNIT, OffloadConfig,
-    OffloadPool, RC4_UNIT, UnitDesign, default_engine_config,
-    single_engine_config,
+    OffloadPool, default_engine_config, single_engine_config,
 )
 from repro.ssl.ciphersuites import AES128_SHA, RC4_MD5
 from repro.webserver import RequestWorkload, SHARED, ServerFarm, \
@@ -159,16 +155,6 @@ class TestAccounting:
             ["cipher", "hash", "modexp"]
         assert all(0.0 <= u["utilization"] <= 1.0 for u in snap["units"])
 
-    def test_pool_pickles_mid_flight(self):
-        pool = make_pool(AES_UNIT, HASH_UNIT)
-        assert pool.submit_record("seal", "aes", "sha1", 8192, 21)
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.record_ops == 1
-        assert clone.units[0].free_at == pool.units[0].free_at
-        # The clone keeps scheduling from where the original stopped.
-        assert clone.submit_record("seal", "aes", "sha1", 8192, 21)
-        assert clone.record_ops == 2
-
 
 def run_sim(engines, *, identity, suite=AES128_SHA, size=16384, n=4):
     key, cert = identity
@@ -210,13 +196,13 @@ class TestSimulatorIntegration:
 
 
 class TestFarmIntegration:
-    def _run_farm(self, identity, engines, parallel=0):
+    def _run_farm(self, identity, engines):
         key, cert = identity
         rsa.reset_error_tables()
         farm = ServerFarm(2, topology=SHARED, key=key, cert=cert,
                           use_crt=True, engines=engines)
         return farm.run(RequestWorkload.fixed(8192, resumption_rate=0.5),
-                        8, concurrency_per_worker=2, parallel=parallel)
+                        8, concurrency_per_worker=2)
 
     def test_summary_aggregates_workers(self, identity512):
         result = self._run_farm(identity512, single_engine_config())

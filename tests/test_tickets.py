@@ -17,7 +17,6 @@ import pytest
 from repro import perf
 from repro.crypto import rsa
 from repro.crypto.rand import PseudoRandom
-from repro.perf import baseline
 from repro.ssl.client import SslClient
 from repro.ssl.loopback import pump
 from repro.ssl.server import SslServer
@@ -25,7 +24,7 @@ from repro.ssl.session import SessionCache
 from repro.ssl.ticket import (
     KEY_NAME_LENGTH, SESSION_TICKET_EXT, TicketKeyRing, TicketState,
 )
-from repro.webserver import PARTITIONED, RequestWorkload, ServerFarm
+from repro.webserver import RequestWorkload
 from repro.webserver.simulator import WebServerSimulator
 
 
@@ -323,43 +322,3 @@ class TestSimulatorTickets:
         assert len(pool) <= 8
         assert pool.peak_size <= 8
         assert len(sim._session_cache) == 0
-
-
-def ticket_farm_signature(result) -> str:
-    sig = baseline.capture(
-        result.merged_profiler(), scenario="ticket-farm-test",
-        extra={
-            "requests_completed": result.requests_completed,
-            "failures": result.failures,
-            "resumed_handshakes": result.resumed_handshakes,
-            "wire_bytes": result.wire_bytes,
-            "tickets_minted": result.tickets_minted,
-            "tickets_accepted": result.tickets_accepted,
-            "tickets_rejected": result.tickets_rejected,
-            "tickets_renewed": result.tickets_renewed,
-            "shard_stats": result.shard_stats,
-            "per_worker_cycles": [r.profiler.total_cycles()
-                                  for r in result.results],
-        })
-    return baseline.canonical_json(sig)
-
-
-class TestParallelTicketIdentity:
-    def run_ticket_farm(self, identity, parallel):
-        key, cert = identity
-        rsa.reset_error_tables()
-        ring = TicketKeyRing(seed=b"farm-ring")
-        farm = ServerFarm(2, topology=PARTITIONED, key=key, cert=cert,
-                          use_crt=True, tickets=ring,
-                          client_pool_capacity=8)
-        workload = RequestWorkload.fixed(2048, resumption_rate=0.7,
-                                        seed=b"farm-tickets", clients=4)
-        return farm.run(workload, 10, concurrency_per_worker=2,
-                        parallel=parallel)
-
-    def test_parallel_matches_serial(self, identity512):
-        serial = self.run_ticket_farm(identity512, 0)
-        par = self.run_ticket_farm(identity512, 2)
-        assert par.backend == "parallel:2"
-        assert serial.tickets_accepted > 0
-        assert ticket_farm_signature(par) == ticket_farm_signature(serial)
