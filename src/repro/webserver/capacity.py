@@ -131,12 +131,13 @@ class LoadSimulator:
             arrival, _, client = heapq.heappop(events)
             if arrival >= duration_seconds:
                 continue
+            service = self._next_service()
             free_at = heapq.heappop(cpus)
             start = max(arrival, free_at)
-            done = start + self.service_s
+            done = start + service
             heapq.heappush(cpus, done)
             last_done = max(last_done, done)
-            busy += self.service_s
+            busy += service
             completed += 1
             latencies.append(done - arrival)
             next_arrival = done + self.think_s
@@ -148,6 +149,10 @@ class LoadSimulator:
                           utilization=min(1.0, busy / (
                               sim_end * self.nservers)),
                           latencies=latencies)
+
+    def _next_service(self) -> float:
+        """Service time of the next request served."""
+        return self.service_s
 
     def saturation_sweep(self, client_counts: Tuple[int, ...],
                          duration_seconds: float = 10.0,
@@ -186,39 +191,5 @@ class MixedLoadSimulator(LoadSimulator):
 
     def run(self, nclients: int, duration_seconds: float = 10.0,
             ) -> LoadResult:
-        if nclients < 1:
-            raise ValueError("need at least one client")
-        if duration_seconds <= 0:
-            raise ValueError("duration must be positive")
         self._next = 0
-        events: List[Tuple[float, int, int]] = []
-        for client in range(nclients):
-            heapq.heappush(events, (0.0, client, client))
-        cpus: List[float] = [0.0] * self.nservers
-        heapq.heapify(cpus)
-        busy = 0.0
-        completed = 0
-        latencies: List[float] = []
-        seq = nclients
-        last_done = 0.0
-        while events:
-            arrival, _, client = heapq.heappop(events)
-            if arrival >= duration_seconds:
-                continue
-            service = self._next_service()
-            free_at = heapq.heappop(cpus)
-            start = max(arrival, free_at)
-            done = start + service
-            heapq.heappush(cpus, done)
-            last_done = max(last_done, done)
-            busy += service
-            completed += 1
-            latencies.append(done - arrival)
-            seq += 1
-            heapq.heappush(events, (done + self.think_s, seq, client))
-        sim_end = max(duration_seconds, last_done)
-        return LoadResult(offered_clients=nclients, completed=completed,
-                          sim_seconds=sim_end,
-                          utilization=min(1.0, busy / (
-                              sim_end * self.nservers)),
-                          latencies=latencies)
+        return super().run(nclients, duration_seconds)

@@ -1,7 +1,8 @@
-"""Discrete-event scheduler core for the simulator and farm round loops.
+"""Discrete-event scheduler core for the simulator and farm round loop.
 
-Both round loops -- ``WebServerSimulator._run_concurrent`` and the
-farm's ``ServerFarm._run_serial`` -- step their transactions through a
+The round loop (``repro.webserver.simulator._run_rounds``, which
+``WebServerSimulator.run`` drives with one worker and
+``ServerFarm.run`` with N) steps each worker's transactions through a
 :class:`TxnScheduler`: an event heap keyed
 ``(wake_round, admission_order)``, so one round costs O(runnable + log
 heap) rather than O(active).  The scheduler also tells its driver the
@@ -39,9 +40,9 @@ would provably be a no-op for every party: no heap entry wakes in it,
 the batch queue is empty (a non-empty queue flushes next round -- by
 deadline tick or by the loop's not-progressed flush -- so the next
 event is always ``round + 1``), and the driver guarantees no admission
-can happen in it (free slots + pending work, or an
+can happen in it (a nonempty accept backlog, or the next
 :class:`~repro.webserver.overload.AcceptQueue` arrival release, each
-cap the jump).  Skipped rounds still advance the batch clock
+caps the jump).  Skipped rounds still advance the batch clock
 (``tick(ticks)``) and the straggler counter (``stalled += ticks``),
 because the reference schedule's no-op rounds did.  When in doubt the
 driver executes the round: executing a no-op round is always
@@ -101,11 +102,6 @@ class TxnScheduler:
     def __bool__(self) -> bool:
         return bool(self._txns)
 
-    def transactions(self) -> List["_Transaction"]:
-        """Live transactions in admission order (dicts preserve
-        insertion order)."""
-        return list(self._txns.values())
-
     def add(self, txn: "_Transaction", round_no: int) -> None:
         """Admit a transaction, runnable in ``round_no`` (its admission
         round -- new admissions step the same round)."""
@@ -158,9 +154,7 @@ class TxnScheduler:
         heap = self._heap
         while heap and heap[0][0] <= round_no:
             _, order = heapq.heappop(heap)
-            txn = self._txns.get(order)
-            if txn is None:  # defensively tolerate a stale entry
-                continue
+            txn = self._txns[order]
             self.touched += 1
             stepped = txn.step()
             if stepped:

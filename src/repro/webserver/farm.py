@@ -24,19 +24,15 @@ session-affinity hashing (route a resuming client back to the worker that
 minted its session -- which recovers resumption hits even under the
 partitioned topology).
 
-**The N=1 invariant**: on a workload whose requests all arrive at round
-0, a one-worker farm is *bit-identical* -- cycle totals, charge stream,
-transcript bytes -- to ``WebServerSimulator.run(..., concurrency=k)``.
-The farm does not model anything new at N=1; it only adds the sharding
-axis.  The scheduling loop therefore mirrors
-``WebServerSimulator._run_concurrent`` (admission, stepping order, batch
-ticking, stall handling), per worker.  Arrival gaps break the identity:
-the farm's :class:`~repro.webserver.overload.AcceptQueue` releases a
+**The N=1 invariant**: a one-worker farm is *bit-identical* -- cycle
+totals, charge stream, transcript bytes, handshake latencies -- to
+``WebServerSimulator.run(..., concurrency=k)`` on every workload.  The
+farm does not model anything new at N=1; it only adds the sharding axis.
+Both run the same round loop (``simulator._run_rounds``: admission,
+stepping order, batch ticking, stall handling), and both admit a
 connection no earlier than its :attr:`~repro.webserver.workload.Request.
-arrival_round`, while ``_run_concurrent`` ignores arrival rounds and
-admits whenever a slot is free, so on an :class:`~repro.webserver.
-overload.AdversarialWorkload` with ``mean_gap_rounds > 0`` the two
-schedules -- and the modeled handshake latencies -- differ.
+arrival_round`; the farm adds the balancer, admission and suite
+policies, and the owner annotation for cross-worker resumption.
 """
 
 from __future__ import annotations
@@ -57,11 +53,10 @@ from ..ssl.x509 import Certificate
 from .capacity import farm_requests_per_second
 from .clientpool import ClientPool
 from .costs import DEFAULT_COSTS, SystemCostModel
-from .events import TxnScheduler
 from .overload import AcceptQueue, AdmissionPolicy, PressureSignal, SuitePolicy
 from .simulator import (
-    SimulationResult, WebServerSimulator, _Transaction, _admit_transaction,
-    _batch_mark, _fold_batch_counts,
+    SimulationResult, WebServerSimulator, _Transaction, _WorkerState,
+    _admit_transaction, _run_rounds,
 )
 from .workload import Request, RequestWorkload, connection_groups
 
@@ -390,49 +385,6 @@ class FarmResult:
 # The farm
 # ---------------------------------------------------------------------------
 
-class _WorkerState:
-    """Run-time bookkeeping for one worker replica."""
-
-    __slots__ = ("index", "sim", "profiler", "result", "sched",
-                 "batch_mark")
-
-    def __init__(self, index: int, sim: WebServerSimulator):
-        self.index = index
-        self.sim = sim
-        self.profiler = perf.Profiler()
-        self.result = SimulationResult(profiler=self.profiler)
-        #: The worker's transaction scheduler: live set, event heap,
-        #: stall counter (the old ``active`` list + ``stalled`` int).
-        self.sched = TxnScheduler(sim._batcher)
-        #: The batcher's lifetime counters before this run.
-        self.batch_mark = _batch_mark(sim._batcher)
-
-
-def _next_round_target(queue: AcceptQueue,
-                       worker_events: List[Optional[int]]) -> int:
-    """The next round the farm loop must execute, given each worker's
-    next-event round (``None`` = no live transactions).
-
-    The candidates, each an upper bound on how far the clock may jump:
-
-    * every worker's own next event (wake, batch flush, straggler fail);
-    * ``round + 1`` while the accept backlog is nonempty -- admission
-      retries, deadline pruning and wait counters are per-round
-      observable there, so no skipping;
-    * the next arrival's release round (never before ``round + 1``).
-
-    With no candidate at all the loop is about to terminate; ``round +
-    1`` keeps the clock sane.
-    """
-    candidates = [ev for ev in worker_events if ev is not None]
-    if queue.depth() > 0:
-        candidates.append(queue.round + 1)
-    arrival = queue.next_arrival_round()
-    if arrival is not None:
-        candidates.append(max(queue.round + 1, arrival))
-    return min(candidates) if candidates else queue.round + 1
-
-
 class ServerFarm:
     """N web-server worker replicas behind a load balancer.
 
@@ -540,7 +492,6 @@ class ServerFarm:
         self._shared_cache = shared_cache
         self.admission = admission
         self.suite_policy = suite_policy
-        self._accept_queue: Optional[AcceptQueue] = None
         self._downgraded = 0
         self._states: List[_WorkerState] = []
 
@@ -603,7 +554,6 @@ class ServerFarm:
             suites = self._suites_for_admission(queue)
             queue.pop()
             state = self._states[worker]
-            self._pool.current_worker = worker
             txn = _admit_transaction(state.sim, txn_id, group,
                                      state.profiler, state.result,
                                      server_suites=suites)
@@ -620,15 +570,12 @@ class ServerFarm:
             concurrency_per_worker: int = 4) -> FarmResult:
         """Process ``nrequests`` requests across the farm.
 
-        Scheduling interleaves the workers round by round: admit from the
-        global accept queue through the balancing policy, advance every
+        Scheduling interleaves the workers round by round in the round
+        loop ``WebServerSimulator.run`` also uses: admit from the global
+        accept queue through the balancing policy, advance every
         in-flight transaction of every worker one step, then tick each
-        worker's batch clock -- the per-worker mirror of
-        ``WebServerSimulator._run_concurrent``.  That makes the N=1 farm
-        bit-identical to the single simulator on workloads whose
-        requests all arrive at round 0; the farm's accept queue honours
-        arrival rounds and the simulator does not (see the module
-        docstring).
+        worker's batch clock.  That makes the N=1 farm bit-identical to
+        the single simulator (see the module docstring).
         """
         if requests_per_connection < 1:
             raise ValueError("requests_per_connection must be >= 1")
@@ -641,20 +588,9 @@ class ServerFarm:
         self._states = [_WorkerState(i, sim)
                         for i, sim in enumerate(self._sims)]
         queue = AcceptQueue(groups, self.admission)
-        self._accept_queue = queue
         self._downgraded = 0
-        return self._run_serial(queue)
-
-    def _run_serial(self, queue: AcceptQueue) -> FarmResult:
-        """The round loop: admit, then run one round of every worker in
-        worker order -- step its runnable transactions, retire done ones,
-        tick/flush its batch clock -- and jump to the next round anything
-        can happen in."""
-        states = self._states
         pool = self._pool
-        txn_id = 0
         cross_resumed = 0
-        target = 0
 
         def on_done(txn: _Transaction) -> None:
             # A resumption served by a worker other than the minter.
@@ -664,28 +600,11 @@ class ServerFarm:
                     and owner != pool.current_worker):
                 cross_resumed += 1
 
-        while queue or any(s.sched for s in states):
-            ticks = target - queue.round
-            queue.begin_round(target)
-            txn_id = self._admit(queue, txn_id)
-            for state in states:
-                pool.current_worker = state.index
-                state.sched.run_round(queue.round, ticks, state.profiler,
-                                      on_done=on_done)
-            target = _next_round_target(
-                queue,
-                [s.sched.next_event_round(queue.round) for s in states])
-        return self._assemble_result(cross_resumed)
+        _run_rounds(queue, self._states, self._admit, on_done)
+        return self._assemble_result(queue, cross_resumed)
 
-    def _assemble_result(self, cross_resumed: int) -> FarmResult:
-        for state in self._states:
-            state.result.scheduler = state.sched.stats()
-            _fold_batch_counts(state.result, state.sim._batcher,
-                               state.batch_mark)
-            if state.sim._engines is not None:
-                state.result.offload = state.sim._engines.snapshot(
-                    state.profiler.now())
-
+    def _assemble_result(self, queue: AcceptQueue,
+                         cross_resumed: int) -> FarmResult:
         shard_stats = []
         if self._shared_cache is not None:
             shard_stats.append({"shard": 0,
@@ -695,19 +614,16 @@ class ServerFarm:
             for i, sim in enumerate(self._sims):
                 shard_stats.append({"shard": i, "workers": [i],
                                     **sim._session_cache.stats()})
-        result = FarmResult(
+        return FarmResult(
             nworkers=self.nworkers, topology=self.topology,
             policy=self.policy.name,
-            results=[s.result for s in self._states],
+            results=[s.finish() for s in self._states],
             shard_stats=shard_stats,
-            cross_worker_resumptions=cross_resumed)
-        queue = self._accept_queue
-        if queue is not None:
-            result.offered_connections = queue.offered_connections
-            result.shed_queue_full = queue.shed_queue_full
-            result.shed_deadline = queue.shed_deadline
-            result.requests_shed = queue.requests_shed
-            result.peak_queue_depth = queue.peak_queue_depth
-            result.queue_wait_rounds_total = queue.queue_wait_rounds_total
-        result.connections_downgraded = self._downgraded
-        return result
+            cross_worker_resumptions=cross_resumed,
+            offered_connections=queue.offered_connections,
+            shed_queue_full=queue.shed_queue_full,
+            shed_deadline=queue.shed_deadline,
+            requests_shed=queue.requests_shed,
+            peak_queue_depth=queue.peak_queue_depth,
+            queue_wait_rounds_total=queue.queue_wait_rounds_total,
+            connections_downgraded=self._downgraded)

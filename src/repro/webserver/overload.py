@@ -184,12 +184,13 @@ class AdversarialWorkload(RequestWorkload):
 # ---------------------------------------------------------------------------
 
 class AcceptQueue:
-    """Round-structured accept queue in front of the farm's balancer.
+    """Round-structured accept queue in front of the round loop's
+    admission step (the farm's balancer, or the simulator's free slot).
 
     Connection groups enter at their ``arrival_round`` (normalised to be
-    non-decreasing) and wait until the load balancer finds them a free
-    worker slot.  An optional :class:`AdmissionPolicy` decides, at
-    arrival and at each round boundary, which ever make it that far.
+    non-decreasing) and wait until admission finds them a free worker
+    slot.  An optional :class:`AdmissionPolicy` decides, at arrival and
+    at each round boundary, which ever make it that far.
     With no policy and all-zero arrival rounds this degenerates to the
     plain FIFO ``deque`` the farm used before -- the exact admission
     sequence, which is what keeps every pre-overload baseline signature
@@ -197,16 +198,18 @@ class AcceptQueue:
 
     ``groups`` may be any iterable, a *lazy* one included: the queue
     holds a single group of lookahead (the next arrival and its
-    normalised release round) and pulls the rest on demand, so a
-    streaming workload never materializes.  ``next_arrival_round`` --
-    the lookahead's release round -- is what lets the event-core farm
-    loop jump the round clock across empty arrival gaps; the companion
-    ``begin_round(to_round=...)`` form lands the clock directly on a
-    target round.  Skipping is only sound while the backlog is empty:
-    policy ``prune`` hooks must be no-ops on an empty queue (true of
-    every shipped policy -- they only inspect queued entries), which the
-    farm guarantees by never jumping past ``round + 1`` at nonzero
-    depth.
+    normalised release round) and pulls the rest as they arrive, so
+    arrivals not yet released never materialize.  Released ones wait in
+    the backlog, which only an admission policy bounds: without one, a
+    stream whose groups all arrive at round 0 is held in full.
+    ``next_arrival_round`` -- the lookahead's release round -- is what
+    lets the round loop jump the clock across empty arrival gaps; the
+    companion ``begin_round(to_round=...)`` form lands the clock
+    directly on a target round.  Skipping is only sound while the
+    backlog is empty: policy ``prune`` hooks must be no-ops on an empty
+    queue (true of every shipped policy -- they only inspect queued
+    entries), which the round loop guarantees by never jumping past
+    ``round + 1`` at nonzero depth.
     """
 
     def __init__(self, groups: Iterable[List[Request]],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import perf
 from ..crypto.batch_rsa import BatchRsaKeySet
@@ -35,6 +35,7 @@ from .clientpool import ClientPool
 from .costs import DEFAULT_COSTS, SystemCostModel
 from .events import TxnScheduler
 from .httpd import ApacheWorker, build_request, parse_response
+from .overload import AcceptQueue
 from .workload import Request, RequestWorkload, connection_groups
 
 
@@ -495,91 +496,131 @@ class WebServerSimulator:
         long B2B-style sessions amortize the handshake across many
         requests.  ``concurrency > 1`` keeps that many transactions in
         flight simultaneously (required for batch RSA: handshakes must
-        overlap for the batch queue to fill).  Handshake failures are
-        counted in :attr:`SimulationResult.failures`, not raised.
+        overlap for the batch queue to fill).  No connection is admitted
+        before its :attr:`~repro.webserver.workload.Request.arrival_round`:
+        the run is the one-worker case of the farm's round loop
+        (:func:`_run_rounds`) behind a policy-free accept queue.
+        Handshake failures are counted in :attr:`SimulationResult.failures`,
+        not raised.
         """
         if requests_per_connection < 1:
             raise ValueError("requests_per_connection must be >= 1")
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        server_prof = perf.Profiler()
-        result = SimulationResult(profiler=server_prof)
-        # The request stream is consumed lazily through the connection
-        # grouper: nothing is materialized, so a 10^7-request run holds
-        # O(concurrency + lookahead) admission state.
-        groups = connection_groups(workload.requests(nrequests),
-                                   requests_per_connection)
-        mark = _batch_mark(self._batcher)
-        self._run_concurrent(groups, server_prof, result, concurrency)
-        _fold_batch_counts(result, self._batcher, mark)
-        if self._engines is not None:
-            result.offload = self._engines.snapshot(server_prof.now())
+        state = _WorkerState(0, self)
+        # The grouper pulls the request stream lazily, but a policy-free
+        # accept queue backlogs every connection that has arrived: a
+        # stream whose requests all arrive at round 0 is held in full.
+        queue = AcceptQueue(connection_groups(workload.requests(nrequests),
+                                              requests_per_connection))
+
+        def admit(queue: AcceptQueue, txn_id: int) -> int:
+            while len(state.sched) < concurrency and queue.head() is not None:
+                txn = _admit_transaction(self, txn_id, queue.pop(),
+                                         state.profiler, state.result)
+                txn_id += 1
+                if txn is not None:
+                    state.sched.add(txn, queue.round)
+            return txn_id
+
+        _run_rounds(queue, [state], admit)
+        return state.finish()
+
+
+class _WorkerState:
+    """Run-time bookkeeping for one worker replica: its virtual clock,
+    result and scheduler."""
+
+    __slots__ = ("index", "sim", "profiler", "result", "sched",
+                 "_batch_mark")
+
+    def __init__(self, index: int, sim: WebServerSimulator):
+        batcher = sim._batcher
+        self.index = index
+        self.sim = sim
+        self.profiler = perf.Profiler()
+        self.result = SimulationResult(profiler=self.profiler)
+        self.sched = TxnScheduler(batcher)
+        #: The batcher's lifetime counters -- batch-size histogram and
+        #: ops submitted -- before this run.
+        self._batch_mark: Tuple[Dict[int, int], int] = (
+            (dict(batcher.batches), batcher.ops_submitted)
+            if batcher is not None else ({}, 0))
+
+    def finish(self) -> SimulationResult:
+        """Fold the run's scheduler stats, batch counts and engine
+        snapshot into the result, and return it."""
+        result = self.result
+        result.scheduler = self.sched.stats()
+        batcher = self.sim._batcher
+        if batcher is not None:
+            # The batcher outlives a run and its counters cover its
+            # whole life: report only this run's flushes and ops.
+            sizes, ops = self._batch_mark
+            result.batches = {size: count - sizes.get(size, 0)
+                              for size, count in batcher.batches.items()
+                              if count > sizes.get(size, 0)}
+            result.batched_ops = batcher.ops_submitted - ops
+        if self.sim._engines is not None:
+            result.offload = self.sim._engines.snapshot(self.profiler.now())
         return result
 
-    def _run_concurrent(self, groups: Iterable[List[Request]],
-                        server_prof: perf.Profiler,
-                        result: SimulationResult,
-                        concurrency: int) -> None:
-        """Interleave up to ``concurrency`` transactions round-robin.
 
-        Each scheduling round admits from the (lazily consumed) group
-        stream while slots are free, advances this round's *runnable*
-        transactions in admission order, and then ticks the batcher's
-        virtual clock; a round in which nothing progressed means every
-        active handshake is parked in the batch queue, so the queue is
-        flushed (partial batch) rather than deadlocking.  The
-        :class:`~repro.webserver.events.TxnScheduler` skips rounds in
-        which nothing can happen and keeps batch-parked transactions off
-        the per-round sweep.  Transaction ids double as the per-connection
-        rng tags: reusing one seed across connections would let a fresh
-        server re-mint the very session id it just declined.
-        """
-        sched = TxnScheduler(self._batcher)
-        pending = iter(groups)
-        head: Optional[List[Request]] = next(pending, None)
-        txn_id = 0
-        round_no = 0
-        last_run = -1
-        while head is not None or sched:
-            while head is not None and len(sched) < concurrency:
-                txn = _admit_transaction(self, txn_id, head,
-                                         server_prof, result)
-                txn_id += 1
-                head = next(pending, None)
-                if txn is not None:
-                    sched.add(txn, round_no)
-            sched.run_round(round_no, round_no - last_run, server_prof)
-            last_run = round_no
-            nxt = sched.next_event_round(round_no)
-            if head is not None and len(sched) < concurrency:
-                # A free slot and a pending group: next round admits.
-                nxt = round_no + 1 if nxt is None else min(nxt,
-                                                           round_no + 1)
-            round_no = nxt if nxt is not None else round_no + 1
-        result.scheduler = sched.stats()
+def _next_round_target(queue: AcceptQueue,
+                       worker_events: List[Optional[int]]) -> int:
+    """The next round the round loop must execute, given each worker's
+    next-event round (``None`` = no live transactions).
+
+    The candidates, each an upper bound on how far the clock may jump:
+
+    * every worker's own next event (wake, batch flush, straggler fail);
+    * ``round + 1`` while the accept backlog is nonempty -- admission
+      retries, deadline pruning and wait counters are per-round
+      observable there, so no skipping;
+    * the next arrival's release round (never before ``round + 1``).
+
+    With no candidate at all the loop is about to terminate; ``round +
+    1`` keeps the clock sane.
+    """
+    candidates = [ev for ev in worker_events if ev is not None]
+    if queue.depth() > 0:
+        candidates.append(queue.round + 1)
+    arrival = queue.next_arrival_round()
+    if arrival is not None:
+        candidates.append(max(queue.round + 1, arrival))
+    return min(candidates) if candidates else queue.round + 1
 
 
-def _batch_mark(batcher: Optional[HandshakeBatcher],
-                ) -> Tuple[Dict[int, int], int]:
-    """A batcher's lifetime counters -- batch-size histogram and ops
-    submitted -- taken before a run."""
-    if batcher is None:
-        return {}, 0
-    return dict(batcher.batches), batcher.ops_submitted
+def _run_rounds(queue: AcceptQueue, states: Sequence[_WorkerState],
+                admit: Callable[[AcceptQueue, int], int],
+                on_done: Optional[Callable[[_Transaction], None]] = None,
+                ) -> None:
+    """The round loop of every run, one worker or many.
 
-
-def _fold_batch_counts(result: SimulationResult,
-                       batcher: Optional[HandshakeBatcher],
-                       mark: Tuple[Dict[int, int], int]) -> None:
-    """Report on ``result`` only the flushes and ops since ``mark``: the
-    batcher outlives a run, and its counters cover its whole life."""
-    if batcher is None:
-        return
-    sizes, ops = mark
-    result.batches = {size: count - sizes.get(size, 0)
-                      for size, count in batcher.batches.items()
-                      if count > sizes.get(size, 0)}
-    result.batched_ops = batcher.ops_submitted - ops
+    Each executed round starts the accept queue's round, which releases
+    that round's arrivals.  ``admit(queue, txn_id)`` then moves
+    backlogged connections into worker schedulers and returns the next
+    transaction id (ids double as the per-connection rng tags: reusing
+    one seed across connections would let a fresh server re-mint the
+    very session id it just declined).  Then every worker, in index
+    order, runs one round: step its runnable transactions, retire done
+    ones (``on_done`` sees each), tick/flush its batch clock.  The clock
+    then jumps to the next round anything can happen in.
+    """
+    txn_id = 0
+    target = 0
+    while queue or any(s.sched for s in states):
+        ticks = target - queue.round
+        queue.begin_round(target)
+        txn_id = admit(queue, txn_id)
+        for state in states:
+            # Sessions stored during this worker's round were minted by
+            # it (the farm's cross-worker resumption accounting).
+            state.sim._client_sessions.current_worker = state.index
+            state.sched.run_round(queue.round, ticks, state.profiler,
+                                  on_done=on_done)
+        target = _next_round_target(
+            queue, [s.sched.next_event_round(queue.round) for s in states])
 
 
 def run_experiment(file_size_bytes: int, nrequests: int = 3, *,

@@ -17,7 +17,7 @@ import pytest
 from repro.crypto import rsa
 from repro.perf import baseline
 from repro.ssl.loopback import make_server_identity
-from repro.webserver import ServerFarm
+from repro.webserver import ServerFarm, WebServerSimulator
 from repro.webserver.events import STALL_LIMIT, TxnScheduler
 from repro.webserver.overload import AcceptQueue, AdversarialWorkload
 from repro.webserver.workload import Request, connection_groups
@@ -226,18 +226,25 @@ def test_event_core_matches_committed_baseline(name):
     assert baseline.diff_signatures(committed, fresh) == []
 
 
-def test_event_core_skips_idle_rounds():
+@pytest.mark.parametrize("server", ["farm", "simulator"])
+def test_event_core_skips_idle_rounds(server):
     # Pareto gaps averaging four rounds leave idle rounds between
     # arrivals; the round clock must jump over them rather than execute
-    # them one by one.
+    # them one by one, in the farm and in the simulator alike.
     rsa.reset_error_tables()
     key, cert = make_server_identity(512, seed=b"evcore-test")
-    farm = ServerFarm(2, key=key, cert=cert, use_crt=True, seed=b"evcore")
     workload = AdversarialWorkload.fixed(
         2048, resumption_rate=0.5, seed=b"evcore-wl", clients=8,
         mean_gap_rounds=4.0, flood_rate=0.25)
-    result = farm.run(workload, 24, concurrency_per_worker=4)
-    stats = [r.scheduler for r in result.results]
+    if server == "farm":
+        farm = ServerFarm(2, key=key, cert=cert, use_crt=True,
+                          seed=b"evcore")
+        results = farm.run(workload, 24, concurrency_per_worker=4).results
+    else:
+        sim = WebServerSimulator(key=key, cert=cert, use_crt=True,
+                                 seed=b"evcore")
+        results = [sim.run(workload, 24, concurrency=4)]
+    stats = [r.scheduler for r in results]
     assert (sum(s["rounds_executed"] for s in stats)
             < sum(s["rounds_virtual"] for s in stats))
 

@@ -1,9 +1,9 @@
 """Sharded server farm: N=1 bit-exactness, topologies, balancing policies.
 
-The farm's core invariant (DESIGN.md): on a workload whose requests all
-arrive at round 0, a one-worker farm is *bit-identical* to
-``WebServerSimulator.run(..., concurrency=k)`` -- cycle totals, full
-charge stream, transcript bytes.  The remaining tests pin the sharding
+The farm's core invariant (DESIGN.md): a one-worker farm is
+*bit-identical* to ``WebServerSimulator.run(..., concurrency=k)`` --
+cycle totals, full charge stream, transcript bytes, handshake latencies
+-- arrival gaps included.  The remaining tests pin the sharding
 semantics: cross-worker resumption works under the shared cache topology
 and misses under the partitioned one, session-affinity routing recovers
 the partitioned misses, and batch-RSA continuations stay worker-local.
@@ -18,12 +18,14 @@ import sys
 import pytest
 
 import repro
+from repro.crypto import rsa
 from repro.crypto.batch_rsa import BatchRsaError, generate_batch_keys
 from repro.crypto.rand import PseudoRandom
+from repro.ssl.loopback import make_server_identity
 from repro.webserver import (
     PARTITIONED, POLICIES, SHARED,
-    RequestWorkload, RoundRobinPolicy, ServerFarm, WebServerSimulator,
-    farm_requests_per_second,
+    AdversarialWorkload, RequestWorkload, RoundRobinPolicy, ServerFarm,
+    WebServerSimulator, farm_requests_per_second,
 )
 
 from tests.test_fastpath_equivalence import snapshot
@@ -82,6 +84,29 @@ class TestSingleWorkerEquivalence:
         assert worker.batched_ops == base.batched_ops
         assert worker.batches == base.batches
         assert base.batched_ops > 0
+
+    def test_bit_identical_on_gapped_arrivals(self):
+        # Both sides admit a connection no earlier than its arrival
+        # round.  Each side gets its own key object from one seed: the
+        # blinding state advances with every private op, so two runs on
+        # one shared key object would differ.
+        def gapped():
+            return AdversarialWorkload.fixed(1024, seed=b"n1",
+                                             mean_gap_rounds=4.0)
+
+        sim_key, sim_cert = make_server_identity(512, seed=b"n1-identity")
+        farm_key, farm_cert = make_server_identity(512, seed=b"n1-identity")
+        rsa.reset_error_tables()
+        base = WebServerSimulator(key=sim_key, cert=sim_cert).run(
+            gapped(), 6, concurrency=2)
+        rsa.reset_error_tables()
+        fr = ServerFarm(1, key=farm_key, cert=farm_cert).run(
+            gapped(), 6, concurrency_per_worker=2)
+        worker = fr.results[0]
+
+        assert snapshot(worker.profiler) == snapshot(base.profiler)
+        assert worker.wire_bytes == base.wire_bytes
+        assert worker.handshake_latencies == base.handshake_latencies
 
     def test_farm_aggregates_match_single_worker(self, identity512):
         key, cert = identity512

@@ -247,8 +247,8 @@ class TestTransactionAccounting:
     def test_admission_failure_counts_not_crashes(self, identity512,
                                                   monkeypatch):
         """Satellite fix: _Transaction.__init__ runs real handshake
-        openings, and an SslError escaping it used to crash
-        _run_concurrent's scheduling loop instead of being accounted.
+        openings, and an SslError escaping it used to crash the
+        scheduling loop instead of being accounted.
         Now admission failures count every request of the would-be
         connection as a failure and the run completes."""
         from repro.ssl.errors import SslError
