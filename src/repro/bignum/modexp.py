@@ -8,7 +8,9 @@ square-and-multiply scan of the exponent.
 
 from __future__ import annotations
 
-from ..perf import charge, mix
+from typing import List
+
+from ..perf import ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
 from .bn import BigNum
 from .kernels import words_from_int
@@ -97,15 +99,21 @@ def _mod_exp_int(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
 
     Mirrors the window scan above statement for statement; the only change
     is representation.  ``to_mont``/``one`` still run through the BigNum
-    entry points (once each), and the per-iteration Montgomery operations
-    use the int kernels whose charges are bit-identical to the word-array
-    path, so the modeled cost of an exponentiation is unchanged.
+    entry points (once each).  The Montgomery operations of the table
+    build and of the exponent scan collect their charge plans, which are
+    bit-identical to the word-array path's charges, and each phase
+    charges its plans in one call, in the order the faithful loop would
+    have charged them, so the modeled cost of an exponentiation is
+    unchanged.
     """
     table = [mont.to_mont(base).to_int()]
+    plans: List[ChargePlan] = []
     if wsize > 1:
-        base_sq = mont.mont_sqr_int(table[0])
+        base_sq = mont._sqr(table[0], plans)
         for _ in range(1, 1 << (wsize - 1)):
-            table.append(mont.mont_mul_int(table[-1], base_sq))
+            table.append(mont._mul(table[-1], base_sq, plans))
+        charge_plans(plans)  # before one()'s charges
+        plans.clear()
 
     acc = mont.one().to_int()
     started = False  # skip leading squarings of 1
@@ -113,7 +121,7 @@ def _mod_exp_int(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
     while i >= 0:
         if exponent.bit(i) == 0:
             if started:
-                acc = mont.mont_sqr_int(acc)
+                acc = mont._sqr(acc, plans)
             i -= 1
             continue
         # Take the longest window [j..i] that starts and ends with a set bit.
@@ -125,11 +133,13 @@ def _mod_exp_int(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
             value = (value << 1) | exponent.bit(k)
         if started:
             for _ in range(i - j + 1):
-                acc = mont.mont_sqr_int(acc)
-            acc = mont.mont_mul_int(acc, table[(value - 1) >> 1])
+                acc = mont._sqr(acc, plans)
+            acc = mont._mul(acc, table[(value - 1) >> 1], plans)
         else:
             acc = table[(value - 1) >> 1]
             started = True
         i = j - 1
 
-    return BigNum(words_from_int(mont._redc_int(acc), mont.nwords))
+    result = mont._redc(acc, plans)
+    charge_plans(plans)
+    return BigNum(words_from_int(result, mont.nwords))

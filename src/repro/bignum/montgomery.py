@@ -25,9 +25,10 @@ kernels of :mod:`repro.bignum.kernels`:
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
-from ..perf import charge, mix
+from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
 from . import kernels as K
 from .bn import WRAPPER_CALL, BigNum
@@ -55,6 +56,60 @@ def _word_inverse(w0: int) -> int:
 
 
 REDUCTION_STYLES = ("interleaved", "separate")
+
+
+# -- fast-path charge plans ----------------------------------------------------
+# One plan per Montgomery operation, keyed by operand word counts: the
+# exact charges (mixes, times, order) of the faithful word-array path.
+# For a trimmed BigNum ``len(d) == ceil(bit_length / 32)``, so the int
+# kernels below key their plans by ``int.bit_length``.  Operands are
+# below the modulus, so the caches hold at most n^2 plans per modulus
+# width n.
+
+def _redc_steps(n: int) -> list:
+    """The charges of one ``_reduce_interleaved`` on an ``n``-word modulus."""
+    return [
+        (K.MULADD_WORD, n * n, "bn_mul_add_words", LIBCRYPTO, K.BN_STALL),
+        (FROM_MONT_WORD, n, "BN_from_montgomery", LIBCRYPTO, K.BN_STALL),
+        (WRAPPER_CALL, 1.0, "BN_from_montgomery", LIBCRYPTO, 1.0),
+        (K.SUB_WORD, n, "bn_sub_words", LIBCRYPTO, 1.0),
+        (K.KERNEL_CALL, 1.0, "bn_sub_words", LIBCRYPTO, 1.0),
+    ]
+
+
+@functools.cache
+def _redc_plan(n: int) -> ChargePlan:
+    return ChargePlan(_redc_steps(n))
+
+
+@functools.cache
+def _mul_plan(na: int, nb: int, n: int) -> ChargePlan:
+    """``BigNum.mul`` of ``na``- by ``nb``-word operands, then REDC."""
+    steps = []
+    if na and nb:
+        steps.append((K.MUL_WORD, na, "bn_mul_words", LIBCRYPTO, K.BN_STALL))
+        if nb > 1:
+            steps.append((K.MULADD_WORD, na * (nb - 1), "bn_mul_add_words",
+                          LIBCRYPTO, K.BN_STALL))
+        steps.append((K.KERNEL_CALL, nb, "bn_mul_add_words", LIBCRYPTO, 1.0))
+        steps.append((WRAPPER_CALL, 1.0, "BN_mul", LIBCRYPTO, 1.0))
+    return ChargePlan(steps + _redc_steps(n))
+
+
+@functools.cache
+def _sqr_plan(na: int, n: int) -> ChargePlan:
+    """``BigNum.sqr`` of an ``na``-word operand, then REDC."""
+    steps = []
+    if na:
+        cross = na * (na - 1) // 2
+        if cross:
+            steps.append((K.MULADD_WORD, cross, "bn_mul_add_words",
+                          LIBCRYPTO, K.BN_STALL))
+        steps.append((K.ADD_WORD, 2 * na, "bn_add_words", LIBCRYPTO, 1.0))
+        steps.append((K.MUL_WORD, na, "bn_sqr_words", LIBCRYPTO, K.BN_STALL))
+        steps.append((K.KERNEL_CALL, na, "bn_mul_add_words", LIBCRYPTO, 1.0))
+        steps.append((WRAPPER_CALL, 1.0, "BN_sqr", LIBCRYPTO, 1.0))
+    return ChargePlan(steps + _redc_steps(n))
 
 
 class MontgomeryContext:
@@ -101,23 +156,9 @@ class MontgomeryContext:
     def _reduce_interleaved(self, t: List[int]) -> BigNum:
         n = self.nwords
         if fastpath_enabled():
-            # Whole-operand REDC: m = (t mod R) * (-n^{-1} mod R) mod R,
-            # r = (t + m*n) / R.  Word-serial CIOS computes exactly this
-            # value (standard Montgomery equivalence), so results -- and the
-            # unconditional subtract-and-select below -- are bit-identical.
-            t_int = K.int_from_words(t)
-            m = ((t_int & self._r_mask) * self._ni_int) & self._r_mask
-            r_val = (t_int + m * self._n_int) >> (n * WORD_BITS)
-            charge(K.MULADD_WORD, times=n * n, function="bn_mul_add_words",
-                   stall=K.BN_STALL)
-            charge(FROM_MONT_WORD, times=n, function="BN_from_montgomery",
-                   stall=K.BN_STALL)
-            charge(WRAPPER_CALL, function="BN_from_montgomery")
-            charge(K.SUB_WORD, times=n, function="bn_sub_words")
-            charge(K.KERNEL_CALL, function="bn_sub_words")
-            if r_val >= self._n_int:
-                r_val -= self._n_int
-            return BigNum(K.words_from_int(r_val, n))
+            charge_plans((_redc_plan(n),))
+            return BigNum(K.words_from_int(
+                self._reduce_int(K.int_from_words(t)), n))
         need = 2 * n + 1
         if len(t) < need:
             t.extend([0] * (need - len(t)))
@@ -177,71 +218,52 @@ class MontgomeryContext:
     # -- native-int fast path ---------------------------------------------------
     # These operate on Python ints end to end: the double-width product never
     # becomes a word array, skipping the pack/unpack round trips that
-    # ``BigNum.mul``/``BigNum.sqr`` + ``_reduce`` would perform.  Every charge
-    # is the exact sequence (mixes, times, order) the faithful word-array path
-    # emits: each one is determined by operand word counts, and for a trimmed
-    # BigNum ``len(d) == ceil(bit_length / 32)``, so computing the counts from
-    # ``int.bit_length`` keeps modeled cycles and instruction mixes
-    # bit-identical between backends.
+    # ``BigNum.mul``/``BigNum.sqr`` + ``_reduce`` would perform.  Each
+    # operation appends to ``plans`` the plan of its operand word counts,
+    # which holds the exact sequence (mixes, times, order) the faithful
+    # word-array path emits, so modeled cycles and instruction mixes are
+    # bit-identical between backends.  The caller charges the plans:
+    # ``_mont_int`` after each operation, ``mod_exp`` once for its table
+    # build and once for its exponent scan.
 
-    def _redc_int(self, t: int) -> int:
-        """Whole-operand REDC; charges match ``_reduce_interleaved``."""
-        n = self.nwords
+    def _reduce_int(self, t: int) -> int:
+        """Uncharged whole-operand REDC: m = (t mod R) * (-n^{-1} mod R)
+        mod R, r = (t + m*n) / R.  Word-serial CIOS computes exactly this
+        value (standard Montgomery equivalence), and the subtract-and-select
+        result matches ``_reduce_interleaved``."""
         m = ((t & self._r_mask) * self._ni_int) & self._r_mask
-        r_val = (t + m * self._n_int) >> (n * WORD_BITS)
-        charge(K.MULADD_WORD, times=n * n, function="bn_mul_add_words",
-               stall=K.BN_STALL)
-        charge(FROM_MONT_WORD, times=n, function="BN_from_montgomery",
-               stall=K.BN_STALL)
-        charge(WRAPPER_CALL, function="BN_from_montgomery")
-        charge(K.SUB_WORD, times=n, function="bn_sub_words")
-        charge(K.KERNEL_CALL, function="bn_sub_words")
+        r_val = (t + m * self._n_int) >> (self.nwords * WORD_BITS)
         if r_val >= self._n_int:
             r_val -= self._n_int
         return r_val
 
-    def mont_mul_int(self, a_int: int, b_int: int) -> int:
-        """``a * b / R mod n`` on ints; charges match ``BigNum.mul`` + REDC."""
+    def _redc(self, t: int, plans: List[ChargePlan]) -> int:
+        """``t / R mod n``; charges match ``_reduce_interleaved``."""
+        plans.append(_redc_plan(self.nwords))
+        return self._reduce_int(t)
+
+    def _mul(self, a_int: int, b_int: int, plans: List[ChargePlan]) -> int:
+        """``a * b / R mod n``; charges match ``BigNum.mul`` + REDC."""
         na = (a_int.bit_length() + WORD_BITS - 1) // WORD_BITS
         nb = (b_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        if na and nb:
-            t = a_int * b_int
-            charge(K.MUL_WORD, times=na, function="bn_mul_words",
-                   stall=K.BN_STALL)
-            if nb > 1:
-                charge(K.MULADD_WORD, times=na * (nb - 1),
-                       function="bn_mul_add_words", stall=K.BN_STALL)
-            charge(K.KERNEL_CALL, times=nb, function="bn_mul_add_words")
-            charge(WRAPPER_CALL, function="BN_mul")
-        else:
-            t = 0
-        return self._redc_int(t)
+        plans.append(_mul_plan(na, nb, self.nwords))
+        return self._reduce_int(a_int * b_int)
 
-    def mont_sqr_int(self, a_int: int) -> int:
-        """Montgomery square on ints; charges match ``BigNum.sqr`` + REDC."""
+    def _sqr(self, a_int: int, plans: List[ChargePlan]) -> int:
+        """``a * a / R mod n``; charges match ``BigNum.sqr`` + REDC."""
         na = (a_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        if na:
-            t = a_int * a_int
-            cross = na * (na - 1) // 2
-            if cross:
-                charge(K.MULADD_WORD, times=cross,
-                       function="bn_mul_add_words", stall=K.BN_STALL)
-            charge(K.ADD_WORD, times=2 * na, function="bn_add_words")
-            charge(K.MUL_WORD, times=na, function="bn_sqr_words",
-                   stall=K.BN_STALL)
-            charge(K.KERNEL_CALL, times=na, function="bn_mul_add_words")
-            charge(WRAPPER_CALL, function="BN_sqr")
-        else:
-            t = 0
-        return self._redc_int(t)
+        plans.append(_sqr_plan(na, self.nwords))
+        return self._reduce_int(a_int * a_int)
 
     def _mont_int(self, a: BigNum, b: BigNum | None) -> BigNum:
         """BigNum facade over the int fast path (one pack/unpack at the rim)."""
+        plans: List[ChargePlan] = []
         if b is None:
-            r_val = self.mont_sqr_int(K.int_from_words(a.d))
+            r_val = self._sqr(K.int_from_words(a.d), plans)
         else:
-            r_val = self.mont_mul_int(K.int_from_words(a.d),
-                                      K.int_from_words(b.d))
+            r_val = self._mul(K.int_from_words(a.d), K.int_from_words(b.d),
+                              plans)
+        charge_plans(plans)
         return BigNum(K.words_from_int(r_val, self.nwords))
 
     # -- public operations -------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..perf import charge, mix
+from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
 
 _M32 = 0xFFFFFFFF
@@ -129,6 +129,21 @@ AES_CALL = mix(pushl=4, movl=8, popl=4, call=1, ret=1, cmpl=1, jnz=1)
 #: P4 pays L1 load-use latency on every lookup of the round-to-round chain:
 #: measured CPI 0.66 versus ~0.50 at the throughput limit.
 AES_STALL = 1.32
+
+
+def _block_plans(function: str) -> Dict[int, Tuple[ChargePlan]]:
+    """The faithful loop's per-block charges, for the fast path, by
+    round count."""
+    return {rounds: (ChargePlan([
+        (AES_INIT, 1.0, function, LIBCRYPTO, AES_STALL),
+        (AES_ROUND, rounds - 1, function, LIBCRYPTO, AES_STALL),
+        (AES_FINAL, 1.0, function, LIBCRYPTO, AES_STALL),
+        (AES_CALL, 1.0, function, LIBCRYPTO, 1.0),
+    ]),) for rounds in (10, 12, 14)}
+
+
+_ENCRYPT_PLANS = _block_plans("AES_encrypt")
+_DECRYPT_PLANS = _block_plans("AES_decrypt")
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +290,7 @@ class AES:
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
         if fastpath_enabled():
-            charge(AES_INIT, function="AES_encrypt", stall=AES_STALL)
-            charge(AES_ROUND, times=self.rounds - 1, function="AES_encrypt",
-                   stall=AES_STALL)
-            charge(AES_FINAL, function="AES_encrypt", stall=AES_STALL)
-            charge(AES_CALL, function="AES_encrypt")
+            charge_plans(_ENCRYPT_PLANS[self.rounds])
             return _encrypt_core(self._ek, self.rounds, block)
         ek = self._ek
         s0 = int.from_bytes(block[0:4], "big") ^ ek[0]
@@ -318,11 +329,7 @@ class AES:
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
         if fastpath_enabled():
-            charge(AES_INIT, function="AES_decrypt", stall=AES_STALL)
-            charge(AES_ROUND, times=self.rounds - 1, function="AES_decrypt",
-                   stall=AES_STALL)
-            charge(AES_FINAL, function="AES_decrypt", stall=AES_STALL)
-            charge(AES_CALL, function="AES_decrypt")
+            charge_plans(_DECRYPT_PLANS[self.rounds])
             return _decrypt_core(self._dk, self.rounds, block)
         dk = self._dk
         s0 = int.from_bytes(block[0:4], "big") ^ dk[0]

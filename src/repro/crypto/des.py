@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..perf import charge, mix
+from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,20 @@ DES_CALL = mix(pushl=4, movl=10, popl=4, call=1, ret=1, cmpl=1, jnz=1)
 DES_STALL = 1.39
 
 
+def _block_plan(function: str, rounds: int) -> ChargePlan:
+    return ChargePlan([
+        (DES_IP, 1.0, function, LIBCRYPTO, DES_STALL),
+        (DES_ROUND, rounds, function, LIBCRYPTO, DES_STALL),
+        (DES_FP, 1.0, function, LIBCRYPTO, DES_STALL),
+        (DES_CALL, 1.0, function, LIBCRYPTO, 1.0),
+    ])
+
+
+#: The faithful loops' per-block charges, for the fast path.
+_DES_BLOCK = (_block_plan("DES_encrypt", 16),)
+_DES3_BLOCK = (_block_plan("DES_encrypt3", 48),)
+
+
 # ---------------------------------------------------------------------------
 # Key schedule and block operation
 # ---------------------------------------------------------------------------
@@ -331,8 +345,6 @@ _fp_fast = _build_perm_fast(_FP_T, 64)
 
 
 def _rounds(l: int, r: int, subkeys: Sequence[int]) -> Tuple[int, int]:
-    if fastpath_enabled():
-        return _rounds_fast(l, r, subkeys)
     for k in subkeys:
         l, r = r, l ^ _feistel(r, k)
     return l, r
@@ -359,20 +371,18 @@ class DES:
     def _crypt_block(self, block: bytes, subkeys: Sequence[int]) -> bytes:
         if len(block) != 8:
             raise ValueError("DES block must be 8 bytes")
-        fast = fastpath_enabled()
-        if fast:
+        if fastpath_enabled():
+            charge_plans(_DES_BLOCK)
             v = _ip_fast(int.from_bytes(block, "big"))
-        else:
-            v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
+            l, r = _rounds_fast((v >> 32) & _M32, v & _M32, subkeys)
+            return _fp_fast((r << 32) | l).to_bytes(8, "big")
+        v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
         charge(DES_IP, function="DES_encrypt", stall=DES_STALL)
         l, r = (v >> 32) & _M32, v & _M32
         l, r = _rounds(l, r, subkeys)
         charge(DES_ROUND, times=16, function="DES_encrypt", stall=DES_STALL)
         preoutput = (r << 32) | l  # final swap
-        if fast:
-            out = _fp_fast(preoutput)
-        else:
-            out = _apply_perm(_FP_T, preoutput, 64)
+        out = _apply_perm(_FP_T, preoutput, 64)
         charge(DES_FP, function="DES_encrypt", stall=DES_STALL)
         charge(DES_CALL, function="DES_encrypt")
         return out.to_bytes(8, "big")
@@ -412,24 +422,24 @@ class TripleDES:
                      schedule: Tuple[Sequence[int], ...]) -> bytes:
         if len(block) != 8:
             raise ValueError("3DES block must be 8 bytes")
-        fast = fastpath_enabled()
-        if fast:
+        # Between stages the halves swap roles (no IP/FP in the middle).
+        if fastpath_enabled():
+            charge_plans(_DES3_BLOCK)
             v = _ip_fast(int.from_bytes(block, "big"))
-        else:
-            v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
+            l, r = _rounds_fast((v >> 32) & _M32, v & _M32, schedule[0])
+            r, l = _rounds_fast(r, l, schedule[1])
+            l, r = _rounds_fast(l, r, schedule[2])
+            return _fp_fast((r << 32) | l).to_bytes(8, "big")
+        v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
         charge(DES_IP, function="DES_encrypt3", stall=DES_STALL)
         l, r = (v >> 32) & _M32, v & _M32
-        # Between stages the halves swap roles (no IP/FP in the middle).
         l, r = _rounds(l, r, schedule[0])
         r, l = _rounds(r, l, schedule[1])
         l, r = _rounds(l, r, schedule[2])
         charge(DES_ROUND, times=48, function="DES_encrypt3",
                stall=DES_STALL)
         preoutput = (r << 32) | l
-        if fast:
-            out = _fp_fast(preoutput)
-        else:
-            out = _apply_perm(_FP_T, preoutput, 64)
+        out = _apply_perm(_FP_T, preoutput, 64)
         charge(DES_FP, function="DES_encrypt3", stall=DES_STALL)
         charge(DES_CALL, function="DES_encrypt3")
         return out.to_bytes(8, "big")

@@ -11,8 +11,9 @@ from .cpu import CpuModel, DEFAULT_COSTS, PENTIUM3, PENTIUM4, WIDE_CORE
 from .isa import CATEGORY, I, InstrMix, MixAccumulator, mix
 from .profiler import (
     HTTPD, LIBCRYPTO, LIBSSL, OTHER, VMLINUX,
-    FunctionStats, Profiler, RegionNode,
-    activate, charge, charge_cycles, current, region, reset_default,
+    ChargePlan, FunctionStats, Profiler, RegionNode,
+    activate, charge, charge_cycles, charge_plans, current, region,
+    reset_default,
 )
 from .report import format_table, kcycles, percent
 from .pipeline import (
@@ -28,9 +29,9 @@ __all__ = [
     "CpuModel", "PENTIUM3", "PENTIUM4", "WIDE_CORE", "DEFAULT_COSTS",
     "CATEGORY", "I", "InstrMix", "MixAccumulator", "mix",
     "HTTPD", "LIBCRYPTO", "LIBSSL", "OTHER", "VMLINUX",
-    "FunctionStats", "Profiler", "RegionNode",
-    "activate", "charge", "charge_cycles", "current", "region",
-    "reset_default",
+    "ChargePlan", "FunctionStats", "Profiler", "RegionNode",
+    "activate", "charge", "charge_cycles", "charge_plans", "current",
+    "region", "reset_default",
     "format_table", "kcycles", "percent",
     "merge_profilers", "profile_trace", "synthesize_trace",
     "trace_to_text",

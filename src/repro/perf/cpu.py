@@ -69,8 +69,13 @@ class CpuModel:
         if m._cost_cpu is self:
             base = m._cost_base
         else:
+            # Left to right, not sum(): from Python 3.12 sum() of floats
+            # compensates rounding error, so the modeled cost would
+            # depend on the interpreter version.
             c = self.costs
-            base = sum(cnt * c[name] for name, cnt in m._counts.items())
+            base = 0.0
+            for name, cnt in m._counts.items():
+                base += cnt * c[name]
             m._cost_cpu = self
             m._cost_base = base
         return base * stall_factor

@@ -112,7 +112,11 @@ class InstrMix:
                 if n:
                     c[name] = float(n)
         self._counts = c
-        self._total = float(sum(c.values()))
+        # Left to right, not sum(): see CpuModel.cycles.
+        total = 0.0
+        for n in c.values():
+            total += n
+        self._total = total
 
     # -- construction -----------------------------------------------------
     @classmethod

@@ -23,6 +23,12 @@ A module-level *active profiler stack* lets deeply nested kernels charge
 without threading a profiler object through every call; see
 :func:`current`, :func:`activate` and the convenience wrappers
 :func:`charge` / :func:`region`.
+
+Kernels whose per-invocation charges form a fixed sequence (one
+Montgomery product, one cipher block) describe that sequence once as a
+:class:`ChargePlan` and charge it with :func:`charge_plans`, which is
+bit-identical to the expanded :func:`charge` calls but makes one call
+instead of one per phase.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cpu import CpuModel, PENTIUM4
 from .isa import InstrMix, MixAccumulator
@@ -114,6 +120,66 @@ class RegionNode:
                 f"inclusive={self.inclusive_cycles():.0f})")
 
 
+#: One step of a :class:`ChargePlan`, the arguments of one
+#: :meth:`Profiler.charge` call: ``(mix, times, function, module, stall)``.
+PlanStep = Tuple[InstrMix, float, str, str, float]
+
+
+class ChargePlan:
+    """A fixed sequence of :meth:`Profiler.charge` calls, charged as one.
+
+    A plan precomputes each step's addends -- its cycles, from
+    :meth:`CpuModel.cycles` on the CPU the plan was last charged on (a
+    profiler with another CPU rebinds it first), and its instruction
+    count -- but never adds steps together: float addition is not
+    associative, so :meth:`Profiler.charge_plans` must still make every
+    addition the expanded ``charge`` calls would.  The ``(mix, times)``
+    entries appended to the pending mixes are built once and shared by
+    every charge of the plan.
+    """
+
+    __slots__ = ("steps", "_entries", "_instrs", "_cpu", "_cycles",
+                 "_modules", "_functions")
+
+    def __init__(self, steps: Iterable[PlanStep]):
+        self.steps: Tuple[PlanStep, ...] = tuple(steps)
+        for _, _, _, _, stall in self.steps:
+            if stall <= 0:
+                raise ValueError("stall_factor must be positive")
+        self._entries = tuple((m, times) for m, times, _, _, _ in self.steps)
+        self._instrs = tuple(m._total * times
+                             for m, times, _, _, _ in self.steps)
+        self._cpu: Optional[CpuModel] = None
+        self._cycles: Tuple[float, ...] = ()
+        #: ``(module, cycles of its steps)`` in first-charged order.
+        self._modules: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
+        #: ``(function, module of its first step, cycles, instruction
+        #: totals and (mix, times) entries of its steps)``, in
+        #: first-charged order.
+        self._functions: Tuple[tuple, ...] = ()
+
+    def _bind(self, cpu: CpuModel) -> None:
+        cycles = [cpu.cycles(m, stall) * times
+                  for m, times, _, _, stall in self.steps]
+        modules: Dict[str, List[float]] = {}
+        functions: Dict[str, tuple] = {}
+        for i, (_, _, function, module, _) in enumerate(self.steps):
+            modules.setdefault(module, []).append(cycles[i])
+            group = functions.get(function)
+            if group is None:
+                group = functions[function] = (module, [], [], [])
+            group[1].append(cycles[i])
+            group[2].append(self._instrs[i])
+            group[3].append(self._entries[i])
+        self._cycles = tuple(cycles)
+        self._modules = tuple((module, tuple(c))
+                              for module, c in modules.items())
+        self._functions = tuple(
+            (function, module, tuple(c), tuple(n), tuple(e))
+            for function, (module, c, n, e) in functions.items())
+        self._cpu = cpu
+
+
 class Profiler:
     """Accumulates cycles, instructions and attribution for one experiment."""
 
@@ -165,6 +231,73 @@ class Profiler:
         acc._pending_total += instr
         self._cycles += cycles
         return cycles
+
+    def charge_plans(self, plans: Sequence[ChargePlan]) -> None:
+        """Charge every step of ``plans``, in order, as :meth:`charge` would.
+
+        Each accumulator -- region exclusive and per-function cycles,
+        module cycles, function cycles, calls, pending mix and
+        instruction total, the global mix and its total, the clock --
+        receives the same additions in the same order as the expanded
+        ``charge`` calls; only the interleaving *between* accumulators
+        differs, and no accumulator reads another.  No region opens
+        inside the call, so one region node takes every step.  A run of
+        ``k`` consecutive charges of one plan walks each accumulator once
+        over the plan's addends repeated ``k`` times.
+        """
+        cpu = self.cpu
+        node = self._stack[-1]
+        fc = node.func_cycles
+        mc = self.modules
+        functions = self.functions
+        gacc = self.global_mix
+        gpending = gacc._pending
+        exclusive = node.exclusive_cycles
+        clock = self._cycles
+        gtotal = gacc._pending_total
+        end = len(plans)
+        i = 0
+        while i < end:
+            plan = plans[i]
+            j = i + 1
+            while j < end and plans[j] is plan:
+                j += 1
+            k = j - i
+            i = j
+            if plan._cpu is not cpu:
+                plan._bind(cpu)
+            for c in plan._cycles * k:
+                exclusive += c
+                clock += c
+            for n in plan._instrs * k:
+                gtotal += n
+            gpending.extend(plan._entries * k)
+            for module, cycles in plan._modules:
+                v = mc.get(module, 0)
+                for c in cycles * k:
+                    v += c
+                mc[module] = v
+            for function, module, cycles, instrs, entries in plan._functions:
+                fs = functions.get(function)
+                if fs is None:
+                    fs = functions[function] = FunctionStats(function, module)
+                v = fc.get(function, 0)
+                fv = fs.cycles
+                for c in cycles * k:
+                    v += c
+                    fv += c
+                fc[function] = v
+                fs.cycles = fv
+                fs.calls += len(cycles) * k
+                acc = fs.mix
+                acc._pending.extend(entries * k)
+                total = acc._pending_total
+                for n in instrs * k:
+                    total += n
+                acc._pending_total = total
+        node.exclusive_cycles = exclusive
+        self._cycles = clock
+        gacc._pending_total = gtotal
 
     def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
                       module: str = OTHER) -> float:
@@ -289,6 +422,11 @@ def charge(m: InstrMix, times: float = 1.0, *, function: str = "<anon>",
 def charge_cycles(cycles: float, *, function: str = "<modelled>",
                   module: str = OTHER) -> float:
     return _ACTIVE[-1].charge_cycles(cycles, function=function, module=module)
+
+
+def charge_plans(plans: Sequence[ChargePlan]) -> None:
+    """Charge ``plans`` into the active profiler (convenience wrapper)."""
+    _ACTIVE[-1].charge_plans(plans)
 
 
 @contextmanager

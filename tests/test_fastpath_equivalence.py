@@ -8,7 +8,9 @@ every kernel, running with ``REPRO_FASTPATH`` on or off must produce
   per-function cycles/call-counts/instruction mixes, per-module cycles.
 
 Each check here runs the same seeded workload under both backends with a
-fresh profiler and compares full snapshots, so a fast-path branch that
+fresh profiler and compares full snapshots -- the canonical
+``baseline.capture`` signature (region tree and global mix included) plus
+every function's module and instruction mix -- so a fast-path branch that
 drifts by a single charge (or a single float ULP) fails loudly.
 """
 
@@ -20,6 +22,7 @@ import random
 import pytest
 
 from repro import perf, runtime
+from repro.perf import baseline
 from repro.bignum.bn import BigNum
 from repro.bignum.modexp import mod_exp
 from repro.bignum.montgomery import REDUCTION_STYLES, MontgomeryContext
@@ -35,13 +38,13 @@ from repro.ssl.loopback import make_server_identity, run_session
 
 
 def snapshot(profiler: perf.Profiler):
-    """Everything a backend could perturb, in comparable form."""
+    """Everything a backend could perturb, in comparable form: the gate's
+    signature (totals, functions, modules, regions, global mix) plus each
+    function's module and instruction mix."""
     return (
-        profiler.total_cycles(),
-        profiler.total_instructions(),
-        {name: (fs.cycles, fs.calls, fs.module, fs.mix.snapshot().counts)
+        baseline.capture(profiler, scenario="equivalence"),
+        {name: (fs.module, fs.mix.snapshot().counts)
          for name, fs in profiler.functions.items()},
-        dict(profiler.modules),
     )
 
 
@@ -92,6 +95,13 @@ def test_bignum_ops_equivalence():
     assert_equivalent(lambda: one.uadd(zero).to_int())
 
 
+def narrow_operands(rng: random.Random, n: int, words: int):
+    """Operands below ``n`` whose word counts key their own charges:
+    zero, one word and ``words - 1`` words."""
+    return [0, rng.getrandbits(32) | 1,
+            rng.getrandbits(32 * (words - 1)) | (1 << (32 * (words - 1) - 1))]
+
+
 @pytest.mark.parametrize("style", REDUCTION_STYLES)
 def test_montgomery_equivalence(style):
     rng = random.Random(0x40A7 + len(style))
@@ -117,6 +127,29 @@ def test_montgomery_equivalence(style):
         assert results[1] == a.to_int() ** 2 % n
         assert results[2] == 1
 
+        # Narrow operands charge by their own word counts, not the
+        # modulus's; pair each with every other and with a full-width one.
+        operands = narrow_operands(rng, n, words) + [a.to_int()]
+        r_inv = pow(1 << (32 * words), -1, n)
+
+        def narrow_workload():
+            ctx = MontgomeryContext(modulus, style)
+            out = []
+            for x in operands:
+                xb = BigNum.from_int(x)
+                out.append(ctx.sqr(xb).to_int())
+                out.append(ctx.from_mont(xb).to_int())
+                for y in operands:
+                    out.append(ctx.mul(xb, BigNum.from_int(y)).to_int())
+            return out
+
+        results = iter(assert_equivalent(narrow_workload))
+        for x in operands:
+            assert next(results) == x * x * r_inv % n
+            assert next(results) == x * r_inv % n
+            for y in operands:
+                assert next(results) == x * y * r_inv % n
+
 
 @pytest.mark.parametrize("style", REDUCTION_STYLES)
 def test_mod_exp_equivalence(style):
@@ -124,15 +157,20 @@ def test_mod_exp_equivalence(style):
     for bits in (96, 256, 521):
         n_int = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         modulus = BigNum.from_int(n_int)
-        base = BigNum.from_int(rng.getrandbits(bits) % n_int)
         exp = BigNum.from_int(rng.getrandbits(bits // 2) | 1)
+        full = rng.getrandbits(bits) % n_int
+        # Bases 0 and 1 and narrow bases give table and scan operands
+        # with fewer words than the modulus.
+        narrow = narrow_operands(rng, n_int, (bits + 31) // 32)
+        for base_int in [full, 1] + narrow:
 
-        def workload():
-            ctx = MontgomeryContext(modulus, style)
-            return mod_exp(base, exp, modulus, ctx).to_int()
+            def workload():
+                ctx = MontgomeryContext(modulus, style)
+                return mod_exp(BigNum.from_int(base_int), exp, modulus,
+                               ctx).to_int()
 
-        result = assert_equivalent(workload)
-        assert result == pow(base.to_int(), exp.to_int(), n_int)
+            result = assert_equivalent(workload)
+            assert result == pow(base_int, exp.to_int(), n_int)
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +195,20 @@ def test_block_cipher_equivalence():
 
 def test_cbc_mode_equivalence():
     rng = random.Random(0xCBC)
-    for cls, key_len in ((AES, 16), (TripleDES, 24)):
+    cases = [(AES, 16), (AES, 24), (AES, 32), (DES, 8), (TripleDES, 24)]
+    for cls, key_len in cases:
         key = bytes(rng.randrange(256) for _ in range(key_len))
         iv = bytes(rng.randrange(256) for _ in range(cls.block_size))
-        data = bytes(rng.randrange(256)
-                     for _ in range(cls.block_size * 11))
+        for size in (cls.block_size * 11, 16 * 1024):
+            data = rng.randbytes(size)
 
-        def workload():
-            ct = CBC(cls(key), iv).encrypt(data)
-            pt = CBC(cls(key), iv).decrypt(ct)
-            return ct, pt
+            def workload():
+                ct = CBC(cls(key), iv).encrypt(data)
+                pt = CBC(cls(key), iv).decrypt(ct)
+                return ct, pt
 
-        ct, pt = assert_equivalent(workload)
-        assert pt == data
+            ct, pt = assert_equivalent(workload)
+            assert pt == data
 
 
 def test_rc4_equivalence():
@@ -289,7 +328,8 @@ def test_run_session_golden_cycles():
     golden = session_snapshots(True, b"")[2]
     faithful = session_snapshots(False, b"")[2]
     assert golden == faithful
-    cycles, instructions = golden[0], golden[1]
+    cycles = golden[0]["cycles_total"]
+    instructions = golden[0]["instructions_total"]
     # The paper's Table 2 server handshake is ~20.5M cycles non-CRT;
     # the CRT default lands near a third of that.  Guard the bracket so
     # a silently dropped or doubled charge cannot hide inside noise.

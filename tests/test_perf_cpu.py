@@ -37,6 +37,12 @@ class TestCpuModel:
         with pytest.raises(ValueError):
             PENTIUM4.cycles(mix(movl=1), 0)
 
+    def test_cycles_add_left_to_right(self):
+        # The left-to-right float sum, on every interpreter; Python 3.12's
+        # compensated sum() gives 55.46.
+        from repro.ssl.record import RECORD_CALL
+        assert PENTIUM4.cycles(RECORD_CALL) == 55.46000000000001
+
     def test_cpi_of_empty_mix_is_zero(self):
         from repro.perf import InstrMix
         assert PENTIUM4.cpi(InstrMix.empty()) == 0.0

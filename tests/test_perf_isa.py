@@ -35,6 +35,10 @@ class TestInstrMixConstruction:
         m = mix(jnz=0.25, decl=0.25)
         assert m.total() == pytest.approx(0.5)
 
+    def test_total_adds_left_to_right(self):
+        # A compensated sum (Python 3.12's sum(), math.fsum) gives 0.6.
+        assert mix(movl=0.1, xorl=0.2, andl=0.3).total() == 0.6000000000000001
+
     def test_counts_returns_copy(self):
         m = mix(movl=1)
         m.counts[I.MOVL] = 99
