@@ -18,15 +18,21 @@ Writes ``BENCH_host_speed.json`` at the repository root:
   once outside the timed region), fast vs ``REPRO_FASTPATH=0``;
 * ``bulk_*``: application-payload throughput (MB/s) for an echo of a 64 KiB
   payload through the established session, per cipher suite;
-* every entry carries the fast/faithful ``speedup`` ratio.
+* every entry carries the fast/faithful ``speedup`` ratio;
+* ``commit`` (``git describe --always --dirty``, so a run from an
+  uncommitted tree says so) and ``cpus`` sit beside ``python`` and
+  ``machine``, the facts perfbench's provenance line records.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
+import subprocess
 import time
+from typing import Optional
 
 from repro import runtime
 from repro.crypto import rsa
@@ -38,6 +44,20 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_host_speed.json"
 
 BULK_BYTES = 64 * 1024
+
+
+def _git_commit() -> Optional[str]:
+    """The checkout's commit, ``-dirty`` when the tree differs from it;
+    None outside a git checkout."""
+    if not (REPO_ROOT / ".git").exists():
+        return None
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() or None
 
 
 def _time_session(data: bytes, suite, key, cert, reps: int) -> float:
@@ -69,6 +89,8 @@ def main() -> dict:
     results: dict = {
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "commit": _git_commit(),
+        "cpus": os.cpu_count(),
         "payload_bytes": BULK_BYTES,
     }
 

@@ -12,9 +12,8 @@ models in :mod:`repro.engines` treat MAC units generically.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple, Union
+from typing import Callable, Union
 
-from .. import perf
 from ..perf import charge, mix
 from .md5 import MD5
 from .sha1 import SHA1
@@ -97,118 +96,36 @@ def _digest(hash_factory: HashFactory, data: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed per-connection MAC contexts (fast path)
+# Per-connection MAC contexts
 # ---------------------------------------------------------------------------
-# The secret-dependent prefix of every record MAC (secret || pad for SSLv3,
-# key XOR ipad/opad for HMAC) is constant for a connection, so its hash
-# blocks can be compressed once and snapshotted.  Cloning a snapshot charges
-# the same INIT as constructing a fresh context; the prefix updates' charges
-# are captured once at construction (under a scratch profiler, so setup adds
-# nothing to the live profile) and replayed verbatim per record.  Output
-# bytes and the modeled charge sequence are therefore bit-identical to the
-# plain ssl3_mac / tls_mac functions.
-
-_ChargeLog = List[Tuple[object, float, str, str, float]]
-
-
-class _RecordingProfiler(perf.Profiler):
-    """Scratch profiler that logs every charge's arguments for replay."""
-
-    def __init__(self):
-        super().__init__()
-        self.log: _ChargeLog = []
-
-    def charge(self, m, times: float = 1.0, *, function: str = "<anon>",
-               module: str = "libcrypto", stall: float = 1.0) -> float:
-        self.log.append((m, times, function, module, stall))
-        return super().charge(m, times, function=function, module=module,
-                              stall=stall)
-
-
-def _replay(log: _ChargeLog) -> None:
-    for m, times, function, module, stall in log:
-        charge(m, times, function=function, module=module, stall=stall)
+# A connection direction's record MAC is the plain function under that
+# direction's hash and secret: on the fast path the hashing runs in
+# ``hashlib``, so precomputing the secret-dependent prefix saves nothing.
+# The classes stay as the one entry point the record layer calls per
+# record, which the benchmark's trace times as its ``crypto.mac`` layer
+# (``perfbench/spans.py``).
 
 
 class Ssl3MacContext:
-    """Per-connection SSLv3 MAC with precomputed secret||pad prefixes."""
+    """One connection direction's SSLv3 record MAC (:func:`ssl3_mac`)."""
 
     def __init__(self, hash_factory: HashFactory, secret: bytes):
         self.hash_factory = hash_factory
         self.secret = secret
-        rec = _RecordingProfiler()
-        with perf.activate(rec):
-            inner = hash_factory()
-            npad = _pad_len(inner.digest_size)
-            mark = len(rec.log)          # INIT replayed by copy(), not here
-            inner.update(secret)
-            inner.update(bytes([_PAD1]) * npad)
-            self._inner_log = rec.log[mark:]
-            outer = hash_factory()
-            mark = len(rec.log)
-            outer.update(secret)
-            outer.update(bytes([_PAD2]) * npad)
-            self._outer_log = rec.log[mark:]
-        self._inner_proto = inner
-        self._outer_proto = outer
 
     def mac(self, seq_num: int, content_type: int, data: bytes) -> bytes:
-        if seq_num < 0 or seq_num >= 1 << 64:
-            raise ValueError("sequence number must fit in 64 bits")
-        inner = self._inner_proto.copy()       # charges INIT, like factory()
-        charge(MAC_CALL, function="mac")
-        _replay(self._inner_log)
-        inner.update(seq_num.to_bytes(8, "big"))
-        inner.update(bytes([content_type]))
-        inner.update(len(data).to_bytes(2, "big"))
-        inner.update(data)
-        outer = self._outer_proto.copy()
-        _replay(self._outer_log)
-        outer.update(inner.digest())
-        return outer.digest()
+        return ssl3_mac(self.hash_factory, self.secret, seq_num,
+                        content_type, data)
 
 
 class TlsMacContext:
-    """Per-connection TLS 1.0 HMAC with precomputed ipad/opad states."""
+    """One connection direction's TLS 1.0 record MAC (:func:`tls_mac`)."""
 
     def __init__(self, hash_factory: HashFactory, secret: bytes):
         self.hash_factory = hash_factory
         self.secret = secret
-        rec = _RecordingProfiler()
-        with perf.activate(rec):
-            # Mirror hmac()'s faithful body so the recorded charges line up
-            # call for call (probe INIT, HMAC bookkeeping, long-key digest).
-            probe = hash_factory()
-            block_size = probe.block_size
-            charge(MAC_CALL, function="HMAC")
-            key = secret
-            if len(key) > block_size:
-                key = _digest(hash_factory, key)
-            key = key.ljust(block_size, b"\x00")
-            self._pre_log = list(rec.log)
-            inner = hash_factory()
-            mark = len(rec.log)
-            inner.update(bytes(k ^ 0x36 for k in key))
-            self._inner_log = rec.log[mark:]
-            outer = hash_factory()
-            mark = len(rec.log)
-            outer.update(bytes(k ^ 0x5C for k in key))
-            self._outer_log = rec.log[mark:]
-        self._inner_proto = inner
-        self._outer_proto = outer
 
     def mac(self, seq_num: int, content_type: int, version: int,
             data: bytes) -> bytes:
-        if seq_num < 0 or seq_num >= 1 << 64:
-            raise ValueError("sequence number must fit in 64 bits")
-        charge(MAC_CALL, function="mac")
-        _replay(self._pre_log)
-        header = (seq_num.to_bytes(8, "big") + bytes([content_type])
-                  + version.to_bytes(2, "big") + len(data).to_bytes(2, "big"))
-        inner = self._inner_proto.copy()
-        _replay(self._inner_log)
-        inner.update(header + data)
-        outer = self._outer_proto.copy()
-        _replay(self._outer_log)
-        outer.update(inner.digest())
-        return outer.digest()
+        return tls_mac(self.hash_factory, self.secret, seq_num,
+                       content_type, version, data)

@@ -12,6 +12,7 @@ structure; the derivation is spelled out inline.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
@@ -110,7 +111,8 @@ def _compress(state: tuple, block: bytes) -> tuple:
 
 
 def _build_compress_fast():
-    """Generate a fully unrolled compression function (the fast backend).
+    """Generate a fully unrolled compression function (the fast backend
+    of :func:`compress`).
 
     The 64 steps are emitted as straight-line code over four locals with the
     round constants, shifts and message indices inlined -- the Python
@@ -153,20 +155,35 @@ _compress_fast = _build_compress_fast()
 
 
 def compress(state: tuple, block: bytes) -> tuple:
-    """Backend-dispatching MD5 compression (uncharged compute)."""
+    """Backend-dispatching MD5 compression (uncharged compute).
+
+    :class:`~repro.crypto.rand.PseudoRandom` chains raw compressions from
+    the IV with no padding, which ``hashlib`` cannot express, so MD5 keeps
+    an unrolled core for it."""
     if fastpath_enabled():
         return _compress_fast(state, block)
     return _compress(state, block)
 
 
 class MD5:
-    """Incremental MD5 with the standard init/update/final API."""
+    """Incremental MD5 with the standard init/update/final API.
+
+    The compute half is fixed at construction.  On the fast path a
+    ``hashlib`` object does the hashing for the context's whole life (its
+    copies included); otherwise :func:`_compress` runs over ``_state`` and
+    ``_buffer`` and charges the blocks it compresses.  The fast half
+    charges the same counts from byte lengths alone: ``(length % 64 +
+    len(data)) // 64`` blocks per update, and one block for the final
+    padding, or two once 56 or more bytes of the last block are taken.
+    """
 
     digest_size = 16
     block_size = 64
     name = "md5"
 
     def __init__(self, data: bytes = b""):
+        self._hash = (hashlib.md5(usedforsecurity=False)
+                      if fastpath_enabled() else None)
         self._state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
         self._buffer = b""
         self._length = 0
@@ -179,22 +196,26 @@ class MD5:
             raise TypeError("MD5.update requires bytes-like data")
         data = bytes(data)
         charge(MD5_UPDATE_CALL, function="MD5_Update")
-        self._length += len(data)
-        buf = self._buffer + data
-        nblocks = len(buf) // 64
-        if nblocks:
-            fn = _compress_fast if fastpath_enabled() else _compress
+        if self._hash is not None:
+            nblocks = (self._length % 64 + len(data)) // 64
+            self._hash.update(data)
+        else:
+            buf = self._buffer + data
+            nblocks = len(buf) // 64
             state = self._state
             for i in range(nblocks):
-                state = fn(state, buf[i * 64:(i + 1) * 64])
+                state = _compress(state, buf[i * 64:(i + 1) * 64])
             self._state = state
+            self._buffer = buf[nblocks * 64:]
+        self._length += len(data)
+        if nblocks:
             charge(MD5_BLOCK, times=nblocks, function="MD5_Update",
                    stall=MD5_STALL)
-        self._buffer = buf[nblocks * 64:]
 
     def copy(self) -> "MD5":
         """Snapshot the running context (used for SSLv3 finished hashes)."""
         clone = MD5.__new__(MD5)
+        clone._hash = None if self._hash is None else self._hash.copy()
         clone._state = self._state
         clone._buffer = self._buffer
         clone._length = self._length
@@ -203,17 +224,22 @@ class MD5:
 
     def digest(self) -> bytes:
         charge(MD5_FINAL, function="MD5_Final")
-        bitlen = self._length * 8
-        pad = b"\x80" + b"\x00" * ((55 - self._length) % 64)
-        tail = self._buffer + pad + struct.pack("<Q", bitlen & (2**64 - 1))
-        fn = _compress_fast if fastpath_enabled() else _compress
-        state = self._state
-        nblocks = len(tail) // 64
-        for i in range(nblocks):
-            state = fn(state, tail[i * 64:(i + 1) * 64])
+        if self._hash is not None:
+            out = self._hash.digest()
+            nblocks = 1 if self._length % 64 < 56 else 2
+        else:
+            bitlen = self._length * 8
+            pad = b"\x80" + b"\x00" * ((55 - self._length) % 64)
+            tail = (self._buffer + pad
+                    + struct.pack("<Q", bitlen & (2**64 - 1)))
+            nblocks = len(tail) // 64
+            state = self._state
+            for i in range(nblocks):
+                state = _compress(state, tail[i * 64:(i + 1) * 64])
+            out = struct.pack("<4I", *state)
         charge(MD5_BLOCK, times=nblocks, function="MD5_Final",
                stall=MD5_STALL)
-        return struct.pack("<4I", *state)
+        return out
 
     def hexdigest(self) -> str:
         return self.digest().hex()

@@ -10,6 +10,7 @@ per byte, Table 11).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from ..perf import charge, mix
@@ -89,69 +90,25 @@ def _compress(state: tuple, block: bytes) -> tuple:
             (state[4] + e) & _MASK)
 
 
-def _build_compress_fast():
-    """Generate a fully unrolled compression function (the fast backend).
-
-    The message schedule expands into 80 locals and the 80 steps run as
-    straight-line code with the round constants and boolean functions
-    inlined; bit-identical to :func:`_compress` by construction.
-    """
-    lines = [
-        "def _compress_fast(state, block):",
-        "    " + ", ".join(f"w{i}" for i in range(16)) + " = _unpack(block)",
-    ]
-    for i in range(16, 80):
-        lines.append(f"    t = w{i - 3} ^ w{i - 8} ^ w{i - 14} ^ w{i - 16}")
-        lines.append(f"    w{i} = ((t << 1) | (t >> 31)) & 0xFFFFFFFF")
-    lines.append("    a, b, c, d, e = state")
-    names = ["a", "b", "c", "d", "e"]
-    for i in range(80):
-        A, B, C, D, E = names
-        if i < 20:
-            f = f"(({B} & {C}) | (({B} ^ 0xFFFFFFFF) & {D}))"
-            k = _K[0]
-        elif i < 40:
-            f = f"({B} ^ {C} ^ {D})"
-            k = _K[1]
-        elif i < 60:
-            f = f"(({B} & {C}) | ({B} & {D}) | ({C} & {D}))"
-            k = _K[2]
-        else:
-            f = f"({B} ^ {C} ^ {D})"
-            k = _K[3]
-        lines.append(f"    {E} = ((({A} << 5) | ({A} >> 27)) + {f} + {E}"
-                     f" + {k} + w{i}) & 0xFFFFFFFF")
-        lines.append(f"    {B} = (({B} << 30) | ({B} >> 2)) & 0xFFFFFFFF")
-        names = [E, A, B, C, D]
-    A, B, C, D, E = names
-    lines.append(f"    return ((state[0] + {A}) & 0xFFFFFFFF,"
-                 f" (state[1] + {B}) & 0xFFFFFFFF,"
-                 f" (state[2] + {C}) & 0xFFFFFFFF,"
-                 f" (state[3] + {D}) & 0xFFFFFFFF,"
-                 f" (state[4] + {E}) & 0xFFFFFFFF)")
-    namespace = {"_unpack": struct.Struct(">16I").unpack}
-    exec(compile("\n".join(lines), "<sha1-fastpath>", "exec"), namespace)
-    return namespace["_compress_fast"]
-
-
-_compress_fast = _build_compress_fast()
-
-
-def compress(state: tuple, block: bytes) -> tuple:
-    """Backend-dispatching SHA-1 compression (uncharged compute)."""
-    if fastpath_enabled():
-        return _compress_fast(state, block)
-    return _compress(state, block)
-
-
 class SHA1:
-    """Incremental SHA-1 with the standard init/update/final API."""
+    """Incremental SHA-1 with the standard init/update/final API.
+
+    The compute half is fixed at construction.  On the fast path a
+    ``hashlib`` object does the hashing for the context's whole life (its
+    copies included); otherwise :func:`_compress` runs over ``_state`` and
+    ``_buffer`` and charges the blocks it compresses.  The fast half
+    charges the same counts from byte lengths alone: ``(length % 64 +
+    len(data)) // 64`` blocks per update, and one block for the final
+    padding, or two once 56 or more bytes of the last block are taken.
+    """
 
     digest_size = 20
     block_size = 64
     name = "sha1"
 
     def __init__(self, data: bytes = b""):
+        self._hash = (hashlib.sha1(usedforsecurity=False)
+                      if fastpath_enabled() else None)
         self._state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
                        0xC3D2E1F0)
         self._buffer = b""
@@ -165,22 +122,26 @@ class SHA1:
             raise TypeError("SHA1.update requires bytes-like data")
         data = bytes(data)
         charge(SHA1_UPDATE_CALL, function="SHA1_Update")
-        self._length += len(data)
-        buf = self._buffer + data
-        nblocks = len(buf) // 64
-        if nblocks:
-            fn = _compress_fast if fastpath_enabled() else _compress
+        if self._hash is not None:
+            nblocks = (self._length % 64 + len(data)) // 64
+            self._hash.update(data)
+        else:
+            buf = self._buffer + data
+            nblocks = len(buf) // 64
             state = self._state
             for i in range(nblocks):
-                state = fn(state, buf[i * 64:(i + 1) * 64])
+                state = _compress(state, buf[i * 64:(i + 1) * 64])
             self._state = state
+            self._buffer = buf[nblocks * 64:]
+        self._length += len(data)
+        if nblocks:
             charge(SHA1_BLOCK, times=nblocks, function="SHA1_Update",
                    stall=SHA1_STALL)
-        self._buffer = buf[nblocks * 64:]
 
     def copy(self) -> "SHA1":
         """Snapshot the running context (used for SSLv3 finished hashes)."""
         clone = SHA1.__new__(SHA1)
+        clone._hash = None if self._hash is None else self._hash.copy()
         clone._state = self._state
         clone._buffer = self._buffer
         clone._length = self._length
@@ -189,17 +150,22 @@ class SHA1:
 
     def digest(self) -> bytes:
         charge(SHA1_FINAL, function="SHA1_Final")
-        bitlen = self._length * 8
-        pad = b"\x80" + b"\x00" * ((55 - self._length) % 64)
-        tail = self._buffer + pad + struct.pack(">Q", bitlen & (2**64 - 1))
-        fn = _compress_fast if fastpath_enabled() else _compress
-        state = self._state
-        nblocks = len(tail) // 64
-        for i in range(nblocks):
-            state = fn(state, tail[i * 64:(i + 1) * 64])
+        if self._hash is not None:
+            out = self._hash.digest()
+            nblocks = 1 if self._length % 64 < 56 else 2
+        else:
+            bitlen = self._length * 8
+            pad = b"\x80" + b"\x00" * ((55 - self._length) % 64)
+            tail = (self._buffer + pad
+                    + struct.pack(">Q", bitlen & (2**64 - 1)))
+            nblocks = len(tail) // 64
+            state = self._state
+            for i in range(nblocks):
+                state = _compress(state, tail[i * 64:(i + 1) * 64])
+            out = struct.pack(">5I", *state)
         charge(SHA1_BLOCK, times=nblocks, function="SHA1_Final",
                stall=SHA1_STALL)
-        return struct.pack(">5I", *state)
+        return out
 
     def hexdigest(self) -> str:
         return self.digest().hex()

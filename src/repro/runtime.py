@@ -15,8 +15,9 @@ This module holds the process-wide switch selecting between the two
 backends:
 
 * **fast path** (default): word arrays pack into Python ints and whole
-  operands multiply/reduce in one big-int operation; hash compression
-  functions run unrolled; symmetric ciphers run flattened cores.
+  operands multiply/reduce in one big-int operation; MD5 and SHA-1 hash
+  with ``hashlib``, charged from byte counts (a hash context keeps the
+  backend it was built on); symmetric ciphers run flattened cores.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original
   word-by-word reference loops execute, mirroring the profiled OpenSSL

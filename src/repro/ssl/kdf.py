@@ -136,9 +136,9 @@ def _finished_hashes(md5_ctx: MD5, sha1_ctx: SHA1, master: bytes,
                      sender: bytes) -> Tuple[bytes, bytes]:
     """The two finished-message hashes over the handshake transcript.
 
-    ``md5_ctx`` / ``sha1_ctx`` are *copies are not taken here*: pass clones
-    of the running handshake-hash contexts, positioned after all handshake
-    messages so far.
+    ``md5_ctx`` / ``sha1_ctx`` are updated in place, not copied here: pass
+    clones of the running handshake-hash contexts, positioned after all
+    handshake messages so far.
     """
     md5_ctx.update(sender)
     md5_ctx.update(master)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .. import perf
-from ..crypto.mac import Ssl3MacContext, TlsMacContext, ssl3_mac, tls_mac
+from ..crypto.mac import Ssl3MacContext, TlsMacContext
 from ..crypto.util import ct_equal
 from ..crypto.modes import CBC
 from ..crypto.rc4 import RC4
 from ..perf import charge, mix
-from ..runtime import fastpath_enabled
 from .ciphersuites import CipherSuite
 from .errors import BadRecordMac, DecodeError, SequenceOverflow
 
@@ -101,31 +100,17 @@ class ConnectionState:
         self.hash_factory = suite.hash_factory()
         self.seq_num = 0
         self.seq_cap = seq_cap
-        #: Lazily built precomputed MAC state (fast path): the connection's
-        #: secret||pad / ipad-opad prefix is hashed once and cloned per
-        #: record, with the prefix charges replayed so modeled cycles match
-        #: the plain functions bit for bit.
-        self._mac_ctx: Optional[Union[Ssl3MacContext, TlsMacContext]] = None
+        #: The direction's record MAC (SSLv3 keyed hash or TLS 1.0 HMAC):
+        #: the plain per-record function under this hash and secret.
+        mac_cls = Ssl3MacContext if version == SSL3_VERSION else TlsMacContext
+        self._mac_ctx = mac_cls(self.hash_factory, self.mac_secret)
         self.offload = offload
 
     def _mac(self, content_type: int, fragment: bytes) -> bytes:
         if self.version == SSL3_VERSION:
-            if fastpath_enabled():
-                if not isinstance(self._mac_ctx, Ssl3MacContext):
-                    self._mac_ctx = Ssl3MacContext(self.hash_factory,
-                                                   self.mac_secret)
-                return self._mac_ctx.mac(self.seq_num, content_type,
-                                         fragment)
-            return ssl3_mac(self.hash_factory, self.mac_secret,
-                            self.seq_num, content_type, fragment)
-        if fastpath_enabled():
-            if not isinstance(self._mac_ctx, TlsMacContext):
-                self._mac_ctx = TlsMacContext(self.hash_factory,
-                                              self.mac_secret)
-            return self._mac_ctx.mac(self.seq_num, content_type,
-                                     self.version, fragment)
-        return tls_mac(self.hash_factory, self.mac_secret, self.seq_num,
-                       content_type, self.version, fragment)
+            return self._mac_ctx.mac(self.seq_num, content_type, fragment)
+        return self._mac_ctx.mac(self.seq_num, content_type, self.version,
+                                 fragment)
 
     # -- outgoing ---------------------------------------------------------
     def seal(self, content_type: int, fragment: bytes) -> bytes:

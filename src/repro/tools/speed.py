@@ -2,7 +2,8 @@
 
 Prints, per algorithm, the modelled throughput / CPI / path length on the
 paper's 2.26 GHz Pentium 4 model -- the quantities of Table 11 -- plus the
-wall-clock of the pure-Python execution for context.
+host wall-clock for context: pure Python, except MD5 and SHA-1, which the
+fast path computes with ``hashlib``.
 
     python -m repro.tools.speed
     python -m repro.tools.speed --bytes 16384 --rsa-bits 512 aes rc4 rsa

@@ -5,7 +5,9 @@ script holds a coarse host wall-clock budget on a full-handshake
 loopback session so a regression that silently disables a fast backend
 fails fast.  The absolute bound allows slow shared CI runners; the
 fast-vs-faithful ratio catches a disabled backend regardless of machine
-speed.
+speed.  RSA and 3DES dominate a handshake, so that ratio would hold with
+the hashes back on the Python loops: a 16 KB MD5 and SHA-1 digest is
+timed on each backend as well, and ``hashlib`` must win by 50x or more.
 
 Run via ``make smoke-wallclock`` (CI) or directly::
 
@@ -17,7 +19,9 @@ intentionally measures the host) -- it is a plain script with asserts.
 
 import time
 
-from repro import runtime
+from repro import perf, runtime
+from repro.crypto.md5 import MD5
+from repro.crypto.sha1 import SHA1
 from repro.ssl.loopback import make_server_identity, run_session
 
 
@@ -28,6 +32,31 @@ def best_of(key, cert, n: int) -> float:
         run_session(b"", key=key, cert=cert)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def best_digest(cls, data: bytes, n: int = 5) -> float:
+    """Best-of-``n`` seconds for one charged digest of ``data``."""
+    best = float("inf")
+    with perf.activate(perf.Profiler()):
+        for _ in range(n):
+            t0 = time.perf_counter()
+            cls(data).digest()
+            best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def check_hashes() -> None:
+    data = bytes(16 * 1024)
+    for cls in (SHA1, MD5):
+        fast = best_digest(cls, data)
+        with runtime.fastpath(False):
+            faithful = best_digest(cls, data)
+        print(f"{cls.name} 16 KB: fast {fast * 1e6:.0f} us, "
+              f"faithful {faithful * 1e3:.1f} ms ({faithful / fast:.0f}x)")
+        # ~25-45 us vs ~9-22 ms on a 2-vCPU x86_64 VM.
+        assert faithful / fast >= 50, (
+            f"{cls.name} fast path no longer on hashlib: "
+            f"{faithful / fast:.1f}x")
 
 
 def main() -> None:
@@ -43,6 +72,7 @@ def main() -> None:
     assert fast < 2.5, f"fast-path handshake too slow: {fast:.2f}s"
     assert faithful / fast > 2.5, (
         f"fast path no longer faster: {faithful / fast:.2f}x")
+    check_hashes()
 
 
 if __name__ == "__main__":

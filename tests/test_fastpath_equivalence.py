@@ -20,6 +20,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import perf, runtime
 from repro.perf import baseline
@@ -225,24 +226,92 @@ def test_rc4_equivalence():
         assert pt == data
 
 
+HASHES = pytest.mark.parametrize("cls,ref", [(MD5, hashlib.md5),
+                                             (SHA1, hashlib.sha1)],
+                                  ids=["MD5", "SHA1"])
+
+
+def copy_workload(cls, head, tail, branch):
+    """Hash ``head``, copy the context, then finish the original on the
+    ``tail`` chunks and the copy on the ``branch`` chunks."""
+    def workload():
+        h = cls()
+        for chunk in head:
+            h.update(chunk)
+        snap = h.copy()
+        for chunk in tail:
+            h.update(chunk)
+        for chunk in branch:
+            snap.update(chunk)
+        return h.digest(), snap.digest()
+    return workload
+
+
 def test_hash_equivalence():
     rng = random.Random(0x4A5)
-    for n in (0, 1, 55, 56, 64, 65, 1000):
+    # Totals on both sides of the one-or-two-block padding edge (55/56)
+    # and of a whole block (63/64, 119/120).
+    for n in (0, 1, 55, 56, 63, 64, 65, 119, 120, 1000):
         data = bytes(rng.randrange(256) for _ in range(n))
+        head, tail = data[: n // 2], data[n // 2:]
         for cls, ref in ((MD5, hashlib.md5), (SHA1, hashlib.sha1)):
+            digests = assert_equivalent(
+                copy_workload(cls, [head], [tail], [data]))
+            assert digests == (ref(data).digest(),
+                               ref(head + data).digest())
 
-            def workload():
-                h = cls()
-                h.update(data[: n // 2])
-                h.update(data[n // 2:])
-                return h.digest()
 
-            digest = assert_equivalent(workload)
-            assert digest == ref(data).digest()
+#: Chunks that straddle block edges: empty, 1, 63, 64 and 65 bytes, or any.
+CHUNKS = st.lists(
+    st.one_of(st.sampled_from((0, 1, 63, 64, 65)).map(bytes),
+              st.binary(max_size=130)),
+    max_size=8)
+
+
+@HASHES
+@given(head=CHUNKS, tail=CHUNKS, branch=CHUNKS)
+@settings(max_examples=25, deadline=None)
+def test_hash_chunking_equivalence(cls, ref, head, tail, branch):
+    """Byte-count charging over any chunking, with a ``copy()`` taken
+    mid-stream and finished on other data: the same digests and the same
+    charge stream on both backends, and ``hashlib``'s digests."""
+    digests = assert_equivalent(copy_workload(cls, head, tail, branch))
+    prefix = b"".join(head)
+    assert digests == (ref(prefix + b"".join(tail)).digest(),
+                       ref(prefix + b"".join(branch)).digest())
+
+
+@HASHES
+@pytest.mark.parametrize("built_fast", [True, False],
+                         ids=["built-fast", "built-faithful"])
+def test_hash_keeps_its_backend(cls, ref, built_fast):
+    """A context computes with the backend it was built on, and so do its
+    copies: flipping ``set_fastpath`` during its life changes neither
+    the digests nor the charge stream."""
+    data = bytes(range(256)) * 2
+
+    def run(flip):
+        with runtime.fastpath(built_fast):
+            h = cls(data[:100])
+        with runtime.fastpath(built_fast != flip):
+            snap = h.copy()
+            h.update(data[100:300])
+            snap.update(data[300:])
+            return h.digest(), snap.digest()
+
+    results = []
+    for flip in (False, True):
+        profiler = perf.Profiler()
+        with perf.activate(profiler):
+            digests = run(flip)
+        results.append((digests, snapshot(profiler)))
+    assert results[1] == results[0]
+    assert results[0][0] == (ref(data[:300]).digest(),
+                             ref(data[:100] + data[300:]).digest())
 
 
 # ---------------------------------------------------------------------------
-# precomputed MAC contexts (fast path) vs the plain per-record functions
+# per-connection MAC contexts vs the plain per-record functions
 # ---------------------------------------------------------------------------
 
 def mac_workloads(hash_cls, secret):
@@ -273,7 +342,7 @@ def mac_workloads(hash_cls, secret):
 def test_mac_context_matches_plain(hash_cls, secret_len):
     """The per-connection MAC contexts must be invisible: same MAC bytes,
     same charged cycles/calls/mixes as calling ssl3_mac/tls_mac per record
-    -- including construction (whose setup hashing is charge-free)."""
+    -- including construction, which charges nothing."""
     secret = bytes(range(secret_len % 256))[:secret_len].ljust(secret_len,
                                                                b"\x5a")
     for ctx_fn, plain_fn in mac_workloads(hash_cls, secret):

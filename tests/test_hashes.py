@@ -1,10 +1,16 @@
-"""MD5 and SHA-1: published vectors, hashlib cross-check, API behaviour."""
+"""MD5 and SHA-1: published vectors, hashlib cross-check, API behaviour.
+
+On the fast path the hash classes compute with ``hashlib``, so the vector,
+cross-check and API tests run on both backends: the faithful path is
+where the from-scratch compression loops meet the published vectors.
+"""
 
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.crypto.md5 import MD5, md5
 from repro.crypto.sha1 import SHA1, sha1
 
@@ -30,88 +36,117 @@ SHA1_VECTORS = [
 ]
 
 
+#: Host backends every vector and API test runs on: the fast path
+#: (``hashlib``) and the faithful compression loops.
+BACKENDS = (True, False)
+
+
 class TestMd5Vectors:
     @pytest.mark.parametrize("message,expected", MD5_VECTORS)
     def test_rfc1321(self, message, expected):
-        assert md5(message).hexdigest() == expected
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert md5(message).hexdigest() == expected
 
     def test_digest_size(self):
-        assert len(md5(b"x").digest()) == 16
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert len(md5(b"x").digest()) == 16
 
 
 class TestSha1Vectors:
     @pytest.mark.parametrize("message,expected", SHA1_VECTORS[:3])
     def test_fips(self, message, expected):
-        assert sha1(message).hexdigest() == expected
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert sha1(message).hexdigest() == expected
 
     @pytest.mark.slow
     def test_million_a(self):
         message, expected = SHA1_VECTORS[3]
-        assert sha1(message).hexdigest() == expected
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert sha1(message).hexdigest() == expected
 
     def test_digest_size(self):
-        assert len(sha1(b"x").digest()) == 20
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert len(sha1(b"x").digest()) == 20
 
 
 class TestAgainstHashlib:
     @given(st.binary(max_size=2000))
     @settings(max_examples=50, deadline=None)
     def test_md5_matches(self, data):
-        assert md5(data).digest() == hashlib.md5(data).digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert md5(data).digest() == hashlib.md5(data).digest()
 
     @given(st.binary(max_size=2000))
     @settings(max_examples=50, deadline=None)
     def test_sha1_matches(self, data):
-        assert sha1(data).digest() == hashlib.sha1(data).digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert sha1(data).digest() == hashlib.sha1(data).digest()
 
     @given(st.lists(st.binary(max_size=200), max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_incremental_equals_oneshot(self, chunks):
         joined = b"".join(chunks)
-        m, s = MD5(), SHA1()
-        for chunk in chunks:
-            m.update(chunk)
-            s.update(chunk)
-        assert m.digest() == hashlib.md5(joined).digest()
-        assert s.digest() == hashlib.sha1(joined).digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                m, s = MD5(), SHA1()
+                for chunk in chunks:
+                    m.update(chunk)
+                    s.update(chunk)
+                assert m.digest() == hashlib.md5(joined).digest()
+                assert s.digest() == hashlib.sha1(joined).digest()
 
 
 class TestApi:
     @pytest.mark.parametrize("factory", [MD5, SHA1])
     def test_update_rejects_str(self, factory):
-        with pytest.raises(TypeError):
-            factory().update("not bytes")
+        for fast in BACKENDS:
+            with runtime.fastpath(fast), pytest.raises(TypeError):
+                factory().update("not bytes")
 
     @pytest.mark.parametrize("factory", [MD5, SHA1])
     def test_copy_snapshots_state(self, factory):
-        h = factory(b"prefix-")
-        snap = h.copy()
-        h.update(b"tail1")
-        snap.update(b"tail2")
-        assert h.digest() == factory(b"prefix-tail1").digest()
-        assert snap.digest() == factory(b"prefix-tail2").digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                h = factory(b"prefix-")
+                snap = h.copy()
+                h.update(b"tail1")
+                snap.update(b"tail2")
+                assert h.digest() == factory(b"prefix-tail1").digest()
+                assert snap.digest() == factory(b"prefix-tail2").digest()
 
     @pytest.mark.parametrize("factory", [MD5, SHA1])
     def test_digest_is_idempotent_pure(self, factory):
-        h = factory(b"data")
-        assert h.digest() == h.digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                h = factory(b"data")
+                assert h.digest() == h.digest()
 
     @pytest.mark.parametrize("factory", [MD5, SHA1])
     def test_accepts_bytearray_and_memoryview(self, factory):
-        ref = factory(b"hello").digest()
-        assert factory(bytearray(b"hello")).digest() == ref
-        h = factory()
-        h.update(memoryview(b"hello"))
-        assert h.digest() == ref
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                ref = factory(b"hello").digest()
+                assert factory(bytearray(b"hello")).digest() == ref
+                h = factory()
+                h.update(memoryview(b"hello"))
+                assert h.digest() == ref
 
     @pytest.mark.parametrize("factory,pad_boundary", [(MD5, 55), (SHA1, 55)])
     def test_padding_boundaries(self, factory, pad_boundary):
         # Lengths around the 55/56/63/64 padding edges.
-        import hashlib
         ref = {MD5: hashlib.md5, SHA1: hashlib.sha1}[factory]
-        for n in (54, 55, 56, 57, 63, 64, 65, 119, 120, 128):
-            data = bytes(range(256))[:n] * 1
-            assert factory(data).digest() == ref(data).digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                for n in (54, 55, 56, 57, 63, 64, 65, 119, 120, 128):
+                    data = bytes(range(256))[:n] * 1
+                    assert factory(data).digest() == ref(data).digest()
 
 
 class TestInstrumentation:

@@ -1,8 +1,13 @@
-"""SSLv3 MAC and HMAC tests (RFC 2202 vectors for HMAC)."""
+"""SSLv3 MAC and HMAC tests (RFC 2202 vectors for HMAC).
+
+The HMAC tests run on both host backends, so the RFC 2202 vectors test
+the from-scratch hash loops as well as the fast path's ``hashlib``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.crypto.mac import hmac, ssl3_mac
 from repro.crypto.md5 import MD5
 from repro.crypto.sha1 import SHA1
@@ -24,29 +29,42 @@ HMAC_SHA1_VECTORS = [
 ]
 
 
+#: Host backends the HMAC tests run on: the fast path (``hashlib``) and
+#: the faithful compression loops.
+BACKENDS = (True, False)
+
+
 class TestHmac:
     @pytest.mark.parametrize("key,msg,expected", HMAC_MD5_VECTORS)
     def test_hmac_md5_rfc2202(self, key, msg, expected):
-        assert hmac(MD5, key, msg).hex() == expected
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert hmac(MD5, key, msg).hex() == expected
 
     @pytest.mark.parametrize("key,msg,expected", HMAC_SHA1_VECTORS)
     def test_hmac_sha1_rfc2202(self, key, msg, expected):
-        assert hmac(SHA1, key, msg).hex() == expected
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert hmac(SHA1, key, msg).hex() == expected
 
     def test_long_key_is_hashed(self):
         # RFC 2202 case 6: 80-byte key
         key = b"\xaa" * 80
         msg = b"Test Using Larger Than Block-Size Key - Hash Key First"
-        assert hmac(SHA1, key, msg).hex() == \
-            "aa4ae5e15272d00e95705637ce8a3b55ed402112"
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert hmac(SHA1, key, msg).hex() == \
+                    "aa4ae5e15272d00e95705637ce8a3b55ed402112"
 
     @given(st.binary(max_size=100), st.binary(max_size=300))
     @settings(max_examples=30, deadline=None)
     def test_matches_stdlib_hmac(self, key, msg):
         import hashlib
         import hmac as stdlib_hmac
-        assert hmac(SHA1, key, msg) == stdlib_hmac.new(
-            key, msg, hashlib.sha1).digest()
+        expected = stdlib_hmac.new(key, msg, hashlib.sha1).digest()
+        for fast in BACKENDS:
+            with runtime.fastpath(fast):
+                assert hmac(SHA1, key, msg) == expected
 
 
 class TestSsl3Mac:
