@@ -17,7 +17,8 @@ Writes ``BENCH_host_speed.json`` at the repository root:
   (``run_session`` with no application data, 1024-bit RSA identity created
   once outside the timed region), fast vs ``REPRO_FASTPATH=0``;
 * ``bulk_*``: application-payload throughput (MB/s) for an echo of a 64 KiB
-  payload through the established session, per cipher suite;
+  payload through the established session, per cipher suite (DES-CBC3-SHA,
+  AES128-SHA, RC4-MD5);
 * every entry carries the fast/faithful ``speedup`` ratio;
 * ``commit`` (``git describe --always --dirty``, so a run from an
   uncommitted tree says so) and ``cpus`` sit beside ``python`` and
@@ -37,7 +38,7 @@ from typing import Optional
 from repro import runtime
 from repro.crypto import rsa
 from repro.perf.baseline import write_json
-from repro.ssl.ciphersuites import DES_CBC3_SHA, RC4_MD5
+from repro.ssl.ciphersuites import AES128_SHA, DES_CBC3_SHA, RC4_MD5
 from repro.ssl.loopback import make_server_identity, run_session
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -104,6 +105,7 @@ def main() -> dict:
     # then report application-payload throughput.
     payload = b"x" * BULK_BYTES
     for suite, label in ((DES_CBC3_SHA, "bulk_3des_sha"),
+                         (AES128_SHA, "bulk_aes_sha"),
                          (RC4_MD5, "bulk_rc4_md5")):
         base = _both_backends(b"", suite, key, cert,
                               fast_reps=3, faithful_reps=2)

@@ -10,11 +10,16 @@ and (3) the last round (which uses the plain S-box) plus the state store.
 The decryption path uses the inverse tables ``Td0..Td3`` over an
 InvMixColumns-transformed key schedule (the standard equivalent inverse
 cipher), making decryption cost symmetric with encryption.
+
+Both backends compute blocks with the same T-table cores and differ only
+in how they charge.  :meth:`AES.decrypt_blocks` decrypts many blocks at
+once with a byte-sliced core, a different algorithm, which makes it the
+cores' oracle in the tests and CBC decryption's fast path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
@@ -146,6 +151,14 @@ _ENCRYPT_PLANS = _block_plans("AES_encrypt")
 _DECRYPT_PLANS = _block_plans("AES_decrypt")
 
 
+def _charge_phases(function: str, rounds: int) -> None:
+    """The faithful loop's per-phase charges of one block."""
+    charge(AES_INIT, function=function, stall=AES_STALL)
+    charge(AES_ROUND, times=rounds - 1, function=function, stall=AES_STALL)
+    charge(AES_FINAL, function=function, stall=AES_STALL)
+    charge(AES_CALL, function=function)
+
+
 # ---------------------------------------------------------------------------
 # Key expansion
 # ---------------------------------------------------------------------------
@@ -202,7 +215,7 @@ def _schedules(key: bytes) -> Tuple[List[int], List[int]]:
 
 
 def _encrypt_core(ek: Sequence[int], rounds: int, block: bytes) -> bytes:
-    """Uncharged fast encryption core (tables bound to locals)."""
+    """Uncharged encryption core (tables bound to locals)."""
     te0, te1, te2, te3 = TE0, TE1, TE2, TE3
     s0 = int.from_bytes(block[0:4], "big") ^ ek[0]
     s1 = int.from_bytes(block[4:8], "big") ^ ek[1]
@@ -233,7 +246,7 @@ def _encrypt_core(ek: Sequence[int], rounds: int, block: bytes) -> bytes:
 
 
 def _decrypt_core(dk: Sequence[int], rounds: int, block: bytes) -> bytes:
-    """Uncharged fast decryption core (tables bound to locals)."""
+    """Uncharged decryption core (tables bound to locals)."""
     td0, td1, td2, td3 = TD0, TD1, TD2, TD3
     s0 = int.from_bytes(block[0:4], "big") ^ dk[0]
     s1 = int.from_bytes(block[4:8], "big") ^ dk[1]
@@ -263,6 +276,84 @@ def _decrypt_core(dk: Sequence[int], rounds: int, block: bytes) -> bytes:
     return ((t0 << 96) | (t1 << 64) | (t2 << 32) | t3).to_bytes(16, "big")
 
 
+# ---------------------------------------------------------------------------
+# Byte-sliced decryption of many blocks
+# ---------------------------------------------------------------------------
+# CBC decryption has no chain between blocks, so a record's blocks can be
+# decrypted together.  The state is held position-major: lane ``p`` holds
+# byte ``p`` of every block (``data[p::16]``), so InvShiftRows only
+# relabels lanes.  AddRoundKey is one ``bytes.translate`` per lane;
+# InvSubBytes and InvMixColumns are one ``translate`` of all lanes per
+# InvMixColumns coefficient (x14, x11, x13, x9), through the S-box and the
+# product, and a big-int XOR of the four results.
+
+_IDENTITY = int.from_bytes(bytes(range(256)), "big")
+_EVERY_BYTE = int.from_bytes(bytes([1]) * 256, "big")
+#: ``_XOR[k]`` maps byte ``x`` to ``x ^ k``.
+_XOR = [(_IDENTITY ^ k * _EVERY_BYTE).to_bytes(256, "big")
+        for k in range(256)]
+_INV_SBOX_TABLE = bytes(INV_SBOX)
+#: InvMixColumns coefficients of output row 0; row ``i`` takes
+#: ``_INV_MIX[j]`` times input row ``(i + j) % 4``.
+_INV_MIX = (14, 11, 13, 9)
+#: InvSubBytes, then the product with each coefficient.
+_SUB_MUL = tuple(bytes(_gf_mul(s, m) for s in INV_SBOX) for m in _INV_MIX)
+
+
+def _shifted(row: int, col: int) -> int:
+    """The lane InvShiftRows moves to (row, col)."""
+    return 4 * ((col - row) % 4) + row
+
+
+#: The lane read at output position ``4 * col + row`` in the last round.
+_SHIFT_LANES = tuple(_shifted(p % 4, p // 4) for p in range(16))
+#: Per coefficient ``_INV_MIX[j]``: the lane multiplied into each output
+#: position ``4 * col + row``.
+_MIX_LANES = tuple(tuple(_shifted((row + j) % 4, col)
+                         for col in range(4) for row in range(4))
+                   for j in range(4))
+
+#: Per main round, each lane's AddRoundKey table; then the last round's.
+_SlicedTables = Tuple[List[Tuple[bytes, ...]], Tuple[bytes, ...]]
+
+
+def _sliced_tables(dk: Sequence[int], rounds: int) -> _SlicedTables:
+    """Per-key tables of the byte-sliced core.  Each main round starts
+    with the AddRoundKey of the round before, per lane.  The last round
+    reads each output position through one table: that AddRoundKey,
+    InvSubBytes and the final AddRoundKey."""
+    keys = [b"".join(w.to_bytes(4, "big") for w in dk[4 * r:4 * r + 4])
+            for r in range(rounds + 1)]
+    main = [tuple(_XOR[k] for k in keys[r]) for r in range(rounds - 1)]
+    last = tuple(_XOR[keys[rounds - 1][src]].translate(_INV_SBOX_TABLE)
+                 .translate(_XOR[k])
+                 for src, k in zip(_SHIFT_LANES, keys[rounds]))
+    return main, last
+
+
+def _decrypt_sliced(tables: _SlicedTables, data: bytes) -> bytes:
+    """Uncharged byte-sliced decryption of every block of ``data``."""
+    if not data:
+        return b""
+    main, last = tables
+    size = len(data)
+    n = size // 16
+    from_bytes = int.from_bytes
+    lanes = [data[p::16] for p in range(16)]
+    for round_keys in main:
+        lanes = [lane.translate(k) for lane, k in zip(lanes, round_keys)]
+        t0, t1, t2, t3 = [
+            from_bytes(b"".join([lanes[p] for p in order]).translate(sub_mul),
+                       "big")
+            for order, sub_mul in zip(_MIX_LANES, _SUB_MUL)]
+        state = (t0 ^ t1 ^ t2 ^ t3).to_bytes(size, "big")
+        lanes = [state[i:i + n] for i in range(0, size, n)]
+    out = bytearray(size)
+    for p in range(16):
+        out[p::16] = lanes[_SHIFT_LANES[p]].translate(last[p])
+    return bytes(out)
+
+
 class AES:
     """AES-128/192/256 on 16-byte blocks."""
 
@@ -279,6 +370,9 @@ class AES:
         else:
             self._ek = _expand_key(key)
             self._dk = _inv_mix_key(self._ek, self.rounds)
+        #: Byte-sliced decryption tables, built on the first
+        #: :meth:`decrypt_blocks` call.
+        self._sliced: Optional[_SlicedTables] = None
         nwords = 4 * (self.rounds + 1)
         # Decryption-schedule preparation costs the same expansion again
         # plus an InvMixColumns pass; SSL contexts need both directions.
@@ -291,75 +385,26 @@ class AES:
             raise ValueError("AES block must be 16 bytes")
         if fastpath_enabled():
             charge_plans(_ENCRYPT_PLANS[self.rounds])
-            return _encrypt_core(self._ek, self.rounds, block)
-        ek = self._ek
-        s0 = int.from_bytes(block[0:4], "big") ^ ek[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ ek[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ ek[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ ek[3]
-        charge(AES_INIT, function="AES_encrypt", stall=AES_STALL)
-        k = 4
-        for _ in range(self.rounds - 1):
-            t0 = (TE0[(s0 >> 24) & 0xFF] ^ TE1[(s1 >> 16) & 0xFF]
-                  ^ TE2[(s2 >> 8) & 0xFF] ^ TE3[s3 & 0xFF] ^ ek[k])
-            t1 = (TE0[(s1 >> 24) & 0xFF] ^ TE1[(s2 >> 16) & 0xFF]
-                  ^ TE2[(s3 >> 8) & 0xFF] ^ TE3[s0 & 0xFF] ^ ek[k + 1])
-            t2 = (TE0[(s2 >> 24) & 0xFF] ^ TE1[(s3 >> 16) & 0xFF]
-                  ^ TE2[(s0 >> 8) & 0xFF] ^ TE3[s1 & 0xFF] ^ ek[k + 2])
-            t3 = (TE0[(s3 >> 24) & 0xFF] ^ TE1[(s0 >> 16) & 0xFF]
-                  ^ TE2[(s1 >> 8) & 0xFF] ^ TE3[s2 & 0xFF] ^ ek[k + 3])
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            k += 4
-        charge(AES_ROUND, times=self.rounds - 1, function="AES_encrypt",
-               stall=AES_STALL)
-        sb = SBOX
-        t0 = ((sb[(s0 >> 24) & 0xFF] << 24) | (sb[(s1 >> 16) & 0xFF] << 16)
-              | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ ek[k]
-        t1 = ((sb[(s1 >> 24) & 0xFF] << 24) | (sb[(s2 >> 16) & 0xFF] << 16)
-              | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ ek[k + 1]
-        t2 = ((sb[(s2 >> 24) & 0xFF] << 24) | (sb[(s3 >> 16) & 0xFF] << 16)
-              | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ ek[k + 2]
-        t3 = ((sb[(s3 >> 24) & 0xFF] << 24) | (sb[(s0 >> 16) & 0xFF] << 16)
-              | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ ek[k + 3]
-        charge(AES_FINAL, function="AES_encrypt", stall=AES_STALL)
-        charge(AES_CALL, function="AES_encrypt")
-        return b"".join(t.to_bytes(4, "big") for t in (t0, t1, t2, t3))
+        else:
+            _charge_phases("AES_encrypt", self.rounds)
+        return _encrypt_core(self._ek, self.rounds, block)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
         if fastpath_enabled():
             charge_plans(_DECRYPT_PLANS[self.rounds])
-            return _decrypt_core(self._dk, self.rounds, block)
-        dk = self._dk
-        s0 = int.from_bytes(block[0:4], "big") ^ dk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ dk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ dk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ dk[3]
-        charge(AES_INIT, function="AES_decrypt", stall=AES_STALL)
-        k = 4
-        for _ in range(self.rounds - 1):
-            t0 = (TD0[(s0 >> 24) & 0xFF] ^ TD1[(s3 >> 16) & 0xFF]
-                  ^ TD2[(s2 >> 8) & 0xFF] ^ TD3[s1 & 0xFF] ^ dk[k])
-            t1 = (TD0[(s1 >> 24) & 0xFF] ^ TD1[(s0 >> 16) & 0xFF]
-                  ^ TD2[(s3 >> 8) & 0xFF] ^ TD3[s2 & 0xFF] ^ dk[k + 1])
-            t2 = (TD0[(s2 >> 24) & 0xFF] ^ TD1[(s1 >> 16) & 0xFF]
-                  ^ TD2[(s0 >> 8) & 0xFF] ^ TD3[s3 & 0xFF] ^ dk[k + 2])
-            t3 = (TD0[(s3 >> 24) & 0xFF] ^ TD1[(s2 >> 16) & 0xFF]
-                  ^ TD2[(s1 >> 8) & 0xFF] ^ TD3[s0 & 0xFF] ^ dk[k + 3])
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            k += 4
-        charge(AES_ROUND, times=self.rounds - 1, function="AES_decrypt",
-               stall=AES_STALL)
-        isb = INV_SBOX
-        t0 = ((isb[(s0 >> 24) & 0xFF] << 24) | (isb[(s3 >> 16) & 0xFF] << 16)
-              | (isb[(s2 >> 8) & 0xFF] << 8) | isb[s1 & 0xFF]) ^ dk[k]
-        t1 = ((isb[(s1 >> 24) & 0xFF] << 24) | (isb[(s0 >> 16) & 0xFF] << 16)
-              | (isb[(s3 >> 8) & 0xFF] << 8) | isb[s2 & 0xFF]) ^ dk[k + 1]
-        t2 = ((isb[(s2 >> 24) & 0xFF] << 24) | (isb[(s1 >> 16) & 0xFF] << 16)
-              | (isb[(s0 >> 8) & 0xFF] << 8) | isb[s3 & 0xFF]) ^ dk[k + 2]
-        t3 = ((isb[(s3 >> 24) & 0xFF] << 24) | (isb[(s2 >> 16) & 0xFF] << 16)
-              | (isb[(s1 >> 8) & 0xFF] << 8) | isb[s0 & 0xFF]) ^ dk[k + 3]
-        charge(AES_FINAL, function="AES_decrypt", stall=AES_STALL)
-        charge(AES_CALL, function="AES_decrypt")
-        return b"".join(t.to_bytes(4, "big") for t in (t0, t1, t2, t3))
+        else:
+            _charge_phases("AES_decrypt", self.rounds)
+        return _decrypt_core(self._dk, self.rounds, block)
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt every 16-byte block of ``data`` independently (ECB),
+        all at once with the byte-sliced core; charged as one
+        :meth:`decrypt_block` per block."""
+        if len(data) % 16:
+            raise ValueError("AES input must be a whole number of blocks")
+        if self._sliced is None:
+            self._sliced = _sliced_tables(self._dk, self.rounds)
+        charge_plans(_DECRYPT_PLANS[self.rounds] * (len(data) // 16))
+        return _decrypt_sliced(self._sliced, data)

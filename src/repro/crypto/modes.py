@@ -5,6 +5,13 @@ popular modes", Section 2), where each plaintext block is XORed with the
 previous ciphertext block -- deliberately serializing the blocks of a
 message -- and RC4 as a stream cipher.  :class:`CBC` keeps the running IV
 across calls because SSLv3 chains the IV from record to record.
+
+Only encryption is serial: every ciphertext block is known before
+decryption starts, so :meth:`CBC.decrypt` decrypts the blocks
+independently and XORs them with the ciphertext shifted by one block.
+On the fast path a long AES input is decrypted all at once by
+:meth:`~repro.crypto.aes.AES.decrypt_blocks`, charged exactly as the
+per-block calls.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from typing import Protocol
 
 from ..perf import charge, mix
 from ..runtime import fastpath_enabled
+from .aes import AES
 
 
 class BlockCipher(Protocol):
@@ -33,6 +41,11 @@ CBC_BLOCK = mix(movl=8, xorl=4, addl=2, cmpl=1, jnz=1)
 #: Per-call overhead of the mode wrapper (the EVP-style dispatch the
 #: throughput numbers of Table 11 include).
 MODE_CALL = mix(pushl=4, movl=10, popl=4, call=2, ret=2, cmpl=2, jnz=2)
+
+#: Fewest blocks at which :meth:`CBC.decrypt` on the fast path hands an
+#: AES input to the byte-sliced :meth:`AES.decrypt_blocks`; shorter inputs
+#: (Finished messages, session tickets) keep the per-block calls.
+BATCH_MIN_BLOCKS = 16
 
 
 class CBC:
@@ -58,18 +71,11 @@ class CBC:
         out = bytearray()
         prev = self._iv
         enc = self.cipher.encrypt_block
-        if fastpath_enabled():
-            from_bytes = int.from_bytes
-            for i in range(0, len(data), bs):
-                block = (from_bytes(data[i:i + bs], "big")
-                         ^ from_bytes(prev, "big")).to_bytes(bs, "big")
-                prev = enc(block)
-                out += prev
-        else:
-            for i in range(0, len(data), bs):
-                block = bytes(a ^ b for a, b in zip(data[i:i + bs], prev))
-                prev = enc(block)
-                out += prev
+        from_bytes = int.from_bytes
+        for i in range(0, len(data), bs):
+            prev = enc((from_bytes(data[i:i + bs], "big")
+                        ^ from_bytes(prev, "big")).to_bytes(bs, "big"))
+            out += prev
         self._iv = prev
         nblocks = len(data) // bs
         if nblocks:
@@ -79,31 +85,25 @@ class CBC:
 
     def decrypt(self, data: bytes) -> bytes:
         bs = self.block_size
-        if len(data) % bs:
+        size = len(data)
+        if size % bs:
             raise ValueError("CBC input must be a whole number of blocks")
-        out = bytearray()
-        prev = self._iv
-        dec = self.cipher.decrypt_block
-        if fastpath_enabled():
-            from_bytes = int.from_bytes
-            for i in range(0, len(data), bs):
-                ct = data[i:i + bs]
-                plain = dec(ct)
-                out += (from_bytes(plain, "big")
-                        ^ from_bytes(prev, "big")).to_bytes(bs, "big")
-                prev = ct
+        nblocks = size // bs
+        cipher = self.cipher
+        if (nblocks >= BATCH_MIN_BLOCKS and isinstance(cipher, AES)
+                and fastpath_enabled()):
+            plain = cipher.decrypt_blocks(data)
         else:
-            for i in range(0, len(data), bs):
-                ct = data[i:i + bs]
-                plain = dec(ct)
-                out += bytes(a ^ b for a, b in zip(plain, prev))
-                prev = ct
-        self._iv = prev
-        nblocks = len(data) // bs
+            dec = cipher.decrypt_block
+            plain = b"".join([dec(data[i:i + bs]) for i in range(0, size, bs)])
+        # Block i of the plaintext is D(C_i) ^ C_(i-1), with the IV as C_-1.
+        chain = self._iv + data
+        self._iv = chain[-bs:]
         if nblocks:
             charge(CBC_BLOCK, times=nblocks, function="cbc_decrypt")
         charge(MODE_CALL, function="cbc_decrypt")
-        return bytes(out)
+        return (int.from_bytes(plain, "big")
+                ^ int.from_bytes(chain[:size], "big")).to_bytes(size, "big")
 
 
 def cbc_encrypt(cipher: BlockCipher, iv: bytes, data: bytes) -> bytes:

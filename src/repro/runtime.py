@@ -17,7 +17,9 @@ backends:
 * **fast path** (default): word arrays pack into Python ints and whole
   operands multiply/reduce in one big-int operation; MD5 and SHA-1 hash
   with ``hashlib``, charged from byte counts (a hash context keeps the
-  backend it was built on); symmetric ciphers run flattened cores.
+  backend it was built on); symmetric ciphers run flattened cores, and
+  CBC decrypts an AES input of 16 blocks or more all at once with a
+  byte-sliced core, charged as the per-block calls.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original
   word-by-word reference loops execute, mirroring the profiled OpenSSL

@@ -32,7 +32,7 @@ from repro.crypto.aes import AES
 from repro.crypto.des import DES, TripleDES
 from repro.crypto.mac import Ssl3MacContext, TlsMacContext, ssl3_mac, tls_mac
 from repro.crypto.md5 import MD5
-from repro.crypto.modes import CBC
+from repro.crypto.modes import BATCH_MIN_BLOCKS, CBC
 from repro.crypto.rc4 import RC4
 from repro.crypto.sha1 import SHA1
 from repro.ssl.loopback import make_server_identity, run_session
@@ -194,13 +194,21 @@ def test_block_cipher_equivalence():
         assert pt == block and ct != block
 
 
+#: AES inputs around the batched-decryption threshold, in blocks.
+AES_BATCH_EDGES = (BATCH_MIN_BLOCKS - 1, BATCH_MIN_BLOCKS,
+                   BATCH_MIN_BLOCKS + 1, 1025)
+
+
 def test_cbc_mode_equivalence():
     rng = random.Random(0xCBC)
     cases = [(AES, 16), (AES, 24), (AES, 32), (DES, 8), (TripleDES, 24)]
     for cls, key_len in cases:
         key = bytes(rng.randrange(256) for _ in range(key_len))
         iv = bytes(rng.randrange(256) for _ in range(cls.block_size))
-        for size in (cls.block_size * 11, 16 * 1024):
+        sizes = [cls.block_size * 11, 16 * 1024]
+        if cls is AES:
+            sizes += [16 * n for n in AES_BATCH_EDGES]
+        for size in sizes:
             data = rng.randbytes(size)
 
             def workload():
@@ -210,6 +218,68 @@ def test_cbc_mode_equivalence():
 
             ct, pt = assert_equivalent(workload)
             assert pt == data
+
+
+def test_cbc_iv_chains_across_batch_threshold():
+    """One CBC object decrypting inputs that cross the batching threshold
+    in both directions keeps SSLv3's record-to-record IV chain."""
+    rng = random.Random(0x1CB)
+    key, iv = rng.randbytes(16), rng.randbytes(16)
+    sizes = [3, BATCH_MIN_BLOCKS, 1, BATCH_MIN_BLOCKS + 7,
+             BATCH_MIN_BLOCKS - 1, 64, 0, 2, 300]
+    records = [rng.randbytes(16 * n) for n in sizes]
+    sender = CBC(AES(key), iv)
+    sealed = [sender.encrypt(record) for record in records]
+
+    def workload():
+        receiver = CBC(AES(key), iv)
+        return [(receiver.decrypt(ct), receiver.iv) for ct in sealed]
+
+    chain = iv
+    for (plain, got_iv), record, ct in zip(assert_equivalent(workload),
+                                           records, sealed):
+        chain = ct[-16:] if ct else chain
+        assert plain == record
+        assert got_iv == chain
+
+
+AES_KEYS = st.sampled_from([16, 24, 32]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+
+
+@given(key=AES_KEYS, nblocks=st.integers(1, 300), seed=st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_decrypt_blocks_matches_per_block(key, nblocks, seed):
+    """The byte-sliced core equals one ``decrypt_block`` per block, in
+    output and in the full charge stream, on either backend."""
+    data = random.Random(seed).randbytes(16 * nblocks)
+
+    def per_block():
+        cipher = AES(key)
+        return b"".join(cipher.decrypt_block(data[i:i + 16])
+                        for i in range(0, len(data), 16))
+
+    (ref, ref_snap), (faithful, faithful_snap) = run_both(per_block)
+    for fast in (True, False):
+        with runtime.fastpath(fast):
+            profiler = perf.Profiler()
+            with perf.activate(profiler):
+                got = AES(key).decrypt_blocks(data)
+        assert got == ref == faithful
+        assert snapshot(profiler) == ref_snap == faithful_snap
+
+
+@given(key=AES_KEYS, blocks=st.lists(st.binary(min_size=16, max_size=16),
+                                     min_size=1, max_size=40))
+@settings(max_examples=30, deadline=None)
+def test_encrypt_block_inverted_by_decrypt_blocks(key, blocks):
+    """``encrypt_block`` (the T-table core both backends run) is undone by
+    the byte-sliced core, an independent algorithm."""
+    for fast in (True, False):
+        with runtime.fastpath(fast):
+            cipher = AES(key)
+            ct = b"".join(cipher.encrypt_block(b) for b in blocks)
+            assert cipher.decrypt_blocks(ct) == b"".join(blocks)
 
 
 def test_rc4_equivalence():

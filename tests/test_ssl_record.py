@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
+from repro.crypto.modes import BATCH_MIN_BLOCKS
 from repro.ssl import kdf
 from repro.ssl.ciphersuites import (
     AES128_SHA, ALL_SUITES, DES_CBC3_SHA, NULL_SHA, RC4_MD5, lookup,
@@ -10,10 +12,11 @@ from repro.ssl.ciphersuites import (
 from repro.ssl.errors import BadRecordMac, DecodeError
 from repro.ssl.record import (
     ConnectionState, ContentType, KeyMaterial, RecordLayer, SSL3_VERSION,
+    TLS1_VERSION,
 )
 
 
-def make_states(suite, seed=b"record-test"):
+def make_states(suite, seed=b"record-test", version=SSL3_VERSION):
     """A matched (sender, receiver) state pair for one direction."""
     need = suite.key_material_length() // 2
     block = kdf.derive(bytes(48), seed.ljust(32, b"\0"), bytes(32),
@@ -23,9 +26,10 @@ def make_states(suite, seed=b"record-test"):
         key=block[suite.mac_key_len:suite.mac_key_len + suite.key_len],
         iv=block[need - suite.iv_len:need],
     )
-    tx = ConnectionState(suite, material)
+    tx = ConnectionState(suite, material, version)
     rx = ConnectionState(suite, KeyMaterial(material.mac_secret,
-                                            material.key, material.iv))
+                                            material.key, material.iv),
+                         version)
     return tx, rx
 
 
@@ -110,6 +114,41 @@ class TestSealOpen:
         tx, rx = make_states(DES_CBC3_SHA, seed=b"prop")
         body = tx.seal(ContentType.APPLICATION_DATA, payload)
         assert rx.open(ContentType.APPLICATION_DATA, body) == payload
+
+
+class TestBatchedOpenFailures:
+    """Failures stay uniform on the batched decryption path: a full 16 KB
+    AES record has enough blocks for CBC to decrypt them all at once."""
+
+    PAYLOAD = bytes(range(256)) * 64
+
+    @staticmethod
+    def damage(body: bytearray, how: str) -> bytes:
+        if how == "flip_mid":
+            body[len(body) // 2] ^= 0x01
+        elif how == "flip_last_block":
+            body[-3] ^= 0x01
+        else:  # truncate_block
+            del body[-16:]
+        return bytes(body)
+
+    @pytest.mark.parametrize("how", ["flip_mid", "flip_last_block",
+                                     "truncate_block"])
+    @pytest.mark.parametrize("version", [SSL3_VERSION, TLS1_VERSION],
+                             ids=["ssl3", "tls1"])
+    def test_damaged_16k_record_rejected(self, version, how):
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                tx, rx = make_states(AES128_SHA, version=version)
+                body = tx.seal(ContentType.APPLICATION_DATA, self.PAYLOAD)
+                assert len(body) // 16 >= BATCH_MIN_BLOCKS
+                _, intact_rx = make_states(AES128_SHA, version=version)
+                assert intact_rx.open(ContentType.APPLICATION_DATA,
+                                      body) == self.PAYLOAD
+                with pytest.raises(BadRecordMac):
+                    rx.open(ContentType.APPLICATION_DATA,
+                            self.damage(bytearray(body), how))
+                assert rx.seq_num == 1
 
 
 class TestRecordLayerFraming:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.crypto.aes import AES, INV_SBOX, SBOX
 from repro.crypto.des import DES, TripleDES
 from repro.crypto.rc4 import RC4
@@ -150,16 +151,22 @@ class TestAes:
 
     @pytest.mark.parametrize("key,expected", CASES)
     def test_fips197_appendix_c(self, key, expected):
-        a = AES(key)
-        ct = a.encrypt_block(self.PT)
-        assert ct.hex() == expected
-        assert a.decrypt_block(ct) == self.PT
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                a = AES(key)
+                ct = a.encrypt_block(self.PT)
+                assert ct.hex() == expected
+                assert a.decrypt_block(ct) == self.PT
+                assert a.decrypt_blocks(ct * 3) == self.PT * 3
 
     def test_fips197_appendix_b(self):
-        a = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-        assert a.encrypt_block(
-            bytes.fromhex("3243f6a8885a308d313198a2e0370734")).hex() == \
-            "3925841d02dc09fbdc118597196a0b32"
+        pt = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+        ct = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                a = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+                assert a.encrypt_block(pt) == ct
+                assert a.decrypt_blocks(ct) == pt
 
     def test_round_counts(self):
         assert AES(bytes(16)).rounds == 10
@@ -180,6 +187,8 @@ class TestAes:
     def test_block_length_validation(self):
         with pytest.raises(ValueError):
             AES(bytes(16)).encrypt_block(bytes(8))
+        with pytest.raises(ValueError):
+            AES(bytes(16)).decrypt_blocks(bytes(24))
 
     @given(st.sampled_from([16, 24, 32]).flatmap(
         lambda n: st.tuples(st.binary(min_size=n, max_size=n),
@@ -216,9 +225,12 @@ class TestAesAvsKat:
 
     @pytest.mark.parametrize("pt,ct", GFSBOX_128)
     def test_gfsbox_128(self, pt, ct):
-        a = AES(bytes(16))
-        assert a.encrypt_block(bytes.fromhex(pt)).hex() == ct
-        assert a.decrypt_block(bytes.fromhex(ct)).hex() == pt
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                a = AES(bytes(16))
+                assert a.encrypt_block(bytes.fromhex(pt)).hex() == ct
+                assert a.decrypt_block(bytes.fromhex(ct)).hex() == pt
+                assert a.decrypt_blocks(bytes.fromhex(ct)).hex() == pt
 
     def test_chained_encryption_reversible(self):
         """Monte-Carlo-style chaining: 1000 chained encryptions walk back
@@ -226,11 +238,16 @@ class TestAesAvsKat:
         cycles early."""
         a = AES(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
         block = bytes(16)
+        trajectory = [block]
         seen = set()
         for _ in range(1000):
             assert block not in seen
             seen.add(block)
             block = a.encrypt_block(block)
+            trajectory.append(block)
+        # The byte-sliced core undoes every step at once.
+        assert a.decrypt_blocks(b"".join(trajectory[1:])) == \
+            b"".join(trajectory[:-1])
         for _ in range(1000):
             block = a.decrypt_block(block)
         assert block == bytes(16)
