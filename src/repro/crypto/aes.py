@@ -196,24 +196,6 @@ def _inv_mix_key(w: Sequence[int], nr: int) -> List[int]:
     return out
 
 
-#: Expanded-schedule memo for the fast path.  Key expansion is deterministic
-#: in the key bytes, so contexts for a repeated key can share the schedule
-#: lists; the modeled expansion cost is still charged per context.
-_SCHEDULE_CACHE: Dict[bytes, Tuple[List[int], List[int]]] = {}
-_SCHEDULE_CACHE_MAX = 512
-
-
-def _schedules(key: bytes) -> Tuple[List[int], List[int]]:
-    cached = _SCHEDULE_CACHE.get(key)
-    if cached is None:
-        ek = _expand_key(key)
-        cached = (ek, _inv_mix_key(ek, len(key) // 4 + 6))
-        if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.clear()
-        _SCHEDULE_CACHE[key] = cached
-    return cached
-
-
 def _encrypt_core(ek: Sequence[int], rounds: int, block: bytes) -> bytes:
     """Uncharged encryption core (tables bound to locals)."""
     te0, te1, te2, te3 = TE0, TE1, TE2, TE3
@@ -365,11 +347,8 @@ class AES:
             raise ValueError("AES key must be 16, 24 or 32 bytes")
         self.key_size = len(key)
         self.rounds = len(key) // 4 + 6
-        if fastpath_enabled():
-            self._ek, self._dk = _schedules(bytes(key))
-        else:
-            self._ek = _expand_key(key)
-            self._dk = _inv_mix_key(self._ek, self.rounds)
+        self._ek = _expand_key(key)
+        self._dk = _inv_mix_key(self._ek, self.rounds)
         #: Byte-sliced decryption tables, built on the first
         #: :meth:`decrypt_blocks` call.
         self._sliced: Optional[_SlicedTables] = None

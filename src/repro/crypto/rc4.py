@@ -15,7 +15,6 @@ twice (Section 5.1.3).  Two characteristics the paper highlights:
 from __future__ import annotations
 
 from ..perf import charge, mix
-from ..runtime import fastpath_enabled
 
 # ---------------------------------------------------------------------------
 # Instruction mixes
@@ -77,27 +76,6 @@ class RC4:
 
     def process(self, data: bytes) -> bytes:
         """Encrypt/decrypt ``data``, advancing the keystream."""
-        if fastpath_enabled():
-            n = len(data)
-            s = self._s
-            i, j = self._i, self._j
-            ks = bytearray(n)
-            for pos in range(n):
-                i = (i + 1) & 0xFF
-                si = s[i]
-                j = (j + si) & 0xFF
-                sj = s[j]
-                s[i] = sj
-                s[j] = si
-                ks[pos] = s[(si + sj) & 0xFF]
-            self._i, self._j = i, j
-            if data:
-                charge(RC4_BYTE, times=n, function="RC4", stall=RC4_STALL)
-            charge(RC4_CALL, function="RC4")
-            if not n:
-                return b""
-            return (int.from_bytes(data, "big")
-                    ^ int.from_bytes(bytes(ks), "big")).to_bytes(n, "big")
         s = self._s
         i, j = self._i, self._j
         out = bytearray(len(data))

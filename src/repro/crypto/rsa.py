@@ -28,6 +28,7 @@ pair after each use.
 from __future__ import annotations
 
 import copy
+from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
 from .. import perf
@@ -292,7 +293,7 @@ class RsaPrivateKey:
             raise RsaError("input not reduced modulo n")
 
         def maybe_region(name: str):
-            return perf.region(name) if step_regions else _null_context()
+            return perf.region(name) if step_regions else nullcontext()
 
         blinded = c
         if self.blinding:
@@ -365,14 +366,6 @@ class RsaPrivateKey:
             m = self.raw_private(BigNum.from_bytes(block))
             _charge_data_conv(self.size, "BN_bn2bin")
             return m.to_bytes(self.size)
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def generate_key(bits: int, e: int = 65537,

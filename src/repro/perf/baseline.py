@@ -22,9 +22,9 @@ Signatures serialize through :func:`canonical_json` -- sorted keys,
 fixed float formatting, a trailing newline -- so that recording the same
 scenario twice produces byte-identical files and ``git diff`` over the
 committed ``baselines/*.json`` shows exactly which metric moved.
-:func:`diff_signatures` compares two signatures leaf-by-leaf with
-configurable relative tolerances (exact match by default, because the
-quantities are deterministic).
+:func:`diff_signatures` compares two signatures leaf-by-leaf with a
+relative tolerance (exact match by default, because the quantities are
+deterministic).
 
 ``repro.tools.perfgate`` drives this module over a registry of named
 scenarios; the ``BENCH_*`` benchmark writers share :func:`write_json`
@@ -216,30 +216,25 @@ def _walk_diff(path: str, base: Any, fresh: Any, tolerance: float,
 
 def diff_signatures(baseline_sig: Mapping[str, Any],
                     fresh_sig: Mapping[str, Any], *,
-                    tolerance: float = 0.0,
-                    tolerances: Optional[Mapping[str, float]] = None,
-                    ) -> List[Drift]:
+                    tolerance: float = 0.0) -> List[Drift]:
     """Leaf-by-leaf comparison of two signatures.
 
-    ``tolerance`` is the default *relative* tolerance applied to every
-    numeric leaf (0.0 = exact match, the right default for deterministic
-    modeled cycles).  ``tolerances`` overrides it per top-level section
-    (``{"instruction_mix": 1e-9}``).  Shape changes -- a region that
-    disappeared, a function that appeared -- always count as drift.
+    ``tolerance`` is the *relative* tolerance applied to every numeric
+    leaf (0.0 = exact match, the right default for deterministic
+    modeled cycles).  Shape changes -- a region that disappeared, a
+    function that appeared -- always count as drift.
     """
     base = canonical(dict(baseline_sig))
     fresh = canonical(dict(fresh_sig))
     if base.get("schema") != fresh.get("schema"):
         return [Drift("schema", base.get("schema"), fresh.get("schema"),
                       math.inf)]
-    overrides = dict(tolerances or {})
     out: List[Drift] = []
     for key in sorted(set(base) | set(fresh)):
-        tol = overrides.get(key, tolerance)
         if key not in base:
             out.append(Drift(key, "<absent>", fresh[key], math.inf))
         elif key not in fresh:
             out.append(Drift(key, base[key], "<absent>", math.inf))
         else:
-            _walk_diff(key, base[key], fresh[key], tol, out)
+            _walk_diff(key, base[key], fresh[key], tolerance, out)
     return out

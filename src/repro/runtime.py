@@ -17,9 +17,10 @@ backends:
 * **fast path** (default): word arrays pack into Python ints and whole
   operands multiply/reduce in one big-int operation; MD5 and SHA-1 hash
   with ``hashlib``, charged from byte counts (a hash context keeps the
-  backend it was built on); symmetric ciphers run flattened cores, and
-  CBC decrypts an AES input of 16 blocks or more all at once with a
-  byte-sliced core, charged as the per-block calls.
+  backend it was built on); DES runs a flattened core, AES charges one
+  plan per block, and CBC decrypts an AES input of 16 blocks or more
+  all at once with a byte-sliced core, charged as the per-block calls.
+  RC4 and AES key expansion run the same loops on both backends.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original
   word-by-word reference loops execute, mirroring the profiled OpenSSL

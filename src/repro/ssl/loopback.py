@@ -76,6 +76,32 @@ def pump(client: SslClient, server: SslServer,
     raise SslError("loopback did not converge (protocol stuck?)")
 
 
+def _handshake(key: RsaPrivateKey, cert: Certificate, suite: CipherSuite,
+               version: int, use_crt: Optional[bool],
+               session_cache: Optional[SessionCache],
+               resume: Optional[SslSession], seed: bytes) -> tuple:
+    """Build both endpoints, each under its own profiler, and pump one
+    handshake to completion.  Returns (server_profiler, client_profiler,
+    client, server, flights)."""
+    if use_crt is not None:
+        key.use_crt = use_crt
+    server_profiler = perf.Profiler()
+    client_profiler = perf.Profiler()
+    with perf.activate(server_profiler):
+        server = SslServer(key, cert, suites=(suite,),
+                           session_cache=session_cache,
+                           rng=PseudoRandom(seed + b"-server"))
+    with perf.activate(client_profiler):
+        client = SslClient(suites=(suite,), session=resume,
+                           version=version,
+                           rng=PseudoRandom(seed + b"-client"))
+        client.start_handshake()
+    flights = pump(client, server, client_profiler, server_profiler)
+    if not (client.handshake_complete and server.handshake_complete):
+        raise SslError("handshake did not complete")
+    return server_profiler, client_profiler, client, server, flights
+
+
 def profiled_handshake(key: RsaPrivateKey, cert: Certificate, *,
                        suite: CipherSuite = DEFAULT_SUITE,
                        version: int = 0x0300,
@@ -90,23 +116,8 @@ def profiled_handshake(key: RsaPrivateKey, cert: Certificate, *,
     each side's work lands in its own profiler, exactly like the paper's
     two-machine setup.
     """
-    if use_crt is not None:
-        key.use_crt = use_crt
-    server_profiler = perf.Profiler()
-    client_profiler = perf.Profiler()
-    with perf.activate(server_profiler):
-        server = SslServer(key, cert, suites=(suite,),
-                           session_cache=session_cache,
-                           rng=PseudoRandom(seed + b"-server"))
-    with perf.activate(client_profiler):
-        client = SslClient(suites=(suite,), session=resume,
-                           version=version,
-                           rng=PseudoRandom(seed + b"-client"))
-        client.start_handshake()
-    pump(client, server, client_profiler, server_profiler)
-    if not (client.handshake_complete and server.handshake_complete):
-        raise SslError("handshake did not complete")
-    return server_profiler, client_profiler, client, server
+    return _handshake(key, cert, suite, version, use_crt, session_cache,
+                      resume, seed)[:4]
 
 
 def run_session(data: bytes = b"", *,
@@ -128,26 +139,8 @@ def run_session(data: bytes = b"", *,
     """
     if key is None or cert is None:
         key, cert = make_server_identity()
-    if use_crt is not None:
-        key.use_crt = use_crt
-
-    server_profiler = perf.Profiler()
-    client_profiler = perf.Profiler()
-
-    with perf.activate(server_profiler):
-        server = SslServer(key, cert, suites=(suite,),
-                           session_cache=session_cache,
-                           rng=PseudoRandom(seed + b"-server"))
-    with perf.activate(client_profiler):
-        client = SslClient(suites=(suite,), session=resume,
-                           version=version,
-                           rng=PseudoRandom(seed + b"-client"))
-        client.start_handshake()
-
-    flights = pump(client, server, client_profiler, server_profiler)
-
-    if not (client.handshake_complete and server.handshake_complete):
-        raise SslError("handshake did not complete")
+    server_profiler, client_profiler, client, server, flights = _handshake(
+        key, cert, suite, version, use_crt, session_cache, resume, seed)
 
     echoed = b""
     if data:

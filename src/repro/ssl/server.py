@@ -135,12 +135,6 @@ class HandshakeBatcher:
         #: Batch-size histogram: {size: count of flushed sub-batches}.
         self.batches: Dict[int, int] = {}
         self.ops_submitted = 0
-        #: Flushes that drained a non-empty queue, i.e. resumed at least
-        #: one suspended handshake.  The event scheduler
-        #: (:mod:`repro.webserver.events`) watches this counter to learn
-        #: when parked transactions may have become runnable; a deadline
-        #: tick on an empty queue resumes nothing and does not count.
-        self.flushes = 0
 
     # -- queue state ----------------------------------------------------------
     def __len__(self) -> int:
@@ -191,8 +185,6 @@ class HandshakeBatcher:
         greedy rounds of distinct members.
         """
         self._deadline = None
-        if self._queue:
-            self.flushes += 1
         while self._queue:
             sub: List[Tuple[int, bytes, Callable]] = []
             taken = set()

@@ -41,13 +41,6 @@ from ..perf.profiler import Profiler
 
 DEFAULT_BASELINE_DIR = Path("baselines")
 
-#: Per-section relative tolerances layered over the CLI default.  Empty on
-#: purpose: every quantity a signature captures is deterministic, so exact
-#: match is the correct default everywhere.  Entries would look like
-#: ``{"instruction_mix": 1e-9}`` and should be accompanied by a comment
-#: explaining which nondeterminism they forgive.
-SECTION_TOLERANCES: Dict[str, float] = {}
-
 
 # ---------------------------------------------------------------------------
 # Scenario registry
@@ -599,9 +592,8 @@ def check(names: List[str], directory: Path, *, tolerance: float = 0.0,
         committed = baseline.load_json(path)
         t0 = time.perf_counter()
         fresh = capture_scenario(name)
-        drifts = baseline.diff_signatures(
-            committed, fresh, tolerance=tolerance,
-            tolerances=SECTION_TOLERANCES)
+        drifts = baseline.diff_signatures(committed, fresh,
+                                          tolerance=tolerance)
         if drifts:
             ok = False
             failed.append(name)
@@ -666,8 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.diff:
         a, b = (baseline.load_json(p) for p in args.diff)
-        drifts = baseline.diff_signatures(a, b, tolerance=args.tolerance,
-                                          tolerances=SECTION_TOLERANCES)
+        drifts = baseline.diff_signatures(a, b, tolerance=args.tolerance)
         for drift in drifts:
             print(drift)
         print(f"{len(drifts)} drifted metric(s)")

@@ -82,10 +82,6 @@ class ClientPool:
             return None
         return next(reversed(self._entries.values()))
 
-    def lookup(self, client_id: Hashable) -> Optional[SslSession]:
-        """Direct non-mutating lookup by client identity."""
-        return self._entries.get(client_id)
-
     def session_owner(self, session_id: bytes) -> Optional[int]:
         return self.owners.get(session_id)
 

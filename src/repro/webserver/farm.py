@@ -561,7 +561,7 @@ class ServerFarm:
             if txn is None:
                 continue
             txn._farm_offered_owner = owner
-            state.sched.add(txn, queue.round)
+            state.sched.add(txn)
         return txn_id
 
     # -- the experiment -----------------------------------------------------

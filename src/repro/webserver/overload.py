@@ -255,10 +255,9 @@ class AcceptQueue:
         this round's arrivals through the admission policy.
 
         ``to_round`` jumps the clock directly to a target round (the
-        event core skipping provably idle rounds); the caller guarantees
+        round loop skipping an idle arrival gap); the caller guarantees
         the skipped rounds were no-ops -- empty backlog, no arrival
-        released in them.  The default advances one round, the legacy
-        cadence.
+        released in them.  The default advances one round.
         """
         if to_round is None:
             self.round += 1
@@ -279,8 +278,8 @@ class AcceptQueue:
 
     def next_arrival_round(self) -> Optional[int]:
         """Release round of the next pending arrival (``None`` when the
-        stream is exhausted) -- the arrival-side bound on how far the
-        event core may jump the round clock."""
+        stream is exhausted) -- how far the round loop may jump the
+        round clock across an idle gap."""
         return self._next[1] if self._next is not None else None
 
     # -- the surface the farm's admission loop uses -------------------------

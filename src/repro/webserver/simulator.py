@@ -84,9 +84,10 @@ class SimulationResult:
     #: and p99 of the overload scenarios are computed from it.
     handshake_latencies: List[float] = field(default_factory=list)
     #: Scheduler-work snapshot (:meth:`~repro.webserver.events.
-    #: TxnScheduler.stats`: transactions touched, rounds executed vs
-    #: virtual), set when the run finishes.  Host-execution accounting
-    #: -- never part of baseline signatures.
+    #: TxnScheduler.stats`: transactions touched -- every live one in
+    #: each executed round -- and rounds executed vs virtual), set when
+    #: the run finishes.  Host-execution accounting -- never part of
+    #: baseline signatures.
     scheduler: Optional[Dict[str, int]] = None
 
     def module_shares(self) -> Dict[str, float]:
@@ -520,7 +521,7 @@ class WebServerSimulator:
                                          state.profiler, state.result)
                 txn_id += 1
                 if txn is not None:
-                    state.sched.add(txn, queue.round)
+                    state.sched.add(txn)
             return txn_id
 
         _run_rounds(queue, [state], admit)
@@ -569,11 +570,12 @@ class _WorkerState:
 def _next_round_target(queue: AcceptQueue,
                        worker_events: List[Optional[int]]) -> int:
     """The next round the round loop must execute, given each worker's
-    next-event round (``None`` = no live transactions).
+    next-event round (``None`` = nothing live and nothing queued).
 
     The candidates, each an upper bound on how far the clock may jump:
 
-    * every worker's own next event (wake, batch flush, straggler fail);
+    * every worker's own next event (``round + 1`` while it has a live
+      transaction or a queued decrypt);
     * ``round + 1`` while the accept backlog is nonempty -- admission
       retries, deadline pruning and wait counters are per-round
       observable there, so no skipping;
@@ -603,9 +605,10 @@ def _run_rounds(queue: AcceptQueue, states: Sequence[_WorkerState],
     transaction id (ids double as the per-connection rng tags: reusing
     one seed across connections would let a fresh server re-mint the
     very session id it just declined).  Then every worker, in index
-    order, runs one round: step its runnable transactions, retire done
-    ones (``on_done`` sees each), tick/flush its batch clock.  The clock
-    then jumps to the next round anything can happen in.
+    order, runs one round: step its live transactions, retire done ones
+    (``on_done`` sees each), tick/flush its batch clock.  The clock then
+    moves to the next round; it jumps only an idle arrival gap, in which
+    no worker has anything live or queued.
     """
     txn_id = 0
     target = 0
@@ -617,8 +620,7 @@ def _run_rounds(queue: AcceptQueue, states: Sequence[_WorkerState],
             # Sessions stored during this worker's round were minted by
             # it (the farm's cross-worker resumption accounting).
             state.sim._client_sessions.current_worker = state.index
-            state.sched.run_round(queue.round, ticks, state.profiler,
-                                  on_done=on_done)
+            state.sched.run_round(ticks, state.profiler, on_done=on_done)
         target = _next_round_target(
             queue, [s.sched.next_event_round(queue.round) for s in states])
 

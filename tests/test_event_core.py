@@ -1,12 +1,11 @@
-"""Discrete-event scheduler core: unit semantics, bit-identity against
-the committed golden baselines, and streaming-admission memory bounds.
+"""Round scheduler: unit semantics, bit-identity against the committed
+golden baselines, and streaming-admission memory bounds.
 
-The contract under test (``repro.webserver.events``): the event heap
-must reproduce the schedule the baselines were recorded under *exactly*
--- admission order among runnable transactions, batcher flush wake
-placement, the stalled-straggler countdown -- while never touching
-parked transactions and telling the driver how far the round clock may
-jump.
+The contract under test (``repro.webserver.events``): every executed
+round steps every live transaction once, in admission order -- waiters
+on a batch flush included -- then ticks and flushes the batcher and
+fails stragglers that stop progressing; the round clock jumps only idle
+arrival gaps, in which nothing is live or queued.
 """
 
 import tracemalloc
@@ -31,7 +30,7 @@ from repro.perf import Profiler
 class FakeTxn:
     """Scripted transaction: pops one behaviour per step.
 
-    ``"go"`` progresses, ``"park"`` reports no progress (a batch wait),
+    ``"go"`` progresses, ``"wait"`` reports no progress (a batch wait),
     ``"done"`` progresses and completes.  The step log records the
     global interleaving the scheduler produced.
     """
@@ -49,7 +48,7 @@ class FakeTxn:
         if action == "done":
             self.done = True
             return True
-        return action != "park"
+        return action != "wait"
 
     def _fail(self):
         self.failed = True
@@ -58,23 +57,45 @@ class FakeTxn:
 
 class FakeBatcher:
     """Just enough of HandshakeBatcher's surface for the scheduler:
-    ``flushes``/``__len__``/``tick``/``flush``."""
+    ``__len__``/``tick``/``flush``, plus ``submit`` to queue a resume
+    callback that the next flush calls."""
 
     def __init__(self):
-        self.flushes = 0
-        self.queued = 0
+        self.queue = []
         self.ticks = 0
 
     def __len__(self):
-        return self.queued
+        return len(self.queue)
+
+    def submit(self, resume):
+        self.queue.append(resume)
 
     def tick(self, ticks=1):
         self.ticks += ticks
 
     def flush(self):
-        if self.queued:
-            self.flushes += 1
-            self.queued = 0
+        queue, self.queue = self.queue, []
+        for resume in queue:
+            resume()
+
+
+class WaitingTxn(FakeTxn):
+    """Submits a decrypt when built and reports ``"wait"`` (no progress)
+    until a batch flush resumes it; then runs its script."""
+
+    def __init__(self, name, script, log, batcher):
+        super().__init__(name, script, log)
+        self.resumed = False
+        batcher.submit(self.resume)
+
+    def resume(self):
+        self.resumed = True
+
+    def step(self):
+        if not self.resumed:
+            self.log.append((self.name, "wait"))
+            return False
+        return super().step()
 
 
 def drive(sched, profiler=None, max_rounds=50):
@@ -84,7 +105,7 @@ def drive(sched, profiler=None, max_rounds=50):
     executed = []
     round_no, prev = 0, -1
     while sched and len(executed) < max_rounds:
-        sched.run_round(round_no, round_no - prev, profiler)
+        sched.run_round(round_no - prev, profiler)
         executed.append(round_no)
         prev = round_no
         nxt = sched.next_event_round(round_no)
@@ -99,44 +120,41 @@ class TestTxnScheduler:
         log = []
         sched = TxnScheduler()
         for name in ("a", "b", "c"):
-            sched.add(FakeTxn(name, ["go", "done"], log), 0)
+            sched.add(FakeTxn(name, ["go", "done"], log))
         drive(sched)
-        # Each round sweeps the runnable set in admission order.
+        # Each round sweeps the live set in admission order.
         assert [e[0] for e in log] == ["a", "b", "c", "a", "b", "c"]
 
     def test_completion_is_constant_time_removal(self):
         log = []
         sched = TxnScheduler()
         done_names = []
-        sched.add(FakeTxn("a", ["done"], log), 0)
-        sched.add(FakeTxn("b", ["go", "done"], log), 0)
-        sched.run_round(0, 1, Profiler(),
+        sched.add(FakeTxn("a", ["done"], log))
+        sched.add(FakeTxn("b", ["go", "done"], log))
+        sched.run_round(1, Profiler(),
                         on_done=lambda t: done_names.append(t.name))
         assert done_names == ["a"]
         assert len(sched) == 1
 
-    def test_parked_txn_not_touched_until_flush(self):
+    def test_every_live_transaction_steps_each_round(self):
         log = []
-        batcher = FakeBatcher()
-        sched = TxnScheduler(batcher)
-        parked = FakeTxn("p", ["go", "park", "done"], log)
-        runner = FakeTxn("r", ["go", "go", "go", "done"], log)
-        sched.add(parked, 0)
-        sched.add(runner, 0)
-        sched.run_round(0, 1, Profiler())
-        sched.run_round(1, 1, Profiler())
-        batcher.queued = 1  # the decrypt "p" parked on
-        sched.run_round(2, 1, Profiler())
-        sched.run_round(3, 1, Profiler())
-        # "p" parked in round 1 and must not appear in rounds 2-3.
-        assert log.count(("p", "park")) == 1
-        assert [e for e in log if e[0] == "p"] == [("p", "go"), ("p", "park")]
-        # Round 4: nothing progresses, so the legacy not-progressed
-        # flush fires and wakes "p" for round 5.
-        sched.run_round(4, 1, Profiler())
-        assert batcher.flushes == 1
-        sched.run_round(5, 1, Profiler())
-        assert ("p", "done") in log
+        sched = TxnScheduler(FakeBatcher())
+        scripts = {
+            "a": ["go", "go", "go", "done"],
+            "b": ["wait", "wait", "wait", "done"],
+            "c": ["go", "wait", "wait", "done"],
+            "d": ["wait", "go", "wait", "done"],
+            "e": ["go", "go", "go", "done"],
+        }
+        for name, script in scripts.items():
+            sched.add(FakeTxn(name, script, log))
+        for _ in range(4):
+            mark = len(log)
+            sched.run_round(1, Profiler())
+            # Waiters are stepped too, in their admission slot.
+            assert [name for name, _ in log[mark:]] == list(scripts)
+        assert not sched
+        assert sched.touched == 4 * len(scripts)
 
     def test_mid_step_flush_wakes_later_orders_same_round(self):
         log = []
@@ -144,58 +162,71 @@ class TestTxnScheduler:
         sched = TxnScheduler(batcher)
 
         class FlushingTxn(FakeTxn):
+            """Forms a full batch inside its second step's receive."""
+
+            steps = 0
+
             def step(self):
+                self.steps += 1
                 result = super().step()
-                if self.script and self.script[0] == "FLUSH":
-                    self.script.pop(0)
-                    batcher.queued = 1
+                if self.steps == 2:
                     batcher.flush()
                 return result
 
-        early = FakeTxn("early", ["park", "done"], log)        # order 0
-        flusher = FlushingTxn("mid", ["go", "go", "FLUSH", "done"], log)
-        late = FakeTxn("late", ["park", "go", "done"], log)    # order 2
-        sched.add(early, 0)
-        sched.add(flusher, 0)
-        sched.add(late, 0)
-        sched.run_round(0, 1, Profiler())   # early and late park
-        log_before = len(log)
-        sched.run_round(1, 1, Profiler())   # mid flushes during its step
-        round1 = log[log_before:]
-        # late (order 2 > the flusher's order 1) is re-stepped within
-        # round 1 -- a full sweep would still have reached it; early
-        # (order 0 <= 1) was already passed and waits for round 2.
-        assert round1 == [("mid", "go"), ("late", "go")]
-        sched.run_round(2, 1, Profiler())
-        assert ("early", "done") in log
+        early = WaitingTxn("early", ["done"], log, batcher)   # order 0
+        flusher = FlushingTxn("mid", ["go", "go", "done"], log)
+        late = WaitingTxn("late", ["go", "done"], log, batcher)  # order 2
+        for txn in (early, flusher, late):
+            sched.add(txn)
+        sched.run_round(1, Profiler())
+        assert log == [("early", "wait"), ("mid", "go"), ("late", "wait")]
+        mark = len(log)
+        sched.run_round(1, Profiler())   # mid flushes during its step
+        # late (after the flusher) progresses within the same round's
+        # sweep; early was already stepped and progresses next round.
+        assert log[mark:] == [("early", "wait"), ("mid", "go"),
+                              ("late", "go")]
+        mark = len(log)
+        sched.run_round(1, Profiler())
+        assert log[mark:] == [("early", "done"), ("mid", "done"),
+                              ("late", "done")]
+        assert not sched
 
     def test_straggler_countdown_jump_and_fail(self):
         log = []
-        sched = TxnScheduler()
-        txn = FakeTxn("s", ["park"] * 20, log)
-        sched.add(txn, 0)
-        sched.run_round(0, 1, Profiler())
-        # Nothing runnable, nothing queued: the next interesting round
-        # is the stall deadline (round 0 already burned one tick).
-        nxt = sched.next_event_round(0)
-        assert nxt == STALL_LIMIT
-        sched.run_round(nxt, nxt - 0, Profiler())
+        sched = TxnScheduler(FakeBatcher())
+        txn = FakeTxn("s", ["wait"] * 20, log)
+        sched.add(txn)
+        for round_no in range(STALL_LIMIT):
+            assert not sched.run_round(1, Profiler())
+            assert not txn.failed
+            # Something is live, so the next round executes.
+            assert sched.next_event_round(round_no) == round_no + 1
+        # The (STALL_LIMIT + 1)-th consecutive round without progress
+        # fails the straggler, and nothing is left to execute.
+        assert not sched.run_round(1, Profiler())
         assert txn.failed and not sched
+        assert log == [("s", "wait")] * (STALL_LIMIT + 1)
+        assert sched.next_event_round(STALL_LIMIT) is None
 
     def test_next_event_round_tracks_batcher_continuations(self):
         # A queued decrypt can outlive its transaction (mid-handshake
         # abandons); it still flushes next round.
         batcher = FakeBatcher()
-        batcher.queued = 1
+        resumed = []
+        batcher.submit(lambda: resumed.append(True))
         sched = TxnScheduler(batcher)
         assert sched.next_event_round(7) == 8
-        batcher.queued = 0
-        assert sched.next_event_round(7) is None
+        # Nothing stepped, so the round flushes the queue itself and
+        # counts that as progress.
+        assert sched.run_round(1, Profiler())
+        assert resumed == [True] and sched.stalled == 0
+        assert sched.next_event_round(8) is None
 
     def test_work_counters(self):
         log = []
         sched = TxnScheduler()
-        sched.add(FakeTxn("a", ["go", "done"], log), 0)
+        sched.add(FakeTxn("a", ["go", "done"], log))
         drive(sched)
         stats = sched.stats()
         assert stats["touched"] == 2
@@ -204,10 +235,10 @@ class TestTxnScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: event core vs committed baselines
+# Bit-identity: the round loop vs committed baselines
 # ---------------------------------------------------------------------------
 
-#: One representative per golden scenario family the event core drives
+#: One representative per golden scenario family the round loop drives
 #: (simulator, farm, engines, tickets, overload).
 FAMILY_SCENARIOS = (
     "webserver_https",

@@ -254,7 +254,7 @@ class TestAffinityUnderSaturation:
         # Worker 0 (the session's minter) is saturated: the policy holds
         # the connection rather than breaking affinity, even though
         # worker 1 has a free slot.
-        farm._states[0].sched.add(object(), 0)
+        farm._states[0].sched.add(object())
         assert farm.free_slots(1)
         assert farm.policy.select(farm, group) is None
         # The slot frees up next round; the same connection now routes home.
@@ -265,7 +265,7 @@ class TestAffinityUnderSaturation:
         from repro.webserver.workload import Request
         farm = self.make_farm(identity512)
         self.minted_session(farm, worker=0)
-        farm._states[0].sched.add(object(), 0)
+        farm._states[0].sched.add(object())
         fresh = [Request(path="/f", size_bytes=1024, resumable=False)]
         # Non-resuming connections fall back to round-robin and take the
         # free worker -- saturation of a sticky target never head-blocks
