@@ -97,10 +97,11 @@ def _mod_exp_int(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
                  bits: int, wsize: int) -> BigNum:
     """Fast-path exponentiation loop holding intermediates as native ints.
 
-    Mirrors the window scan above statement for statement; the only change
-    is representation.  ``to_mont``/``one`` still run through the BigNum
-    entry points (once each).  The Montgomery operations of the table
-    build and of the exponent scan collect their charge plans, which are
+    Mirrors the window scan above; the only change is representation.  The
+    exponent is read as one int, so a window's value is one shift and
+    mask.  ``to_mont``/``one`` still run through the BigNum entry points
+    (once each).  The Montgomery operations of the table build and of the
+    exponent scan collect their charge plans, which are
     bit-identical to the word-array path's charges, and each phase
     charges its plans in one call, in the order the faithful loop would
     have charged them, so the modeled cost of an exponentiation is
@@ -116,21 +117,20 @@ def _mod_exp_int(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
         plans.clear()
 
     acc = mont.one().to_int()
+    e = exponent.to_int()
     started = False  # skip leading squarings of 1
     i = bits - 1
     while i >= 0:
-        if exponent.bit(i) == 0:
+        if not (e >> i) & 1:
             if started:
                 acc = mont._sqr(acc, plans)
             i -= 1
             continue
         # Take the longest window [j..i] that starts and ends with a set bit.
         j = max(i - wsize + 1, 0)
-        while exponent.bit(j) == 0:
+        while not (e >> j) & 1:
             j += 1
-        value = 0
-        for k in range(i, j - 1, -1):
-            value = (value << 1) | exponent.bit(k)
+        value = (e >> j) & ((1 << (i - j + 1)) - 1)
         if started:
             for _ in range(i - j + 1):
                 acc = mont._sqr(acc, plans)

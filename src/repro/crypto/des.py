@@ -4,11 +4,14 @@ The paper decomposes a DES block operation into initial permutation,
 16 substitution rounds, and final permutation, measuring the substitution
 part at 74.7% (DES) and 89.1% (3DES, which runs 3x16 rounds between a single
 IP/FP pair) -- Table 6.  Each round XORs the right half with a subkey and
-performs eight 6-bit-indexed table lookups (Table 4), which is how this
-implementation executes it: the S-boxes are precomputed fused with the P
+performs eight 6-bit-indexed table lookups (Table 4), which is how the
+faithful path executes it: the S-boxes are precomputed fused with the P
 permutation (OpenSSL's ``DES_SPtrans`` idea), and the wide bit permutations
 (IP, FP, E, PC-1, PC-2) are applied via byte-indexed mask tables built once
-from the FIPS tables.
+from the FIPS tables.  The fast path keeps both halves E-expanded from IP
+to FP, so a round is one subkey XOR and four lookups, each into a table
+that pairs two SP boxes already passed through E.  Both paths charge the
+same per-block plans.
 """
 
 from __future__ import annotations
@@ -288,13 +291,37 @@ def _feistel(r: int, subkey: int) -> int:
             ^ sp[6][(x >> 6) & 0x3F] ^ sp[7][x & 0x3F])
 
 
+def _build_perm_fast(tables: List[List[int]], in_bits: int):
+    """Generate an unrolled wide-permutation lookup (one OR chain)."""
+    shifts = list(range(in_bits - 8, -1, -8))
+    expr = " | ".join(
+        f"t{i}[(v >> {s}) & 0xFF]" if s else f"t{i}[v & 0xFF]"
+        for i, s in enumerate(shifts))
+    lines = ["def _perm(v):", f"    return {expr}"]
+    namespace = {f"t{i}": tables[i] for i in range(len(tables))}
+    exec(compile("\n".join(lines), "<des-perm-fastpath>", "exec"), namespace)
+    return namespace["_perm"]
+
+
+_ip_fast = _build_perm_fast(_IP_T, 64)
+_fp_fast = _build_perm_fast(_FP_T, 64)
+_e_fast = _build_perm_fast(_E_T, 32)
+#: Undoes E: output bit b is the first copy of input bit b in the
+#: expanded half.
+_e_inv_fast = _build_perm_fast(
+    _build_perm_tables([_E.index(b) + 1 for b in range(1, 33)], 48), 48)
+
+
 def _build_rounds_fast():
     """Generate a fully unrolled 16-round Feistel pass (the fast backend).
 
-    The E and SP tables are bound into the function's globals, the 16
-    subkeys unpack into locals, and each round XORs the inlined round
-    function into the opposite half (role names alternate instead of
-    swapping values).  Bit-identical to :func:`_rounds` by construction.
+    Both halves arrive and leave E-expanded (48 bits).  E only selects
+    and copies bits, so ``E(L ^ f) = E(L) ^ E(f)``: a round XORs the
+    expanded right half with the subkey as is, and XORs E of the SP
+    outputs into the expanded left half.  Each of the four lookups reads
+    a pair of S-boxes by 12 bits of ``x``.  The 16 subkeys unpack into
+    locals and the halves alternate role names instead of swapping.
+    Bit-identical to :func:`_rounds` by construction.
     """
     lines = [
         "def _rounds_unrolled(l, r, subkeys):",
@@ -303,45 +330,20 @@ def _build_rounds_fast():
     names = ["l", "r"]
     for i in range(16):
         L, R = names
-        lines.append(f"    x = (e0[({R} >> 24) & 0xFF]"
-                     f" | e1[({R} >> 16) & 0xFF]"
-                     f" | e2[({R} >> 8) & 0xFF]"
-                     f" | e3[{R} & 0xFF]) ^ k{i}")
-        lines.append(f"    {L} ^= (sp0[(x >> 42) & 0x3F]"
-                     f" ^ sp1[(x >> 36) & 0x3F]"
-                     f" ^ sp2[(x >> 30) & 0x3F]"
-                     f" ^ sp3[(x >> 24) & 0x3F]"
-                     f" ^ sp4[(x >> 18) & 0x3F]"
-                     f" ^ sp5[(x >> 12) & 0x3F]"
-                     f" ^ sp6[(x >> 6) & 0x3F]"
-                     f" ^ sp7[x & 0x3F])")
+        lines.append(f"    x = {R} ^ k{i}")
+        lines.append(f"    {L} ^= (t0[x >> 36] ^ t1[(x >> 24) & 0xFFF]"
+                     " ^ t2[(x >> 12) & 0xFFF] ^ t3[x & 0xFFF])")
         names.reverse()
     lines.append(f"    return {names[0]}, {names[1]}")
-    namespace = {
-        "e0": _E_T[0], "e1": _E_T[1], "e2": _E_T[2], "e3": _E_T[3],
-        **{f"sp{i}": _SP[i] for i in range(8)},
-    }
+    esp = [[_e_fast(v) for v in sp] for sp in _SP]
+    # t_n[(a << 6) | b] = E(SP[2n][a]) ^ E(SP[2n+1][b]): 4 x 4096 ints.
+    namespace = {f"t{n}": [a ^ b for a in esp[2 * n] for b in esp[2 * n + 1]]
+                 for n in range(4)}
     exec(compile("\n".join(lines), "<des-fastpath>", "exec"), namespace)
     return namespace["_rounds_unrolled"]
 
 
 _rounds_fast = _build_rounds_fast()
-
-
-def _build_perm_fast(tables: List[List[int]], in_bits: int):
-    """Generate an unrolled wide-permutation lookup (one OR chain)."""
-    shifts = list(range(in_bits - 8, -1, -8))
-    expr = " | ".join(
-        f"t{i}[(v >> {s}) & 0xFF]" if s else f"t{i}[v & 0xFF]"
-        for i, s in enumerate(shifts))
-    lines = [f"def _perm(v):", f"    return {expr}"]
-    namespace = {f"t{i}": tables[i] for i in range(len(tables))}
-    exec(compile("\n".join(lines), "<des-perm-fastpath>", "exec"), namespace)
-    return namespace["_perm"]
-
-
-_ip_fast = _build_perm_fast(_IP_T, 64)
-_fp_fast = _build_perm_fast(_FP_T, 64)
 
 
 def _rounds(l: int, r: int, subkeys: Sequence[int]) -> Tuple[int, int]:
@@ -374,8 +376,10 @@ class DES:
         if fastpath_enabled():
             charge_plans(_DES_BLOCK)
             v = _ip_fast(int.from_bytes(block, "big"))
-            l, r = _rounds_fast((v >> 32) & _M32, v & _M32, subkeys)
-            return _fp_fast((r << 32) | l).to_bytes(8, "big")
+            l, r = _rounds_fast(_e_fast(v >> 32), _e_fast(v & _M32),
+                                subkeys)
+            return _fp_fast((_e_inv_fast(r) << 32)
+                            | _e_inv_fast(l)).to_bytes(8, "big")
         v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
         charge(DES_IP, function="DES_encrypt", stall=DES_STALL)
         l, r = (v >> 32) & _M32, v & _M32
@@ -426,10 +430,12 @@ class TripleDES:
         if fastpath_enabled():
             charge_plans(_DES3_BLOCK)
             v = _ip_fast(int.from_bytes(block, "big"))
-            l, r = _rounds_fast((v >> 32) & _M32, v & _M32, schedule[0])
+            l, r = _rounds_fast(_e_fast(v >> 32), _e_fast(v & _M32),
+                                schedule[0])
             r, l = _rounds_fast(r, l, schedule[1])
             l, r = _rounds_fast(l, r, schedule[2])
-            return _fp_fast((r << 32) | l).to_bytes(8, "big")
+            return _fp_fast((_e_inv_fast(r) << 32)
+                            | _e_inv_fast(l)).to_bytes(8, "big")
         v = _apply_perm(_IP_T, int.from_bytes(block, "big"), 64)
         charge(DES_IP, function="DES_encrypt3", stall=DES_STALL)
         l, r = (v >> 32) & _M32, v & _M32

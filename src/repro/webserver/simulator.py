@@ -555,6 +555,10 @@ class _WorkerState:
         result.scheduler = self.sched.stats()
         batcher = self.sim._batcher
         if batcher is not None:
+            if len(batcher):
+                raise RuntimeError(
+                    f"run ended with {len(batcher)} decrypt(s) still "
+                    "queued in the batcher")
             # The batcher outlives a run and its counters cover its
             # whole life: report only this run's flushes and ops.
             sizes, ops = self._batch_mark
@@ -608,11 +612,15 @@ def _run_rounds(queue: AcceptQueue, states: Sequence[_WorkerState],
     order, runs one round: step its live transactions, retire done ones
     (``on_done`` sees each), tick/flush its batch clock.  The clock then
     moves to the next round; it jumps only an idle arrival gap, in which
-    no worker has anything live or queued.
+    no worker has anything live or queued.  The run ends when nothing
+    is backlogged or yet to arrive and every worker's next event is
+    ``None``: a decrypt queued by an abandoned handshake still gets its
+    round and is flushed into this run.
     """
     txn_id = 0
     target = 0
-    while queue or any(s.sched for s in states):
+    events: List[Optional[int]] = []
+    while queue or any(ev is not None for ev in events):
         ticks = target - queue.round
         queue.begin_round(target)
         txn_id = admit(queue, txn_id)
@@ -621,8 +629,8 @@ def _run_rounds(queue: AcceptQueue, states: Sequence[_WorkerState],
             # it (the farm's cross-worker resumption accounting).
             state.sim._client_sessions.current_worker = state.index
             state.sched.run_round(ticks, state.profiler, on_done=on_done)
-        target = _next_round_target(
-            queue, [s.sched.next_event_round(queue.round) for s in states])
+        events = [s.sched.next_event_round(queue.round) for s in states]
+        target = _next_round_target(queue, events)
 
 
 def run_experiment(file_size_bytes: int, nrequests: int = 3, *,

@@ -18,8 +18,8 @@ from repro.ssl.errors import HandshakeFailure
 from repro.ssl.loopback import pump
 from repro.ssl.server import HandshakeBatcher, SslServer
 from repro.ssl.x509 import make_self_signed
-from repro.webserver.simulator import WebServerSimulator
-from repro.webserver.workload import RequestWorkload
+from repro.webserver.simulator import WebServerSimulator, _WorkerState
+from repro.webserver.workload import Request, RequestWorkload
 
 
 @pytest.fixture(scope="session")
@@ -444,6 +444,40 @@ class TestConcurrentSimulator:
             assert result.requests_completed == 8
             assert result.batched_ops == 8
             assert result.batches == {4: 2}
+
+    def test_abandoned_decrypt_flushes_in_its_own_run(self, batch_keys4):
+        # A mid-key-exchange abandon retires its transaction but leaves
+        # its decrypt queued; the run must go on until that decrypt is
+        # flushed, not hand it to the next run on the same server.
+        class Stream(RequestWorkload):
+            def __init__(self, request):
+                super().__init__([(request.size_bytes, 1.0)])
+                self._request = request
+
+            def requests(self, count):
+                return iter([self._request][:count])
+
+        sim = WebServerSimulator(key_set=batch_keys4, use_crt=True,
+                                 seed=b"batch-abandon")
+        result = sim.run(Stream(Request("/a", 1024, abandon="mid_kx")), 1)
+        assert result.handshakes_abandoned == 1
+        assert len(sim._batcher) == 0
+        assert result.batched_ops == 1
+        assert result.batches == {1: 1}
+        result = sim.run(Stream(Request("/b", 1024)), 1)
+        assert result.requests_completed == 1
+        assert result.batched_ops == 1
+        assert result.batches == {1: 1}
+
+    def test_finish_refuses_queued_decrypts(self, batch_keys4):
+        sim = WebServerSimulator(key_set=batch_keys4, use_crt=True,
+                                 seed=b"batch-finish")
+        state = _WorkerState(0, sim)
+        sim._batcher.submit(batch_keys4.member(0),
+                            encrypt_for(batch_keys4, 0, b"queued"),
+                            lambda block: None)
+        with pytest.raises(RuntimeError, match="still queued"):
+            state.finish()
 
     def test_concurrent_unbatched_matches_sequential(self, identity512):
         key, cert = identity512

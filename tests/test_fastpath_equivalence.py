@@ -29,7 +29,7 @@ from repro.bignum.modexp import mod_exp
 from repro.bignum.montgomery import REDUCTION_STYLES, MontgomeryContext
 from repro.crypto import rsa
 from repro.crypto.aes import AES
-from repro.crypto.des import DES, TripleDES
+from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS, TripleDES
 from repro.crypto.mac import Ssl3MacContext, TlsMacContext, ssl3_mac, tls_mac
 from repro.crypto.md5 import MD5
 from repro.crypto.modes import BATCH_MIN_BLOCKS, CBC
@@ -192,6 +192,40 @@ def test_block_cipher_equivalence():
 
         ct, pt = assert_equivalent(workload)
         assert pt == block and ct != block
+
+
+#: Every weak and semi-weak DES key, and the all-0x00 and all-0xFF blocks.
+DES_EDGE_KEYS = WEAK_KEYS + SEMI_WEAK_KEYS
+DES_EDGE_BLOCKS = (bytes(8), b"\xff" * 8)
+DES_KEYS = st.one_of(st.sampled_from(DES_EDGE_KEYS),
+                     st.binary(min_size=8, max_size=8))
+DES_BLOCKS = st.one_of(st.sampled_from(DES_EDGE_BLOCKS),
+                       st.binary(min_size=8, max_size=8))
+
+
+def assert_des_roundtrip_equivalent(keys, block):
+    """DES under ``keys[0]`` and 3DES under all three keys encrypt, then
+    decrypt, ``block`` identically on both backends, charges included."""
+    for cls, key in ((DES, keys[0]), (TripleDES, b"".join(keys))):
+        def workload():
+            cipher = cls(key)
+            ct = cipher.encrypt_block(block)
+            return ct, cipher.decrypt_block(ct)
+
+        assert assert_equivalent(workload)[1] == block
+
+
+@given(keys=st.lists(DES_KEYS, min_size=3, max_size=3), block=DES_BLOCKS)
+@settings(max_examples=60, deadline=None)
+def test_des_roundtrip_equivalence(keys, block):
+    assert_des_roundtrip_equivalent(keys, block)
+
+
+@pytest.mark.parametrize("key", DES_EDGE_KEYS, ids=bytes.hex)
+def test_des_edge_keys_equivalence(key):
+    """Every weak and semi-weak key, not only those Hypothesis draws."""
+    for block in DES_EDGE_BLOCKS:
+        assert_des_roundtrip_equivalent((key, key, key), block)
 
 
 #: AES inputs around the batched-decryption threshold, in blocks.

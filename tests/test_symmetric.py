@@ -51,18 +51,39 @@ class TestRc4:
 
 class TestDes:
     def test_classic_known_answer(self):
-        d = DES(bytes.fromhex("133457799BBCDFF1"))
-        assert d.encrypt_block(bytes.fromhex("0123456789ABCDEF")) == \
+        pt, ct = bytes.fromhex("0123456789ABCDEF"), \
             bytes.fromhex("85E813540F0AB405")
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                d = DES(bytes.fromhex("133457799BBCDFF1"))
+                assert d.encrypt_block(pt) == ct
+                assert d.decrypt_block(ct) == pt
 
     def test_all_zero_key(self):
-        d = DES(bytes(8))
-        assert d.encrypt_block(bytes(8)) == bytes.fromhex("8CA64DE9C1B123A7")
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                d = DES(bytes(8))
+                assert d.encrypt_block(bytes(8)) == \
+                    bytes.fromhex("8CA64DE9C1B123A7")
 
     def test_all_ones_key(self):
-        d = DES(b"\xff" * 8)
-        assert d.encrypt_block(b"\xff" * 8) == \
-            bytes.fromhex("7359B2163E4EDC58")
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                d = DES(b"\xff" * 8)
+                assert d.encrypt_block(b"\xff" * 8) == \
+                    bytes.fromhex("7359B2163E4EDC58")
+
+    def test_rivest_iterated_vector(self):
+        """Rivest's test: 16 alternating encryptions and decryptions,
+        each keyed by the current block itself."""
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                x = bytes.fromhex("9474B8E8C73BCA7D")
+                for i in range(16):
+                    d = DES(x)
+                    x = d.encrypt_block(x) if i % 2 == 0 \
+                        else d.decrypt_block(x)
+                assert x == bytes.fromhex("1B1A2DDB4C642438")
 
     def test_decrypt_inverts(self):
         d = DES(b"8bytekey")
@@ -90,27 +111,37 @@ class TestDes:
         pt = bytes.fromhex("0123456789ABCDEF")
         inv = bytes(b ^ 0xFF for b in key)
         inv_pt = bytes(b ^ 0xFF for b in pt)
-        ct = DES(key).encrypt_block(pt)
-        ct2 = DES(inv).encrypt_block(inv_pt)
-        assert ct2 == bytes(b ^ 0xFF for b in ct)
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                ct = DES(key).encrypt_block(pt)
+                ct2 = DES(inv).encrypt_block(inv_pt)
+                assert ct2 == bytes(b ^ 0xFF for b in ct)
 
 
 class TestTripleDes:
     def test_sp800_67_vector(self):
         key = bytes.fromhex(
             "0123456789ABCDEF23456789ABCDEF01456789ABCDEF0123")
-        t = TripleDES(key)
         pt = b"The qufck brown fox jump"
-        ct = b"".join(t.encrypt_block(pt[i:i + 8]) for i in range(0, 24, 8))
-        assert ct.hex().upper() == ("A826FD8CE53B855FCCE21C8112256FE6"
-                                    "68D5C05DD9B6B900")
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                t = TripleDES(key)
+                ct = b"".join(t.encrypt_block(pt[i:i + 8])
+                              for i in range(0, 24, 8))
+                assert ct.hex().upper() == ("A826FD8CE53B855FCCE21C8112256FE6"
+                                            "68D5C05DD9B6B900")
+                assert b"".join(t.decrypt_block(ct[i:i + 8])
+                                for i in range(0, 24, 8)) == pt
 
     def test_degenerates_to_single_des_with_equal_keys(self):
         key = bytes.fromhex("133457799BBCDFF1")
-        t = TripleDES(key * 3)
-        d = DES(key)
         pt = b"ABCDEFGH"
-        assert t.encrypt_block(pt) == d.encrypt_block(pt)
+        for fast in (True, False):
+            with runtime.fastpath(fast):
+                t = TripleDES(key * 3)
+                d = DES(key)
+                assert t.encrypt_block(pt) == d.encrypt_block(pt)
+                assert t.decrypt_block(pt) == d.decrypt_block(pt)
 
     @given(st.binary(min_size=24, max_size=24),
            st.binary(min_size=8, max_size=8))
