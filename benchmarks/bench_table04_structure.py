@@ -31,7 +31,7 @@ def build_measured():
     rc4_tables = f"1 x {len(rc4._s)} x 8b"
 
     return {
-        "aes": (aes.block_size * 8, aes.key_size * 8, len(aes._ek),
+        "aes": (aes.block_size * 8, aes.key_size * 8, 4 * len(aes._ek),
                 aes_tables, aes.rounds, 16),
         "des": (des.block_size * 8, 56, 2 * len(des._enc_keys),
                 des_tables, des.rounds, 8),

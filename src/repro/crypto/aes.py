@@ -12,13 +12,19 @@ InvMixColumns-transformed key schedule (the standard equivalent inverse
 cipher), making decryption cost symmetric with encryption.
 
 Both backends compute blocks with the same T-table cores and differ only
-in how they charge.  :meth:`AES.decrypt_blocks` decrypts many blocks at
-once with a byte-sliced core, a different algorithm, which makes it the
-cores' oracle in the tests and CBC decryption's fast path.
+in how they charge.  Each host round packs the four state words and
+unpacks the 16 bytes into locals, so the sixteen table indices need no
+shifts or masks.  :meth:`AES.encrypt_cbc` runs the encryption rounds
+over a whole CBC input in one loop, chaining in ints; ``encrypt_block``
+is the same loop over one block.  :meth:`AES.decrypt_blocks` decrypts
+many blocks at once with a byte-sliced core, a different algorithm,
+which makes it the cores' oracle in the tests and CBC decryption's fast
+path.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
@@ -196,66 +202,81 @@ def _inv_mix_key(w: Sequence[int], nr: int) -> List[int]:
     return out
 
 
-def _encrypt_core(ek: Sequence[int], rounds: int, block: bytes) -> bytes:
-    """Uncharged encryption core (tables bound to locals)."""
+#: A key schedule as one 4-word round key per round.
+_Schedule = Tuple[Tuple[int, int, int, int], ...]
+
+
+def _by_round(w: Sequence[int]) -> _Schedule:
+    """A flat key schedule as one 4-word round key per round."""
+    return tuple(tuple(w[i:i + 4]) for i in range(0, len(w), 4))
+
+
+#: The state as four big-endian words.  Each round packs the words and
+#: unpacks the 16 bytes straight into locals, so every table index is a
+#: plain subscript instead of a shift and a mask.
+_STATE = struct.Struct(">4I")
+_ZERO_IV = bytes(16)
+
+
+def _encrypt_cbc(ek: _Schedule, iv: bytes, data: bytes) -> bytes:
+    """Uncharged CBC encryption of every block of ``data`` from ``iv``;
+    the chaining value stays four ints from block to block."""
     te0, te1, te2, te3 = TE0, TE1, TE2, TE3
-    s0 = int.from_bytes(block[0:4], "big") ^ ek[0]
-    s1 = int.from_bytes(block[4:8], "big") ^ ek[1]
-    s2 = int.from_bytes(block[8:12], "big") ^ ek[2]
-    s3 = int.from_bytes(block[12:16], "big") ^ ek[3]
-    k = 4
-    for _ in range(rounds - 1):
-        t0 = (te0[(s0 >> 24) & 0xFF] ^ te1[(s1 >> 16) & 0xFF]
-              ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ ek[k])
-        t1 = (te0[(s1 >> 24) & 0xFF] ^ te1[(s2 >> 16) & 0xFF]
-              ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ ek[k + 1])
-        t2 = (te0[(s2 >> 24) & 0xFF] ^ te1[(s3 >> 16) & 0xFF]
-              ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ ek[k + 2])
-        t3 = (te0[(s3 >> 24) & 0xFF] ^ te1[(s0 >> 16) & 0xFF]
-              ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ ek[k + 3])
-        s0, s1, s2, s3 = t0, t1, t2, t3
-        k += 4
     sb = SBOX
-    t0 = ((sb[(s0 >> 24) & 0xFF] << 24) | (sb[(s1 >> 16) & 0xFF] << 16)
-          | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ ek[k]
-    t1 = ((sb[(s1 >> 24) & 0xFF] << 24) | (sb[(s2 >> 16) & 0xFF] << 16)
-          | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ ek[k + 1]
-    t2 = ((sb[(s2 >> 24) & 0xFF] << 24) | (sb[(s3 >> 16) & 0xFF] << 16)
-          | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ ek[k + 2]
-    t3 = ((sb[(s3 >> 24) & 0xFF] << 24) | (sb[(s0 >> 16) & 0xFF] << 16)
-          | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ ek[k + 3]
-    return ((t0 << 96) | (t1 << 64) | (t2 << 32) | t3).to_bytes(16, "big")
+    pack = _STATE.pack
+    k0, k1, k2, k3 = ek[0]
+    main = ek[1:-1]
+    f0, f1, f2, f3 = ek[-1]
+    c0, c1, c2, c3 = _STATE.unpack(iv)
+    out = []
+    for p0, p1, p2, p3 in _STATE.iter_unpack(data):
+        s0 = p0 ^ c0 ^ k0
+        s1 = p1 ^ c1 ^ k1
+        s2 = p2 ^ c2 ^ k2
+        s3 = p3 ^ c3 ^ k3
+        for r0, r1, r2, r3 in main:
+            (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+            s0 = te0[b0] ^ te1[b5] ^ te2[b10] ^ te3[b15] ^ r0
+            s1 = te0[b4] ^ te1[b9] ^ te2[b14] ^ te3[b3] ^ r1
+            s2 = te0[b8] ^ te1[b13] ^ te2[b2] ^ te3[b7] ^ r2
+            s3 = te0[b12] ^ te1[b1] ^ te2[b6] ^ te3[b11] ^ r3
+        (b0, b1, b2, b3, b4, b5, b6, b7,
+         b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+        c0 = ((sb[b0] << 24) | (sb[b5] << 16) | (sb[b10] << 8) | sb[b15]) ^ f0
+        c1 = ((sb[b4] << 24) | (sb[b9] << 16) | (sb[b14] << 8) | sb[b3]) ^ f1
+        c2 = ((sb[b8] << 24) | (sb[b13] << 16) | (sb[b2] << 8) | sb[b7]) ^ f2
+        c3 = ((sb[b12] << 24) | (sb[b1] << 16) | (sb[b6] << 8) | sb[b11]) ^ f3
+        out.append(pack(c0, c1, c2, c3))
+    return b"".join(out)
 
 
-def _decrypt_core(dk: Sequence[int], rounds: int, block: bytes) -> bytes:
-    """Uncharged decryption core (tables bound to locals)."""
+def _decrypt_core(dk: _Schedule, block: bytes) -> bytes:
+    """Uncharged decryption of one block."""
     td0, td1, td2, td3 = TD0, TD1, TD2, TD3
-    s0 = int.from_bytes(block[0:4], "big") ^ dk[0]
-    s1 = int.from_bytes(block[4:8], "big") ^ dk[1]
-    s2 = int.from_bytes(block[8:12], "big") ^ dk[2]
-    s3 = int.from_bytes(block[12:16], "big") ^ dk[3]
-    k = 4
-    for _ in range(rounds - 1):
-        t0 = (td0[(s0 >> 24) & 0xFF] ^ td1[(s3 >> 16) & 0xFF]
-              ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ dk[k])
-        t1 = (td0[(s1 >> 24) & 0xFF] ^ td1[(s0 >> 16) & 0xFF]
-              ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ dk[k + 1])
-        t2 = (td0[(s2 >> 24) & 0xFF] ^ td1[(s1 >> 16) & 0xFF]
-              ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ dk[k + 2])
-        t3 = (td0[(s3 >> 24) & 0xFF] ^ td1[(s2 >> 16) & 0xFF]
-              ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ dk[k + 3])
-        s0, s1, s2, s3 = t0, t1, t2, t3
-        k += 4
+    pack = _STATE.pack
+    k0, k1, k2, k3 = dk[0]
+    s0, s1, s2, s3 = _STATE.unpack(block)
+    s0 ^= k0
+    s1 ^= k1
+    s2 ^= k2
+    s3 ^= k3
+    for r0, r1, r2, r3 in dk[1:-1]:
+        (b0, b1, b2, b3, b4, b5, b6, b7,
+         b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+        s0 = td0[b0] ^ td1[b13] ^ td2[b10] ^ td3[b7] ^ r0
+        s1 = td0[b4] ^ td1[b1] ^ td2[b14] ^ td3[b11] ^ r1
+        s2 = td0[b8] ^ td1[b5] ^ td2[b2] ^ td3[b15] ^ r2
+        s3 = td0[b12] ^ td1[b9] ^ td2[b6] ^ td3[b3] ^ r3
+    (b0, b1, b2, b3, b4, b5, b6, b7,
+     b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
     isb = INV_SBOX
-    t0 = ((isb[(s0 >> 24) & 0xFF] << 24) | (isb[(s3 >> 16) & 0xFF] << 16)
-          | (isb[(s2 >> 8) & 0xFF] << 8) | isb[s1 & 0xFF]) ^ dk[k]
-    t1 = ((isb[(s1 >> 24) & 0xFF] << 24) | (isb[(s0 >> 16) & 0xFF] << 16)
-          | (isb[(s3 >> 8) & 0xFF] << 8) | isb[s2 & 0xFF]) ^ dk[k + 1]
-    t2 = ((isb[(s2 >> 24) & 0xFF] << 24) | (isb[(s1 >> 16) & 0xFF] << 16)
-          | (isb[(s0 >> 8) & 0xFF] << 8) | isb[s3 & 0xFF]) ^ dk[k + 2]
-    t3 = ((isb[(s3 >> 24) & 0xFF] << 24) | (isb[(s2 >> 16) & 0xFF] << 16)
-          | (isb[(s1 >> 8) & 0xFF] << 8) | isb[s0 & 0xFF]) ^ dk[k + 3]
-    return ((t0 << 96) | (t1 << 64) | (t2 << 32) | t3).to_bytes(16, "big")
+    f0, f1, f2, f3 = dk[-1]
+    return pack(
+        ((isb[b0] << 24) | (isb[b13] << 16) | (isb[b10] << 8) | isb[b7]) ^ f0,
+        ((isb[b4] << 24) | (isb[b1] << 16) | (isb[b14] << 8) | isb[b11]) ^ f1,
+        ((isb[b8] << 24) | (isb[b5] << 16) | (isb[b2] << 8) | isb[b15]) ^ f2,
+        ((isb[b12] << 24) | (isb[b9] << 16) | (isb[b6] << 8) | isb[b3]) ^ f3)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +320,16 @@ _MIX_LANES = tuple(tuple(_shifted((row + j) % 4, col)
 _SlicedTables = Tuple[List[Tuple[bytes, ...]], Tuple[bytes, ...]]
 
 
-def _sliced_tables(dk: Sequence[int], rounds: int) -> _SlicedTables:
+def _sliced_tables(dk: _Schedule) -> _SlicedTables:
     """Per-key tables of the byte-sliced core.  Each main round starts
     with the AddRoundKey of the round before, per lane.  The last round
     reads each output position through one table: that AddRoundKey,
     InvSubBytes and the final AddRoundKey."""
-    keys = [b"".join(w.to_bytes(4, "big") for w in dk[4 * r:4 * r + 4])
-            for r in range(rounds + 1)]
-    main = [tuple(_XOR[k] for k in keys[r]) for r in range(rounds - 1)]
-    last = tuple(_XOR[keys[rounds - 1][src]].translate(_INV_SBOX_TABLE)
+    keys = [_STATE.pack(*words) for words in dk]
+    main = [tuple(_XOR[k] for k in key) for key in keys[:-2]]
+    last = tuple(_XOR[keys[-2][src]].translate(_INV_SBOX_TABLE)
                  .translate(_XOR[k])
-                 for src, k in zip(_SHIFT_LANES, keys[rounds]))
+                 for src, k in zip(_SHIFT_LANES, keys[-1]))
     return main, last
 
 
@@ -347,8 +367,9 @@ class AES:
             raise ValueError("AES key must be 16, 24 or 32 bytes")
         self.key_size = len(key)
         self.rounds = len(key) // 4 + 6
-        self._ek = _expand_key(key)
-        self._dk = _inv_mix_key(self._ek, self.rounds)
+        ek = _expand_key(key)
+        self._ek = _by_round(ek)
+        self._dk = _by_round(_inv_mix_key(ek, self.rounds))
         #: Byte-sliced decryption tables, built on the first
         #: :meth:`decrypt_blocks` call.
         self._sliced: Optional[_SlicedTables] = None
@@ -366,7 +387,7 @@ class AES:
             charge_plans(_ENCRYPT_PLANS[self.rounds])
         else:
             _charge_phases("AES_encrypt", self.rounds)
-        return _encrypt_core(self._ek, self.rounds, block)
+        return _encrypt_cbc(self._ek, _ZERO_IV, block)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -375,7 +396,18 @@ class AES:
             charge_plans(_DECRYPT_PLANS[self.rounds])
         else:
             _charge_phases("AES_decrypt", self.rounds)
-        return _decrypt_core(self._dk, self.rounds, block)
+        return _decrypt_core(self._dk, block)
+
+    def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
+        """CBC-encrypt every 16-byte block of ``data``, chained from
+        ``iv``, in one loop; charged as one :meth:`encrypt_block` per
+        block.  The last ciphertext block is the next chaining value."""
+        if len(iv) != 16:
+            raise ValueError("AES IV must be 16 bytes")
+        if len(data) % 16:
+            raise ValueError("AES input must be a whole number of blocks")
+        charge_plans(_ENCRYPT_PLANS[self.rounds] * (len(data) // 16))
+        return _encrypt_cbc(self._ek, iv, data)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
         """Decrypt every 16-byte block of ``data`` independently (ECB),
@@ -384,6 +416,6 @@ class AES:
         if len(data) % 16:
             raise ValueError("AES input must be a whole number of blocks")
         if self._sliced is None:
-            self._sliced = _sliced_tables(self._dk, self.rounds)
+            self._sliced = _sliced_tables(self._dk)
         charge_plans(_DECRYPT_PLANS[self.rounds] * (len(data) // 16))
         return _decrypt_sliced(self._sliced, data)

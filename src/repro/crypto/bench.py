@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import perf
-from ..perf import CpuModel, PENTIUM4, Profiler
+from ..perf import CpuModel, PENTIUM4, Profiler, left_sum
 from . import aes as aes_mod
 from . import des as des_mod
 from .aes import AES
@@ -118,8 +118,8 @@ def measure_cipher(name: str, nbytes: int = 1024,
         else:
             out = cipher.encrypt(data)
     assert len(out) == nbytes
-    key_setup = sum(p.functions[f].cycles for f in _KEY_SETUP_FUNCS
-                    if f in p.functions)
+    key_setup = left_sum(p.functions[f].cycles for f in _KEY_SETUP_FUNCS
+                         if f in p.functions)
     return Measurement(name=name, nbytes=nbytes, cycles=p.total_cycles(),
                        instructions=p.total_instructions(),
                        key_setup_cycles=key_setup, profiler=p)

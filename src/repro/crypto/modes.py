@@ -10,8 +10,10 @@ Only encryption is serial: every ciphertext block is known before
 decryption starts, so :meth:`CBC.decrypt` decrypts the blocks
 independently and XORs them with the ciphertext shifted by one block.
 On the fast path a long AES input is decrypted all at once by
-:meth:`~repro.crypto.aes.AES.decrypt_blocks`, charged exactly as the
-per-block calls.
+:meth:`~repro.crypto.aes.AES.decrypt_blocks`, and every AES input is
+encrypted by :meth:`~repro.crypto.aes.AES.encrypt_cbc`, one loop over
+the record that still chains block to block.  Both are charged exactly
+as the per-block calls.
 """
 
 from __future__ import annotations
@@ -68,20 +70,26 @@ class CBC:
         bs = self.block_size
         if len(data) % bs:
             raise ValueError("CBC input must be a whole number of blocks")
-        out = bytearray()
-        prev = self._iv
-        enc = self.cipher.encrypt_block
-        from_bytes = int.from_bytes
-        for i in range(0, len(data), bs):
-            prev = enc((from_bytes(data[i:i + bs], "big")
-                        ^ from_bytes(prev, "big")).to_bytes(bs, "big"))
-            out += prev
-        self._iv = prev
+        cipher = self.cipher
+        if isinstance(cipher, AES) and fastpath_enabled():
+            out = cipher.encrypt_cbc(self._iv, data)
+        else:
+            chained = bytearray()
+            prev = self._iv
+            enc = cipher.encrypt_block
+            from_bytes = int.from_bytes
+            for i in range(0, len(data), bs):
+                prev = enc((from_bytes(data[i:i + bs], "big")
+                            ^ from_bytes(prev, "big")).to_bytes(bs, "big"))
+                chained += prev
+            out = bytes(chained)
+        if out:
+            self._iv = out[-bs:]
         nblocks = len(data) // bs
         if nblocks:
             charge(CBC_BLOCK, times=nblocks, function="cbc_encrypt")
         charge(MODE_CALL, function="cbc_encrypt")
-        return bytes(out)
+        return out
 
     def decrypt(self, data: bytes) -> bytes:
         bs = self.block_size

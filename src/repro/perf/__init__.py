@@ -8,7 +8,7 @@ from .baseline import (
     write_json,
 )
 from .cpu import CpuModel, DEFAULT_COSTS, PENTIUM3, PENTIUM4, WIDE_CORE
-from .isa import CATEGORY, I, InstrMix, MixAccumulator, mix
+from .isa import CATEGORY, I, InstrMix, MixAccumulator, left_sum, mix
 from .profiler import (
     HTTPD, LIBCRYPTO, LIBSSL, OTHER, VMLINUX,
     ChargePlan, FunctionStats, Profiler, RegionNode,
@@ -27,7 +27,7 @@ __all__ = [
     "Drift", "canonical", "canonical_json", "capture", "diff_signatures",
     "load_json", "write_json",
     "CpuModel", "PENTIUM3", "PENTIUM4", "WIDE_CORE", "DEFAULT_COSTS",
-    "CATEGORY", "I", "InstrMix", "MixAccumulator", "mix",
+    "CATEGORY", "I", "InstrMix", "MixAccumulator", "left_sum", "mix",
     "HTTPD", "LIBCRYPTO", "LIBSSL", "OTHER", "VMLINUX",
     "ChargePlan", "FunctionStats", "Profiler", "RegionNode",
     "activate", "charge", "charge_cycles", "charge_plans", "current",

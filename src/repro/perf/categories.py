@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from .isa import left_sum
 from .profiler import LIBCRYPTO, Profiler
 
 PUBLIC = "public"
@@ -68,5 +69,5 @@ def crypto_breakdown(profiler: Profiler) -> Dict[str, float]:
 def crypto_shares(profiler: Profiler) -> Dict[str, float]:
     """Category shares of total libcrypto time (sums to 1)."""
     breakdown = crypto_breakdown(profiler)
-    total = sum(breakdown.values()) or 1.0
+    total = left_sum(breakdown.values()) or 1.0
     return {k: v / total for k, v in breakdown.items()}

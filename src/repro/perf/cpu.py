@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from .isa import CATEGORY, I, InstrMix
+from .isa import CATEGORY, I, InstrMix, left_sum
 
 
 #: Default per-class reciprocal-throughput costs (cycles per instruction).
@@ -69,13 +69,8 @@ class CpuModel:
         if m._cost_cpu is self:
             base = m._cost_base
         else:
-            # Left to right, not sum(): from Python 3.12 sum() of floats
-            # compensates rounding error, so the modeled cost would
-            # depend on the interpreter version.
             c = self.costs
-            base = 0.0
-            for name, cnt in m._counts.items():
-                base += cnt * c[name]
+            base = left_sum(cnt * c[name] for name, cnt in m._counts.items())
             m._cost_cpu = self
             m._cost_base = base
         return base * stall_factor

@@ -16,7 +16,17 @@ with :func:`mix`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0.  Modeled totals use this,
+    not ``sum()``: from Python 3.12, ``sum()`` of floats compensates
+    rounding error, so a total would depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class I:
@@ -112,11 +122,7 @@ class InstrMix:
                 if n:
                     c[name] = float(n)
         self._counts = c
-        # Left to right, not sum(): see CpuModel.cycles.
-        total = 0.0
-        for n in c.values():
-            total += n
-        self._total = total
+        self._total = left_sum(c.values())
 
     # -- construction -----------------------------------------------------
     @classmethod

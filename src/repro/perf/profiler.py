@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cpu import CpuModel, PENTIUM4
-from .isa import InstrMix, MixAccumulator
+from .isa import InstrMix, MixAccumulator, left_sum
 
 #: Module names mirroring Table 1 of the paper.
 LIBCRYPTO = "libcrypto"
@@ -92,7 +92,7 @@ class RegionNode:
         return node
 
     def inclusive_cycles(self) -> float:
-        return self.exclusive_cycles + sum(
+        return self.exclusive_cycles + left_sum(
             c.inclusive_cycles() for c in self.children.values())
 
     def inclusive_func_cycles(self) -> Counter:

@@ -18,8 +18,9 @@ backends:
   operands multiply/reduce in one big-int operation; MD5 and SHA-1 hash
   with ``hashlib``, charged from byte counts (a hash context keeps the
   backend it was built on); DES runs a flattened core, AES charges one
-  plan per block, and CBC decrypts an AES input of 16 blocks or more
-  all at once with a byte-sliced core, charged as the per-block calls.
+  plan per block, CBC encrypts an AES input in one loop per record, and
+  CBC decrypts an AES input of 16 blocks or more all at once with a
+  byte-sliced core, both charged as the per-block calls.
   RC4 and AES key expansion run the same loops on both backends.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original

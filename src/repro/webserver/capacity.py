@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from ..perf import CpuModel, PENTIUM4
+from ..perf import CpuModel, PENTIUM4, left_sum
 
 
 def requests_per_second(cycles_per_request: float,
@@ -178,7 +178,7 @@ class MixedLoadSimulator(LoadSimulator):
             raise ValueError("need at least one request cost")
         if any(c <= 0 for c in cycles_per_request_mix):
             raise ValueError("request costs must be positive")
-        mean = sum(cycles_per_request_mix) / len(cycles_per_request_mix)
+        mean = left_sum(cycles_per_request_mix) / len(cycles_per_request_mix)
         super().__init__(mean, think_seconds, cpu, nservers)
         self._services = [c / cpu.frequency_hz
                           for c in cycles_per_request_mix]

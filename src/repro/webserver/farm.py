@@ -304,7 +304,7 @@ class FarmResult:
             return None
         nunits = len(per_worker[0]["units"])
         utilization = [
-            sum(w["units"][u]["utilization"] for w in per_worker)
+            perf.left_sum(w["units"][u]["utilization"] for w in per_worker)
             / len(per_worker) for u in range(nunits)]
         return {
             "ops": sum(w["ops"] for w in per_worker),
@@ -313,7 +313,7 @@ class FarmResult:
             "fallbacks": sum(w["fallbacks"] for w in per_worker),
             "skipped_small": sum(w["skipped_small"] for w in per_worker),
             "engine_cycles": round(
-                sum(w["engine_cycles"] for w in per_worker), 3),
+                perf.left_sum(w["engine_cycles"] for w in per_worker), 3),
             "peak_backlog_cycles": max(
                 w["peak_backlog_cycles"] for w in per_worker),
             "peak_queue_depth": max(
@@ -331,7 +331,7 @@ class FarmResult:
             for i, r in enumerate(self.results)]
 
     def total_cycles(self) -> float:
-        return sum(r.profiler.total_cycles() for r in self.results)
+        return perf.left_sum(r.profiler.total_cycles() for r in self.results)
 
     def makespan_seconds(self) -> float:
         """**Virtual** duration of the run: the busiest worker's modeled

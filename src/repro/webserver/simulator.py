@@ -98,7 +98,7 @@ class SimulationResult:
     def crypto_category_shares(self) -> Dict[str, float]:
         """Crypto category -> share of libcrypto cycles (Figure 2)."""
         breakdown = crypto_breakdown(self.profiler)
-        total = sum(breakdown.values()) or 1.0
+        total = perf.left_sum(breakdown.values()) or 1.0
         return {k: v / total for k, v in breakdown.items()}
 
     def cycles_per_request(self) -> float:
@@ -120,8 +120,8 @@ class SimulationResult:
         is the record-layer data path; "system" is the modelled kernel,
         httpd and libc work plus whatever falls outside both.
         """
-        handshake = sum(self.profiler.region_cycles(r)
-                        for r in self.HANDSHAKE_REGIONS)
+        handshake = perf.left_sum(self.profiler.region_cycles(r)
+                                  for r in self.HANDSHAKE_REGIONS)
         bulk = self.profiler.region_cycles("bulk_transfer")
         total = self.profiler.total_cycles()
         return {"handshake": handshake, "bulk": bulk,

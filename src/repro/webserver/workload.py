@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto.rand import PseudoRandom
+from ..perf import left_sum
 
 #: Resolution of the size/resumption draws: one draw in [0, 10^6).
 _DRAW_SPAN = 1_000_000
@@ -79,7 +80,7 @@ class RequestWorkload:
             raise ValueError("size mix must not be empty")
         if not 0.0 <= resumption_rate <= 1.0:
             raise ValueError("resumption rate must be in [0, 1]")
-        total = float(sum(w for _, w in size_mix))
+        total = left_sum(w for _, w in size_mix)
         if total <= 0:
             raise ValueError("size mix weights must be positive")
         if clients is not None and clients < 1:

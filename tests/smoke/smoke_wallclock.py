@@ -9,7 +9,8 @@ speed.  RSA and 3DES dominate a handshake, so that ratio would hold with
 the hashes back on the Python loops: a 16 KB MD5 and SHA-1 digest is
 timed on each backend as well, and ``hashlib`` must win by 50x or more.
 Likewise a 16 KB AES-128 CBC decryption, batched on the fast path, must
-beat the per-block encryption of the same input by 3x or more.  And a
+beat the encryption of the same input, whose blocks chain serially
+through one loop per record, by 2x or more.  And a
 4 KB 3DES CBC encryption, whose fast rounds keep both halves
 E-expanded, must beat the faithful rounds by 2.2x or more.
 
@@ -85,8 +86,9 @@ def check_cbc() -> None:
     encrypt = best_cbc(cbc, "encrypt", data)
     print(f"AES-128-CBC 16 KB: decrypt {decrypt * 1e3:.2f} ms, "
           f"encrypt {encrypt * 1e3:.2f} ms ({encrypt / decrypt:.1f}x)")
-    # ~2 ms vs ~20 ms on a 2-vCPU x86_64 VM.
-    assert encrypt / decrypt >= 3, (
+    # 3.5-5.8x on a 2-vCPU x86_64 VM (~2-3 ms vs ~10-17 ms); decryption
+    # through the per-block calls reads 0.8x.
+    assert encrypt / decrypt >= 2, (
         f"CBC decryption no longer batched: {encrypt / decrypt:.1f}x")
 
 

@@ -303,6 +303,66 @@ def test_decrypt_blocks_matches_per_block(key, nblocks, seed):
         assert snapshot(profiler) == ref_snap == faithful_snap
 
 
+@given(key=AES_KEYS, nblocks=st.integers(0, 300),
+       iv=st.binary(min_size=16, max_size=16), seed=st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_cbc_encrypt_record_loop_matches_per_block(key, nblocks, iv, seed):
+    """The fast path's one loop per record (``AES.encrypt_cbc``) equals
+    the faithful per-block loop in output, chaining value and the full
+    charge stream."""
+    data = random.Random(seed).randbytes(16 * nblocks)
+
+    def workload():
+        cbc = CBC(AES(key), iv)
+        return cbc.encrypt(data), cbc.iv
+
+    ct, got_iv = assert_equivalent(workload)
+    assert got_iv == (ct[-16:] if ct else iv)
+
+
+def test_cbc_encrypt_chains_iv_across_records():
+    """One CBC object encrypting records of many lengths in turn keeps
+    SSLv3's record-to-record IV chain on both backends, and every record
+    decrypts under the chaining value before it."""
+    rng = random.Random(0xE1C)
+    key, iv = rng.randbytes(16), rng.randbytes(16)
+    records = [rng.randbytes(16 * n) for n in (3, 16, 1, 23, 0, 2, 300)]
+
+    def workload():
+        sender = CBC(AES(key), iv)
+        return [(sender.encrypt(record), sender.iv) for record in records]
+
+    cipher = AES(key)
+    chain = iv
+    for (ct, got_iv), record in zip(assert_equivalent(workload), records):
+        size = len(ct)
+        plain = (int.from_bytes(cipher.decrypt_blocks(ct), "big")
+                 ^ int.from_bytes((chain + ct)[:size], "big"))
+        assert plain.to_bytes(size, "big") == record
+        chain = ct[-16:] if ct else chain
+        assert got_iv == chain
+
+
+def test_cbc_encrypt_takes_the_record_loop(monkeypatch):
+    """On the fast path an AES ``CBC.encrypt`` runs ``encrypt_cbc`` and
+    makes no ``encrypt_block`` call; the faithful path makes one per
+    block.  A silent fallback to the per-block loop keeps every
+    signature, so only this catches it."""
+    calls = []
+    encrypt_block = AES.encrypt_block
+
+    def counted(self, block):
+        calls.append(block)
+        return encrypt_block(self, block)
+
+    monkeypatch.setattr(AES, "encrypt_block", counted)
+    for fast, expected in ((True, 0), (False, 7)):
+        calls.clear()
+        with runtime.fastpath(fast):
+            CBC(AES(bytes(16)), bytes(16)).encrypt(bytes(16 * 7))
+        assert len(calls) == expected
+
+
 @given(key=AES_KEYS, blocks=st.lists(st.binary(min_size=16, max_size=16),
                                      min_size=1, max_size=40))
 @settings(max_examples=30, deadline=None)

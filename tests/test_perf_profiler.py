@@ -109,6 +109,14 @@ class TestRegions:
     def test_region_cycles_missing_path_is_zero(self):
         assert Profiler().region_cycles("nope/nothing") == 0.0
 
+    def test_inclusive_cycles_add_children_left_to_right(self):
+        """The same bits on every interpreter: from Python 3.12 ``sum()``
+        of floats compensates rounding and would give 0.6 here."""
+        p = Profiler()
+        for name, cycles in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            p.root.child(name).exclusive_cycles = cycles
+        assert p.root.inclusive_cycles() == 0.6000000000000001
+
     def test_region_func_cycles(self):
         p = Profiler()
         with p.region("step"):

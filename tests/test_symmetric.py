@@ -187,6 +187,7 @@ class TestAes:
                 a = AES(key)
                 ct = a.encrypt_block(self.PT)
                 assert ct.hex() == expected
+                assert a.encrypt_cbc(bytes(16), self.PT) == ct
                 assert a.decrypt_block(ct) == self.PT
                 assert a.decrypt_blocks(ct * 3) == self.PT * 3
 
@@ -197,6 +198,7 @@ class TestAes:
             with runtime.fastpath(fast):
                 a = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
                 assert a.encrypt_block(pt) == ct
+                assert a.encrypt_cbc(bytes(16), pt) == ct
                 assert a.decrypt_blocks(ct) == pt
 
     def test_round_counts(self):
@@ -220,6 +222,10 @@ class TestAes:
             AES(bytes(16)).encrypt_block(bytes(8))
         with pytest.raises(ValueError):
             AES(bytes(16)).decrypt_blocks(bytes(24))
+        with pytest.raises(ValueError):
+            AES(bytes(16)).encrypt_cbc(bytes(16), bytes(24))
+        with pytest.raises(ValueError):
+            AES(bytes(16)).encrypt_cbc(bytes(8), bytes(16))
 
     @given(st.sampled_from([16, 24, 32]).flatmap(
         lambda n: st.tuples(st.binary(min_size=n, max_size=n),
@@ -260,6 +266,7 @@ class TestAesAvsKat:
             with runtime.fastpath(fast):
                 a = AES(bytes(16))
                 assert a.encrypt_block(bytes.fromhex(pt)).hex() == ct
+                assert a.encrypt_cbc(bytes(16), bytes.fromhex(pt)).hex() == ct
                 assert a.decrypt_block(bytes.fromhex(ct)).hex() == pt
                 assert a.decrypt_blocks(bytes.fromhex(ct)).hex() == pt
 
