@@ -74,8 +74,10 @@ lint:
 	@command -v ruff >/dev/null 2>&1 && ruff check . \
 		|| echo "ruff not installed; skipped (CI runs it)"
 
+# Runs every example; stops at the first one that fails.
 examples:
-	for ex in examples/*.py; do echo "== $$ex"; $(PY_ENV) python $$ex > /dev/null && echo OK; done
+	@set -e; for ex in examples/*.py; do echo "== $$ex"; \
+		$(PY_ENV) python $$ex > /dev/null; echo OK; done
 
 # Host wall-clock smokes (not collected by pytest: the tier-1 gate pins
 # modeled numbers, these intentionally measure the host).  CI runs them

@@ -215,29 +215,32 @@ class MixAccumulator:
     results are read once per experiment.
     """
 
-    __slots__ = ("_counts", "_pending", "_pending_total")
+    __slots__ = ("_counts", "_pending", "_total")
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()
         self._pending: List[Tuple[InstrMix, float]] = []
-        # Lifetime instruction total, accumulated once per ``add`` and
-        # *never* recomputed from ``_counts``: summing the folded
-        # per-mnemonic columns would group the float additions
-        # differently, so ``total()`` would drift in the last ulp
-        # depending on when (or whether) a fold happened.
-        self._pending_total = 0.0
+        # The instruction total, summed entry by entry in the order the
+        # entries were added, and *never* recomputed from ``_counts``:
+        # summing the per-mnemonic columns would group the float additions
+        # differently and can differ in the last ulp.  Every fold takes
+        # the entries in order, so the total is the same left-to-right
+        # chain whenever, and however often, folds happen.
+        self._total = 0.0
 
     def add(self, m: InstrMix, times: float = 1.0) -> None:
         self._pending.append((m, times))
-        self._pending_total += m._total * times
 
     def _fold(self) -> None:
         if not self._pending:
             return
         counts = self._counts
+        total = self._total
         for m, times in self._pending:
+            total += m._total * times
             for k, v in m._counts.items():
                 counts[k] += v * times
+        self._total = total
         self._pending.clear()
 
     def snapshot(self) -> InstrMix:
@@ -245,4 +248,5 @@ class MixAccumulator:
         return InstrMix(dict(self._counts))
 
     def total(self) -> float:
-        return self._pending_total
+        self._fold()
+        return self._total

@@ -68,20 +68,18 @@ class RegionNode:
 
     ``exclusive_cycles`` counts charges made while this region was innermost;
     :meth:`inclusive_cycles` adds everything charged in enclosed sub-regions.
-    ``func_cycles`` records, per charged function name, the cycles attributed
-    while this node was innermost -- this is what lets the handshake anatomy
-    report (Table 2) list the crypto functions called inside each step.
+    A region keeps cycles only: the handshake anatomy report (Table 2)
+    lists the crypto work inside each step from its sub-regions, and the
+    per-function view is the flat profile in :attr:`Profiler.functions`.
     """
 
-    __slots__ = ("name", "parent", "children", "exclusive_cycles",
-                 "func_cycles", "entries")
+    __slots__ = ("name", "parent", "children", "exclusive_cycles", "entries")
 
     def __init__(self, name: str, parent: Optional["RegionNode"] = None):
         self.name = name
         self.parent = parent
         self.children: Dict[str, RegionNode] = {}
         self.exclusive_cycles = 0.0
-        self.func_cycles: Counter = Counter()
         self.entries = 0
 
     def child(self, name: str) -> "RegionNode":
@@ -94,13 +92,6 @@ class RegionNode:
     def inclusive_cycles(self) -> float:
         return self.exclusive_cycles + left_sum(
             c.inclusive_cycles() for c in self.children.values())
-
-    def inclusive_func_cycles(self) -> Counter:
-        """Per-function cycles over this node and its whole subtree."""
-        agg = Counter(self.func_cycles)
-        for c in self.children.values():
-            agg.update(c.inclusive_func_cycles())
-        return agg
 
     def path(self) -> str:
         parts: List[str] = []
@@ -128,18 +119,17 @@ PlanStep = Tuple[InstrMix, float, str, str, float]
 class ChargePlan:
     """A fixed sequence of :meth:`Profiler.charge` calls, charged as one.
 
-    A plan precomputes each step's addends -- its cycles, from
-    :meth:`CpuModel.cycles` on the CPU the plan was last charged on (a
-    profiler with another CPU rebinds it first), and its instruction
-    count -- but never adds steps together: float addition is not
-    associative, so :meth:`Profiler.charge_plans` must still make every
-    addition the expanded ``charge`` calls would.  The ``(mix, times)``
-    entries appended to the pending mixes are built once and shared by
-    every charge of the plan.
+    A plan precomputes each step's cycles, from :meth:`CpuModel.cycles`
+    on the CPU the plan was last charged on (a profiler with another CPU
+    rebinds it first), but never adds steps together: float addition is
+    not associative, so :meth:`Profiler.charge_plans` must still make
+    every addition the expanded ``charge`` calls would.  The
+    ``(mix, times)`` entries appended to the pending mixes are built once
+    and shared by every charge of the plan.
     """
 
-    __slots__ = ("steps", "_entries", "_instrs", "_cpu", "_cycles",
-                 "_modules", "_functions")
+    __slots__ = ("steps", "_entries", "_cpu", "_cycles", "_modules",
+                 "_functions")
 
     def __init__(self, steps: Iterable[PlanStep]):
         self.steps: Tuple[PlanStep, ...] = tuple(steps)
@@ -147,15 +137,12 @@ class ChargePlan:
             if stall <= 0:
                 raise ValueError("stall_factor must be positive")
         self._entries = tuple((m, times) for m, times, _, _, _ in self.steps)
-        self._instrs = tuple(m._total * times
-                             for m, times, _, _, _ in self.steps)
         self._cpu: Optional[CpuModel] = None
         self._cycles: Tuple[float, ...] = ()
         #: ``(module, cycles of its steps)`` in first-charged order.
         self._modules: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-        #: ``(function, module of its first step, cycles, instruction
-        #: totals and (mix, times) entries of its steps)``, in
-        #: first-charged order.
+        #: ``(function, module of its first step, cycles and (mix, times)
+        #: entries of its steps)``, in first-charged order.
         self._functions: Tuple[tuple, ...] = ()
 
     def _bind(self, cpu: CpuModel) -> None:
@@ -167,16 +154,15 @@ class ChargePlan:
             modules.setdefault(module, []).append(cycles[i])
             group = functions.get(function)
             if group is None:
-                group = functions[function] = (module, [], [], [])
+                group = functions[function] = (module, [], [])
             group[1].append(cycles[i])
-            group[2].append(self._instrs[i])
-            group[3].append(self._entries[i])
+            group[2].append(self._entries[i])
         self._cycles = tuple(cycles)
         self._modules = tuple((module, tuple(c))
                               for module, c in modules.items())
         self._functions = tuple(
-            (function, module, tuple(c), tuple(n), tuple(e))
-            for function, (module, c, n, e) in functions.items())
+            (function, module, tuple(c), tuple(e))
+            for function, (module, c, e) in functions.items())
         self._cpu = cpu
 
 
@@ -210,10 +196,7 @@ class Profiler:
             cycles = m._cost_base * stall * times
         else:
             cycles = self.cpu.cycles(m, stall) * times
-        node = self._stack[-1]
-        node.exclusive_cycles += cycles
-        fc = node.func_cycles
-        fc[function] = fc.get(function, 0) + cycles
+        self._stack[-1].exclusive_cycles += cycles
         mc = self.modules
         mc[module] = mc.get(module, 0) + cycles
         fs = self.functions.get(function)
@@ -221,40 +204,31 @@ class Profiler:
             fs = self.functions[function] = FunctionStats(function, module)
         fs.cycles += cycles
         fs.calls += 1
-        instr = m._total * times
         entry = (m, times)
-        acc = fs.mix
-        acc._pending.append(entry)
-        acc._pending_total += instr
-        acc = self.global_mix
-        acc._pending.append(entry)
-        acc._pending_total += instr
+        fs.mix._pending.append(entry)
+        self.global_mix._pending.append(entry)
         self._cycles += cycles
         return cycles
 
     def charge_plans(self, plans: Sequence[ChargePlan]) -> None:
         """Charge every step of ``plans``, in order, as :meth:`charge` would.
 
-        Each accumulator -- region exclusive and per-function cycles,
-        module cycles, function cycles, calls, pending mix and
-        instruction total, the global mix and its total, the clock --
-        receives the same additions in the same order as the expanded
-        ``charge`` calls; only the interleaving *between* accumulators
-        differs, and no accumulator reads another.  No region opens
+        Each chain -- region exclusive cycles, module cycles, function
+        cycles, calls and pending mix, the global pending mix, the clock
+        -- receives the same additions or entries in the same order as
+        the expanded ``charge`` calls; only the interleaving *between*
+        chains differs, and no chain reads another.  No region opens
         inside the call, so one region node takes every step.  A run of
-        ``k`` consecutive charges of one plan walks each accumulator once
-        over the plan's addends repeated ``k`` times.
+        ``k`` consecutive charges of one plan walks each chain once over
+        the plan's addends repeated ``k`` times.
         """
         cpu = self.cpu
         node = self._stack[-1]
-        fc = node.func_cycles
         mc = self.modules
         functions = self.functions
-        gacc = self.global_mix
-        gpending = gacc._pending
+        gpending = self.global_mix._pending
         exclusive = node.exclusive_cycles
         clock = self._cycles
-        gtotal = gacc._pending_total
         end = len(plans)
         i = 0
         while i < end:
@@ -269,44 +243,31 @@ class Profiler:
             for c in plan._cycles * k:
                 exclusive += c
                 clock += c
-            for n in plan._instrs * k:
-                gtotal += n
             gpending.extend(plan._entries * k)
             for module, cycles in plan._modules:
                 v = mc.get(module, 0)
                 for c in cycles * k:
                     v += c
                 mc[module] = v
-            for function, module, cycles, instrs, entries in plan._functions:
+            for function, module, cycles, entries in plan._functions:
                 fs = functions.get(function)
                 if fs is None:
                     fs = functions[function] = FunctionStats(function, module)
-                v = fc.get(function, 0)
-                fv = fs.cycles
+                v = fs.cycles
                 for c in cycles * k:
                     v += c
-                    fv += c
-                fc[function] = v
-                fs.cycles = fv
+                fs.cycles = v
                 fs.calls += len(cycles) * k
-                acc = fs.mix
-                acc._pending.extend(entries * k)
-                total = acc._pending_total
-                for n in instrs * k:
-                    total += n
-                acc._pending_total = total
+                fs.mix._pending.extend(entries * k)
         node.exclusive_cycles = exclusive
         self._cycles = clock
-        gacc._pending_total = gtotal
 
     def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
                       module: str = OTHER) -> float:
         """Charge raw modelled cycles (no instruction mix), e.g. kernel time."""
         if cycles < 0:
             raise ValueError("cannot charge negative cycles")
-        node = self._stack[-1]
-        node.exclusive_cycles += cycles
-        node.func_cycles[function] += cycles
+        self._stack[-1].exclusive_cycles += cycles
         self.modules[module] += cycles
         fs = self.functions.get(function)
         if fs is None:

@@ -108,6 +108,5 @@ def merge_profilers(target: Profiler, *sources: Profiler) -> Profiler:
 def _merge_region(dst, src) -> None:
     dst.exclusive_cycles += src.exclusive_cycles
     dst.entries += src.entries
-    dst.func_cycles.update(src.func_cycles)
     for name, child in src.children.items():
         _merge_region(dst.child(name), child)

@@ -48,7 +48,7 @@ from .handshake import (
     NewSessionTicket, ServerHello, ServerHelloDone, ServerKeyExchange,
     CertificateMsg,
 )
-from ..perf import charge, mix
+from ..perf import InstrMix, charge, mix
 from .record import ContentType
 from .session import SessionCache, SslSession
 from .ticket import SESSION_TICKET_EXT, TicketKeyRing, TicketState
@@ -94,15 +94,31 @@ CCS_PROC = mix(movl=80_000, movb=15_000, cmpl=13_000, jnz=12_000,
                addl=6_000, pushl=1_500, popl=1_500, call=900, ret=900)
 
 
-def _charge_split(m, function: str) -> None:
-    """Charge a modelled mix 30% to libssl, 70% to libc ('other').
+def _split(m: InstrMix) -> Tuple[InstrMix, InstrMix]:
+    """A modelled mix split 22% to libssl, 78% to libc ('other').
 
     Oprofile attributes the allocation/zeroing under SSL setup mostly to
     libc (Table 1 shows libssl itself at only 0.82%); the split keeps the
     module breakdown faithful while the step regions still see the full
     cost."""
-    charge(m.scaled(0.22), function=function, module="libssl")
-    charge(m.scaled(0.78), function=function + "@libc", module="other")
+    return m.scaled(0.22), m.scaled(0.78)
+
+
+# The halves of each modelled mix, built once so that every charge reuses
+# the mixes' memoized cycle cost.
+_SSL_NEW = _split(SSL_NEW)
+_HS_PROC = _split(HS_PROC)
+_CLIENT_HELLO_PROC = _split(CLIENT_HELLO_PROC)
+_CLIENT_KX_PROC = _split(CLIENT_KX_PROC)
+_CCS_PROC = _split(CCS_PROC)
+_SSL_CLEANUP = _split(SSL_CLEANUP)
+
+
+def _charge_split(halves: Tuple[InstrMix, InstrMix], function: str) -> None:
+    """Charge the :func:`_split` halves of a modelled mix."""
+    libssl, libc = halves
+    charge(libssl, function=function, module="libssl")
+    charge(libc, function=function + "@libc", module="other")
 
 
 class HandshakeBatcher:
@@ -303,7 +319,7 @@ class SslServer(SslConnection):
             self.tickets_accepted = 0
             self.tickets_rejected = 0
             self.tickets_renewed = 0
-            _charge_split(SSL_NEW, "SSL_new")
+            _charge_split(_SSL_NEW, "SSL_new")
             self._init_handshake_hashes()
 
     # -- record routing ---------------------------------------------------
@@ -333,7 +349,7 @@ class SslServer(SslConnection):
     # -- handshake dispatch ---------------------------------------------------
     def _handle_handshake(self, msg_type: int, body: bytes,
                           raw: bytes) -> None:
-        _charge_split(HS_PROC, "ssl3_get_message")
+        _charge_split(_HS_PROC, "ssl3_get_message")
         if msg_type == HandshakeType.CLIENT_HELLO:
             if self._state is ServerHandshakeState.CONNECTED:
                 # Client-initiated renegotiation: a fresh handshake runs
@@ -375,7 +391,7 @@ class SslServer(SslConnection):
         if self._state is not ServerHandshakeState.WAIT_CLIENT_HELLO or \
                 self.renegotiations:
             raise UnexpectedMessage("v2 hello only as the first message")
-        _charge_split(HS_PROC, "ssl23_get_client_hello")
+        _charge_split(_HS_PROC, "ssl23_get_client_hello")
         hello = parse_v2_client_hello(payload)
         self._update_handshake_hashes(payload)
         self._process_client_hello(hello)
@@ -388,7 +404,7 @@ class SslServer(SslConnection):
             raise HandshakeFailure("no common compression method")
         self._client_version = hello.version
         self._set_version(min(hello.version, self._max_version))
-        _charge_split(CLIENT_HELLO_PROC, "ssl3_get_client_hello")
+        _charge_split(_CLIENT_HELLO_PROC, "ssl3_get_client_hello")
         suite = self._choose_suite(hello.cipher_suites)
         self.cipher_suite = suite
         self.client_random = hello.client_random
@@ -534,7 +550,7 @@ class SslServer(SslConnection):
 
     # -- step 5: client key exchange ---------------------------------------------
     def _process_client_kx(self, raw_body: bytes) -> None:
-        _charge_split(CLIENT_KX_PROC, "ssl3_get_client_key_exchange")
+        _charge_split(_CLIENT_KX_PROC, "ssl3_get_client_key_exchange")
         if self.cipher_suite.key_exchange == "DHE_RSA":
             pre_master = self._process_client_kx_dhe(raw_body)
         elif self._batcher is not None:
@@ -655,7 +671,7 @@ class SslServer(SslConnection):
         if self._state not in (ServerHandshakeState.WAIT_FINISHED,
                                ServerHandshakeState.WAIT_FINISHED_RESUMED):
             raise UnexpectedMessage("change_cipher_spec out of order")
-        _charge_split(CCS_PROC, "ssl3_setup_key_block")
+        _charge_split(_CCS_PROC, "ssl3_setup_key_block")
         if self._client_states is None:
             # Full handshake: the client's CCS triggers key-block generation
             # and the expected-finished computation (step 6a).
@@ -748,7 +764,7 @@ class SslServer(SslConnection):
     def _complete(self) -> None:
         with perf.region("server_flush"):
             self._flush()
-            _charge_split(SSL_CLEANUP, "ssl3_cleanup_key_block")
+            _charge_split(_SSL_CLEANUP, "ssl3_cleanup_key_block")
             self._pre_master = None
         # A handshake that minted a ticket stays stateless: the client
         # carries the session, so nothing enters the id cache.

@@ -102,13 +102,10 @@ class _Arm:
 
     def signature(self):
         """The gate's canonical signature, the clock, and what it leaves
-        out: each region's per-function cycles and each function's module
-        and instruction mix."""
+        out: each function's module and instruction mix."""
         p = self.profiler
         return (baseline.canonical_json(baseline.capture(p, scenario="plans")),
                 p.now(),
-                {node.path(): dict(node.func_cycles)
-                 for node in p.root.walk()},
                 {name: (fs.module, fs.mix.snapshot().counts)
                  for name, fs in p.functions.items()})
 

@@ -130,6 +130,39 @@ class TestMixAccumulator:
         acc.add(mix(xorl=4))
         assert acc.total() == 14
 
+    def test_total_sums_entries_in_order_whenever_folded(self):
+        """The total adds each entry's total in entry order, not the
+        folded per-mnemonic columns, which round differently here."""
+        entries = [(mix(movl=0.7, addl=0.05), 3.0),
+                   (mix(movl=0.1, addl=1.1), 3.0),
+                   (mix(movl=0.1, addl=0.05), 0.5)]
+        once, each = MixAccumulator(), MixAccumulator()
+        for m, times in entries:
+            once.add(m, times)
+            each.add(m, times)
+            each.snapshot()
+        for acc in (once, each):
+            assert acc.total() == 5.925000000000001
+            assert acc.snapshot().total() == 5.924999999999999
+            assert acc.total() == 5.925000000000001
+
+    @given(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(ALL_MNEMONICS),
+                        st.floats(0.01, 50.0), min_size=1, max_size=5),
+        st.floats(0.01, 64.0), st.booleans()), max_size=30))
+    def test_total_is_one_chain_whatever_the_fold_points(self, entries):
+        """Folding at any points, ``total()`` is the left-to-right sum of
+        every entry's ``total() * times``, never regrouped per fold."""
+        acc = MixAccumulator()
+        expected = 0.0
+        for counts, times, fold in entries:
+            m = InstrMix(counts)
+            acc.add(m, times)
+            expected += m.total() * times
+            if fold:
+                acc.snapshot()
+        assert acc.total() == expected
+
     @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 9)),
                     min_size=1, max_size=30))
     def test_accumulator_matches_direct_sum(self, chunks):

@@ -117,24 +117,6 @@ class TestRegions:
             p.root.child(name).exclusive_cycles = cycles
         assert p.root.inclusive_cycles() == 0.6000000000000001
 
-    def test_region_func_cycles(self):
-        p = Profiler()
-        with p.region("step"):
-            p.charge(mix(movl=10), function="rsa")
-            p.charge(mix(movl=5), function="hash")
-        fc = p.find_region("step").func_cycles
-        assert set(fc) == {"rsa", "hash"}
-        assert fc["rsa"] > fc["hash"]
-
-    def test_inclusive_func_cycles_aggregates_subtree(self):
-        p = Profiler()
-        with p.region("outer"):
-            p.charge(mix(movl=1), function="a")
-            with p.region("inner"):
-                p.charge(mix(movl=1), function="a")
-        agg = p.find_region("outer").inclusive_func_cycles()
-        assert agg["a"] == pytest.approx(p.total_cycles())
-
     def test_walk_visits_all_nodes(self):
         p = Profiler()
         with p.region("a"):
