@@ -1,9 +1,9 @@
 """Host-execution speed: fast path vs faithful word/byte-loop backend.
 
 Unlike the other ``bench_*`` modules, this one measures *wall-clock host
-time*, not modeled cycles: it quantifies what the native-int bignum kernels
-and flattened symmetric/hash cores (see DESIGN.md, "Two-level execution")
-buy when actually running the simulator.  Both backends charge bit-identical
+time*, not modeled cycles: it quantifies what the native-int bignum kernels,
+the ``hashlib`` hashes and the libcrypto ciphers (see DESIGN.md,
+"Two-level execution") buy when actually running the simulator.  Both backends charge bit-identical
 modeled cycles -- ``tests/test_fastpath_equivalence.py`` holds that
 invariant -- so the only difference worth reporting here is seconds.
 

@@ -33,7 +33,7 @@ def build_measured():
     return {
         "aes": (aes.block_size * 8, aes.key_size * 8, 4 * len(aes._ek),
                 aes_tables, aes.rounds, 16),
-        "des": (des.block_size * 8, 56, 2 * len(des._enc_keys),
+        "des": (des.block_size * 8, 56, 2 * sum(len(k) for k in des._enc),
                 des_tables, des.rounds, 8),
         "3des": (tdes.block_size * 8, 3 * 56,
                  2 * sum(len(k) for k in tdes._enc),

@@ -11,24 +11,26 @@ The decryption path uses the inverse tables ``Td0..Td3`` over an
 InvMixColumns-transformed key schedule (the standard equivalent inverse
 cipher), making decryption cost symmetric with encryption.
 
-Both backends compute blocks with the same T-table cores and differ only
-in how they charge.  Each host round packs the four state words and
-unpacks the 16 bytes into locals, so the sixteen table indices need no
-shifts or masks.  :meth:`AES.encrypt_cbc` runs the encryption rounds
-over a whole CBC input in one loop, chaining in ints; ``encrypt_block``
-is the same loop over one block.  :meth:`AES.decrypt_blocks` decrypts
-many blocks at once with a byte-sliced core, a different algorithm,
-which makes it the cores' oracle in the tests and CBC decryption's fast
-path.
+The faithful path computes blocks with the T-table cores.  Each host
+round packs the four state words and unpacks the 16 bytes into locals,
+so the sixteen table indices need no shifts or masks; the encryption
+core runs a whole CBC input in one loop, chaining in ints, and a single
+block is that loop from a zero IV.  On the fast path an instance
+computes with libcrypto's ``AES_*`` functions (:mod:`.native`), or with
+the same T-table cores where that binding did not load.  Both backends
+charge the same cycles: :meth:`AES.encrypt_cbc` and
+:meth:`AES.decrypt_cbc` charge one block plan per block.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
+from . import native
+from .util import cbc_blocks, cbc_unchain
 
 _M32 = 0xFFFFFFFF
 
@@ -279,85 +281,15 @@ def _decrypt_core(dk: _Schedule, block: bytes) -> bytes:
         ((isb[b12] << 24) | (isb[b9] << 16) | (isb[b6] << 8) | isb[b3]) ^ f3)
 
 
-# ---------------------------------------------------------------------------
-# Byte-sliced decryption of many blocks
-# ---------------------------------------------------------------------------
-# CBC decryption has no chain between blocks, so a record's blocks can be
-# decrypted together.  The state is held position-major: lane ``p`` holds
-# byte ``p`` of every block (``data[p::16]``), so InvShiftRows only
-# relabels lanes.  AddRoundKey is one ``bytes.translate`` per lane;
-# InvSubBytes and InvMixColumns are one ``translate`` of all lanes per
-# InvMixColumns coefficient (x14, x11, x13, x9), through the S-box and the
-# product, and a big-int XOR of the four results.
-
-_IDENTITY = int.from_bytes(bytes(range(256)), "big")
-_EVERY_BYTE = int.from_bytes(bytes([1]) * 256, "big")
-#: ``_XOR[k]`` maps byte ``x`` to ``x ^ k``.
-_XOR = [(_IDENTITY ^ k * _EVERY_BYTE).to_bytes(256, "big")
-        for k in range(256)]
-_INV_SBOX_TABLE = bytes(INV_SBOX)
-#: InvMixColumns coefficients of output row 0; row ``i`` takes
-#: ``_INV_MIX[j]`` times input row ``(i + j) % 4``.
-_INV_MIX = (14, 11, 13, 9)
-#: InvSubBytes, then the product with each coefficient.
-_SUB_MUL = tuple(bytes(_gf_mul(s, m) for s in INV_SBOX) for m in _INV_MIX)
-
-
-def _shifted(row: int, col: int) -> int:
-    """The lane InvShiftRows moves to (row, col)."""
-    return 4 * ((col - row) % 4) + row
-
-
-#: The lane read at output position ``4 * col + row`` in the last round.
-_SHIFT_LANES = tuple(_shifted(p % 4, p // 4) for p in range(16))
-#: Per coefficient ``_INV_MIX[j]``: the lane multiplied into each output
-#: position ``4 * col + row``.
-_MIX_LANES = tuple(tuple(_shifted((row + j) % 4, col)
-                         for col in range(4) for row in range(4))
-                   for j in range(4))
-
-#: Per main round, each lane's AddRoundKey table; then the last round's.
-_SlicedTables = Tuple[List[Tuple[bytes, ...]], Tuple[bytes, ...]]
-
-
-def _sliced_tables(dk: _Schedule) -> _SlicedTables:
-    """Per-key tables of the byte-sliced core.  Each main round starts
-    with the AddRoundKey of the round before, per lane.  The last round
-    reads each output position through one table: that AddRoundKey,
-    InvSubBytes and the final AddRoundKey."""
-    keys = [_STATE.pack(*words) for words in dk]
-    main = [tuple(_XOR[k] for k in key) for key in keys[:-2]]
-    last = tuple(_XOR[keys[-2][src]].translate(_INV_SBOX_TABLE)
-                 .translate(_XOR[k])
-                 for src, k in zip(_SHIFT_LANES, keys[-1]))
-    return main, last
-
-
-def _decrypt_sliced(tables: _SlicedTables, data: bytes) -> bytes:
-    """Uncharged byte-sliced decryption of every block of ``data``."""
-    if not data:
-        return b""
-    main, last = tables
-    size = len(data)
-    n = size // 16
-    from_bytes = int.from_bytes
-    lanes = [data[p::16] for p in range(16)]
-    for round_keys in main:
-        lanes = [lane.translate(k) for lane, k in zip(lanes, round_keys)]
-        t0, t1, t2, t3 = [
-            from_bytes(b"".join([lanes[p] for p in order]).translate(sub_mul),
-                       "big")
-            for order, sub_mul in zip(_MIX_LANES, _SUB_MUL)]
-        state = (t0 ^ t1 ^ t2 ^ t3).to_bytes(size, "big")
-        lanes = [state[i:i + n] for i in range(0, size, n)]
-    out = bytearray(size)
-    for p in range(16):
-        out[p::16] = lanes[_SHIFT_LANES[p]].translate(last[p])
-    return bytes(out)
-
-
 class AES:
-    """AES-128/192/256 on 16-byte blocks."""
+    """AES-128/192/256 on 16-byte blocks.
+
+    An instance built on the fast path computes with libcrypto
+    (:mod:`.native`) for its whole life when the binding loaded, and
+    with the T-table cores otherwise; a hash context keeps its backend
+    the same way.  Whichever core runs, a block is charged one plan on
+    the fast path and four per-phase charges on the faithful path.
+    """
 
     name = "aes"
     block_size = 16
@@ -370,9 +302,8 @@ class AES:
         ek = _expand_key(key)
         self._ek = _by_round(ek)
         self._dk = _by_round(_inv_mix_key(ek, self.rounds))
-        #: Byte-sliced decryption tables, built on the first
-        #: :meth:`decrypt_blocks` call.
-        self._sliced: Optional[_SlicedTables] = None
+        self._native = (native.AesKey(key)
+                        if fastpath_enabled() and native.available else None)
         nwords = 4 * (self.rounds + 1)
         # Decryption-schedule preparation costs the same expansion again
         # plus an InvMixColumns pass; SSL contexts need both directions.
@@ -387,6 +318,8 @@ class AES:
             charge_plans(_ENCRYPT_PLANS[self.rounds])
         else:
             _charge_phases("AES_encrypt", self.rounds)
+        if self._native is not None:
+            return self._native.ecb(block, True)
         return _encrypt_cbc(self._ek, _ZERO_IV, block)
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -396,26 +329,27 @@ class AES:
             charge_plans(_DECRYPT_PLANS[self.rounds])
         else:
             _charge_phases("AES_decrypt", self.rounds)
+        if self._native is not None:
+            return self._native.ecb(block, False)
         return _decrypt_core(self._dk, block)
 
     def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
         """CBC-encrypt every 16-byte block of ``data``, chained from
-        ``iv``, in one loop; charged as one :meth:`encrypt_block` per
+        ``iv``, in one call; charged as one :meth:`encrypt_block` per
         block.  The last ciphertext block is the next chaining value."""
-        if len(iv) != 16:
-            raise ValueError("AES IV must be 16 bytes")
-        if len(data) % 16:
-            raise ValueError("AES input must be a whole number of blocks")
-        charge_plans(_ENCRYPT_PLANS[self.rounds] * (len(data) // 16))
+        charge_plans(_ENCRYPT_PLANS[self.rounds] * cbc_blocks(self, iv, data))
+        if self._native is not None:
+            return self._native.cbc(iv, data, True)
         return _encrypt_cbc(self._ek, iv, data)
 
-    def decrypt_blocks(self, data: bytes) -> bytes:
-        """Decrypt every 16-byte block of ``data`` independently (ECB),
-        all at once with the byte-sliced core; charged as one
-        :meth:`decrypt_block` per block."""
-        if len(data) % 16:
-            raise ValueError("AES input must be a whole number of blocks")
-        if self._sliced is None:
-            self._sliced = _sliced_tables(self._dk)
-        charge_plans(_DECRYPT_PLANS[self.rounds] * (len(data) // 16))
-        return _decrypt_sliced(self._sliced, data)
+    def decrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
+        """CBC-decrypt every 16-byte block of ``data``, chained from
+        ``iv``, in one call; charged as one :meth:`decrypt_block` per
+        block."""
+        charge_plans(_DECRYPT_PLANS[self.rounds] * cbc_blocks(self, iv, data))
+        if self._native is not None:
+            return self._native.cbc(iv, data, False)
+        dk = self._dk
+        return cbc_unchain(iv, data, b"".join(
+            [_decrypt_core(dk, data[i:i + 16])
+             for i in range(0, len(data), 16)]))

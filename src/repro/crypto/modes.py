@@ -6,14 +6,15 @@ previous ciphertext block -- deliberately serializing the blocks of a
 message -- and RC4 as a stream cipher.  :class:`CBC` keeps the running IV
 across calls because SSLv3 chains the IV from record to record.
 
-Only encryption is serial: every ciphertext block is known before
-decryption starts, so :meth:`CBC.decrypt` decrypts the blocks
+On the fast path :class:`CBC` hands every input to the cipher's
+``encrypt_cbc``/``decrypt_cbc``, which run the whole input in one call
+(in libcrypto where :mod:`~repro.crypto.native` loaded) and charge one
+block plan per block before CBC's own charges, the order of the
+per-block loop.  The faithful path keeps that loop, one
+``encrypt_block``/``decrypt_block`` call per block, as the charge
+oracle.  Only encryption is serial: every ciphertext block is known
+before decryption starts, so decryption decrypts the blocks
 independently and XORs them with the ciphertext shifted by one block.
-On the fast path a long AES input is decrypted all at once by
-:meth:`~repro.crypto.aes.AES.decrypt_blocks`, and every AES input is
-encrypted by :meth:`~repro.crypto.aes.AES.encrypt_cbc`, one loop over
-the record that still chains block to block.  Both are charged exactly
-as the per-block calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Protocol
 
 from ..perf import charge, mix
 from ..runtime import fastpath_enabled
-from .aes import AES
+from .util import cbc_unchain
 
 
 class BlockCipher(Protocol):
@@ -35,6 +36,10 @@ class BlockCipher(Protocol):
 
     def decrypt_block(self, block: bytes) -> bytes: ...
 
+    def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes: ...
+
+    def decrypt_cbc(self, iv: bytes, data: bytes) -> bytes: ...
+
 
 #: Per-block CBC overhead: load previous ciphertext, XOR four words (or two
 #: for 64-bit blocks; the difference is noise), pointer bookkeeping.
@@ -43,11 +48,6 @@ CBC_BLOCK = mix(movl=8, xorl=4, addl=2, cmpl=1, jnz=1)
 #: Per-call overhead of the mode wrapper (the EVP-style dispatch the
 #: throughput numbers of Table 11 include).
 MODE_CALL = mix(pushl=4, movl=10, popl=4, call=2, ret=2, cmpl=2, jnz=2)
-
-#: Fewest blocks at which :meth:`CBC.decrypt` on the fast path hands an
-#: AES input to the byte-sliced :meth:`AES.decrypt_blocks`; shorter inputs
-#: (Finished messages, session tickets) keep the per-block calls.
-BATCH_MIN_BLOCKS = 16
 
 
 class CBC:
@@ -71,7 +71,7 @@ class CBC:
         if len(data) % bs:
             raise ValueError("CBC input must be a whole number of blocks")
         cipher = self.cipher
-        if isinstance(cipher, AES) and fastpath_enabled():
+        if fastpath_enabled():
             out = cipher.encrypt_cbc(self._iv, data)
         else:
             chained = bytearray()
@@ -93,25 +93,22 @@ class CBC:
 
     def decrypt(self, data: bytes) -> bytes:
         bs = self.block_size
-        size = len(data)
-        if size % bs:
+        if len(data) % bs:
             raise ValueError("CBC input must be a whole number of blocks")
-        nblocks = size // bs
         cipher = self.cipher
-        if (nblocks >= BATCH_MIN_BLOCKS and isinstance(cipher, AES)
-                and fastpath_enabled()):
-            plain = cipher.decrypt_blocks(data)
+        if fastpath_enabled():
+            plain = cipher.decrypt_cbc(self._iv, data)
         else:
             dec = cipher.decrypt_block
-            plain = b"".join([dec(data[i:i + bs]) for i in range(0, size, bs)])
-        # Block i of the plaintext is D(C_i) ^ C_(i-1), with the IV as C_-1.
-        chain = self._iv + data
-        self._iv = chain[-bs:]
+            plain = cbc_unchain(self._iv, data, b"".join(
+                [dec(data[i:i + bs]) for i in range(0, len(data), bs)]))
+        if data:
+            self._iv = bytes(data[-bs:])
+        nblocks = len(data) // bs
         if nblocks:
             charge(CBC_BLOCK, times=nblocks, function="cbc_decrypt")
         charge(MODE_CALL, function="cbc_decrypt")
-        return (int.from_bytes(plain, "big")
-                ^ int.from_bytes(chain[:size], "big")).to_bytes(size, "big")
+        return plain
 
 
 def cbc_encrypt(cipher: BlockCipher, iv: bytes, data: bytes) -> bytes:

@@ -1,0 +1,258 @@
+"""Host kernels from the libcrypto that ``hashlib`` already loads.
+
+On the fast path, AES, DES/3DES and :class:`~repro.crypto.rand.PseudoRandom`'s
+raw MD5 chain compute their bytes with OpenSSL's own low-level functions
+through ``ctypes``.  The library is ``_hashlib``'s shared object, opened
+with ``ctypes.CDLL``, so ``dlsym`` resolves every symbol through the
+libcrypto ``_hashlib`` links: nothing new is installed or loaded.  Every
+symbol gets an explicit signature (``argtypes``/``restype``, from
+OpenSSL's ``md5.h``, ``aes.h`` and ``des.h``).
+
+At import, every bound function runs a published vector: FIPS-197
+Appendix C (AES-128/192/256), FIPS 81's "Now is t" (DES), the SP 800-67
+example (3DES), each CBC function over a two-block input that chains
+back to the same vector, and RFC 1321's MD5("abc") as one raw
+compression of its padded block.  If ``_hashlib``, its library, a symbol
+or an answer is missing or wrong, :data:`available` is False,
+:data:`reason` says why, and the fast path runs the Python cores instead.
+No option or environment variable selects this: the binding is used
+wherever it loads and answers correctly.
+
+This module only computes bytes.  The callers charge the same plans
+whichever core runs, so no modeled number depends on it.  The inputs may
+be ``bytes``, ``bytearray`` or ``memoryview``; ``ctypes``' ``c_char_p``
+takes only ``bytes``, so each is passed through ``bytes()``, which
+returns a ``bytes`` object itself without a copy, and its length is
+checked before libcrypto gets a pointer to it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import struct
+from typing import Optional, Tuple
+
+_IN = ctypes.c_char_p
+_BUF = ctypes.c_void_p
+_INT = ctypes.c_int
+
+#: name -> (restype, argtypes).
+_SIGNATURES = {
+    "MD5_Init": (_INT, (_BUF,)),
+    "MD5_Update": (_INT, (_BUF, _IN, ctypes.c_size_t)),
+    "AES_set_encrypt_key": (_INT, (_IN, _INT, _BUF)),
+    "AES_set_decrypt_key": (_INT, (_IN, _INT, _BUF)),
+    "AES_encrypt": (None, (_IN, _BUF, _BUF)),
+    "AES_decrypt": (None, (_IN, _BUF, _BUF)),
+    "AES_cbc_encrypt": (None, (_IN, _BUF, ctypes.c_size_t, _BUF, _BUF,
+                               _INT)),
+    "DES_set_key_unchecked": (None, (_IN, _BUF)),
+    "DES_ecb_encrypt": (None, (_IN, _BUF, _BUF, _INT)),
+    "DES_ecb3_encrypt": (None, (_IN, _BUF, _BUF, _BUF, _BUF, _INT)),
+    "DES_ncbc_encrypt": (None, (_IN, _BUF, ctypes.c_long, _BUF, _BUF,
+                                _INT)),
+    "DES_ede3_cbc_encrypt": (None, (_IN, _BUF, ctypes.c_long, _BUF, _BUF,
+                                    _BUF, _BUF, _INT)),
+}
+
+# Buffer sizes for OpenSSL's structures, with room for their 64-bit-word
+# builds: MD5_CTX is 92 bytes (128 with 64-bit words), AES_KEY 244 (484)
+# and DES_key_schedule 128 (256).
+_MD5_CTX = 128
+_AES_KEY = 512
+_DES_SCHEDULE = 256
+
+#: MD5_CTX starts with the four chaining words A, B, C, D.
+_MD5_STATE = struct.Struct("=4I")
+
+
+def _exact(data: bytes, size: int) -> bytes:
+    """``data`` as bytes of exactly ``size``, so libcrypto never reads
+    past it."""
+    data = bytes(data)
+    if len(data) != size:
+        raise ValueError(f"expected {size} bytes, got {len(data)}")
+    return data
+
+
+def _whole(data: bytes, size: int) -> bytes:
+    """``data`` as bytes of whole ``size``-byte blocks."""
+    data = bytes(data)
+    if len(data) % size:
+        raise ValueError(f"expected whole {size}-byte blocks, got "
+                         f"{len(data)} bytes")
+    return data
+
+
+def md5_compress(state: Tuple[int, int, int, int],
+                 data: bytes) -> Tuple[int, ...]:
+    """MD5's compression of each 64-byte block of ``data`` in turn, from
+    ``state``, with no padding: MD5_Init, the four state words set, and
+    one MD5_Update over the whole blocks."""
+    data = _whole(data, 64)
+    ctx = ctypes.create_string_buffer(_MD5_CTX)
+    _lib.MD5_Init(ctx)
+    _MD5_STATE.pack_into(ctx, 0, *state)
+    _lib.MD5_Update(ctx, data, len(data))
+    return _MD5_STATE.unpack_from(ctx, 0)
+
+
+class AesKey:
+    """An AES key's libcrypto encryption and decryption schedules."""
+
+    __slots__ = ("_enc", "_dec")
+
+    def __init__(self, key: bytes):
+        key = bytes(key)
+        if len(key) not in (16, 24, 32):
+            raise ValueError("AES key must be 16, 24 or 32 bytes")
+        self._enc = ctypes.create_string_buffer(_AES_KEY)
+        self._dec = ctypes.create_string_buffer(_AES_KEY)
+        _lib.AES_set_encrypt_key(key, 8 * len(key), self._enc)
+        _lib.AES_set_decrypt_key(key, 8 * len(key), self._dec)
+
+    def ecb(self, block: bytes, encrypt: bool) -> bytes:
+        out = ctypes.create_string_buffer(16)
+        if encrypt:
+            _lib.AES_encrypt(_exact(block, 16), out, self._enc)
+        else:
+            _lib.AES_decrypt(_exact(block, 16), out, self._dec)
+        return out.raw
+
+    def cbc(self, iv: bytes, data: bytes, encrypt: bool) -> bytes:
+        """CBC over every block of ``data``, chained from ``iv``."""
+        data = _whole(data, 16)
+        out = ctypes.create_string_buffer(len(data))
+        _lib.AES_cbc_encrypt(data, out, len(data),
+                             self._enc if encrypt else self._dec,
+                             ctypes.create_string_buffer(_exact(iv, 16), 16),
+                             encrypt)
+        return out.raw
+
+
+class DesKey:
+    """DES under one 8-byte key, or EDE 3DES under three."""
+
+    __slots__ = ("_schedules",)
+
+    def __init__(self, key: bytes):
+        key = bytes(key)
+        if len(key) not in (8, 24):
+            raise ValueError("DES key must be 8 bytes, 3DES key 24")
+        schedules = []
+        for i in range(0, len(key), 8):
+            schedule = ctypes.create_string_buffer(_DES_SCHEDULE)
+            _lib.DES_set_key_unchecked(key[i:i + 8], schedule)
+            schedules.append(schedule)
+        self._schedules = tuple(schedules)
+
+    def ecb(self, block: bytes, encrypt: bool) -> bytes:
+        block = _exact(block, 8)
+        out = ctypes.create_string_buffer(8)
+        if len(self._schedules) == 1:
+            _lib.DES_ecb_encrypt(block, out, *self._schedules, encrypt)
+        else:
+            _lib.DES_ecb3_encrypt(block, out, *self._schedules, encrypt)
+        return out.raw
+
+    def cbc(self, iv: bytes, data: bytes, encrypt: bool) -> bytes:
+        """CBC over every block of ``data``, chained from ``iv``."""
+        data = _whole(data, 8)
+        out = ctypes.create_string_buffer(len(data))
+        ivec = ctypes.create_string_buffer(_exact(iv, 8), 8)
+        if len(self._schedules) == 1:
+            _lib.DES_ncbc_encrypt(data, out, len(data), *self._schedules,
+                                  ivec, encrypt)
+        else:
+            _lib.DES_ede3_cbc_encrypt(data, out, len(data),
+                                      *self._schedules, ivec, encrypt)
+        return out.raw
+
+
+# ---------------------------------------------------------------------------
+# Loading and the self-check
+# ---------------------------------------------------------------------------
+
+_AES_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
+#: FIPS-197 Appendix C.1-C.3: (key, ciphertext of ``_AES_PLAIN``).
+_AES_VECTORS = (
+    ("000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"),
+    ("000102030405060708090a0b0c0d0e0f1011121314151617",
+     "dda97ca4864cdfe06eaf70a0ec0d7191"),
+    ("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+     "8ea2b7ca516745bfeafc49904b496089"),
+)
+#: FIPS 81's DES example and SP 800-67's 3DES example (first block):
+#: (name, key, plaintext, ciphertext, CBC function).
+_DES_VECTORS = (
+    ("FIPS 81 DES", "0123456789abcdef", b"Now is t", "3fa40e8a984d4815",
+     "DES_ncbc_encrypt"),
+    ("SP 800-67 3DES", "0123456789abcdef23456789abcdef01456789abcdef0123",
+     b"The qufc", "a826fd8ce53b855f", "DES_ede3_cbc_encrypt"),
+)
+#: RFC 1321's MD5("abc"): "abc" padded to one 64-byte block.
+_MD5_ABC = b"abc\x80" + bytes(52) + struct.pack("<Q", 24)
+_MD5_IV = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+
+
+def _expect(what: str, got: bytes, expected: bytes) -> None:
+    if got != expected:
+        raise ValueError(f"{what} gave {got.hex()}, expected "
+                         f"{expected.hex()}")
+
+
+def _check_cipher(name: str, key, plain: bytes, cipher: bytes,
+                  cbc: str) -> None:
+    """One block each way, then CBC over ``[P, P ^ C]`` from a zero IV,
+    which chains back to ``[C, C]``, and its decryption."""
+    size = len(plain)
+    _expect(f"{name} encrypt", key.ecb(plain, True), cipher)
+    _expect(f"{name} decrypt", key.ecb(cipher, False), plain)
+    second = (int.from_bytes(plain, "big")
+              ^ int.from_bytes(cipher, "big")).to_bytes(size, "big")
+    iv = bytes(size)
+    _expect(cbc, key.cbc(iv, plain + second, True), cipher + cipher)
+    _expect(f"{cbc} (decrypt)", key.cbc(iv, cipher + cipher, False),
+            plain + second)
+
+
+def _self_check() -> None:
+    """Run every bound function on its published vector; raise
+    ``ValueError`` naming the first wrong answer."""
+    for key_hex, cipher_hex in _AES_VECTORS:
+        _check_cipher(f"FIPS-197 AES-{4 * len(key_hex)}",
+                      AesKey(bytes.fromhex(key_hex)), _AES_PLAIN,
+                      bytes.fromhex(cipher_hex), "AES_cbc_encrypt")
+    for name, key_hex, plain, cipher_hex, cbc in _DES_VECTORS:
+        _check_cipher(name, DesKey(bytes.fromhex(key_hex)), plain,
+                      bytes.fromhex(cipher_hex), cbc)
+    _expect("RFC 1321 MD5('abc') raw compression",
+            struct.pack("<4I", *md5_compress(_MD5_IV, _MD5_ABC)),
+            bytes.fromhex("900150983cd24fb0d6963f7d28e17f72"))
+
+
+def _open() -> ctypes.CDLL:
+    """``_hashlib``'s shared object, every signature declared on it."""
+    import _hashlib
+
+    lib = ctypes.CDLL(_hashlib.__file__)
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
+    return lib
+
+
+_lib: Optional[ctypes.CDLL] = None
+#: Why the binding is off, or None when it loaded and passed every vector.
+reason: Optional[str] = None
+try:
+    _lib = _open()
+    _self_check()
+except (ImportError, OSError, AttributeError, ValueError) as exc:
+    _lib = None
+    reason = f"{type(exc).__name__}: {exc}"
+
+#: True when the fast path computes AES, DES/3DES and the raw MD5 chain
+#: with this binding.
+available: bool = _lib is not None

@@ -12,10 +12,11 @@ is real MD5 compression work over the pool -- but is deliberately
 deterministic and seedable, because experiments must be reproducible.  No
 security claim is attached; do not use outside the simulation.
 
-The MD5 work is performed via the raw compression function and charged
-under the ``rand_pseudo_bytes`` name (module ``libcrypto``) so that the
-crypto-category accounting of Figure 2 classifies it as "other", exactly
-as the paper does.
+The MD5 work is performed via the raw compression function
+(:func:`~repro.crypto.md5.compress`, which the fast path runs in
+libcrypto) and charged under the ``rand_pseudo_bytes`` name (module
+``libcrypto``) so that the crypto-category accounting of Figure 2
+classifies it as "other", exactly as the paper does.
 """
 
 from __future__ import annotations
@@ -51,21 +52,25 @@ class PseudoRandom:
     def _stir(self) -> bytes:
         """Hash the whole pool twice (in and out passes, like md_rand's
         per-extraction state walk); xor the digest back into the head."""
-        state = _IV
         pool = bytes(self._pool)
-        nblocks = _POOL_SIZE // 64
-        for _ in range(2):
-            for i in range(nblocks):
-                state = compress(state, pool[i * 64:(i + 1) * 64])
-        charge(MD5_BLOCK, times=2 * nblocks, function="rand_pseudo_bytes",
-               stall=MD5_STALL)
+        state = compress(_IV, pool + pool)
+        charge(MD5_BLOCK, times=2 * (_POOL_SIZE // 64),
+               function="rand_pseudo_bytes", stall=MD5_STALL)
         digest = struct.pack("<4I", *state)
         for i, b in enumerate(digest):
             self._pool[i] ^= b
         return digest
 
     def bytes(self, n: int) -> bytes:
-        """Produce ``n`` pseudo-random bytes (rand_pseudo_bytes)."""
+        """Produce ``n`` pseudo-random bytes (rand_pseudo_bytes).
+
+        After one stir, each 16 output bytes are one raw MD5 compression
+        from the IV of a 64-byte block: the counter (8 bytes, big-endian),
+        the pool's first 48 bytes, 0x80, six zero bytes and 0xC0.  That
+        last byte is the low half of ``struct.pack("<H", 448)``; the
+        ``[:64]`` slice drops its high half (0x01).  Every key and wire
+        transcript in the reproduction depends on this layout, so it
+        stays as it is."""
         if n < 0:
             raise ValueError("cannot generate a negative number of bytes")
         charge(RAND_CALL, function="rand_pseudo_bytes")

@@ -17,11 +17,13 @@ backends:
 * **fast path** (default): word arrays pack into Python ints and whole
   operands multiply/reduce in one big-int operation; MD5 and SHA-1 hash
   with ``hashlib``, charged from byte counts (a hash context keeps the
-  backend it was built on); DES runs a flattened core, AES charges one
-  plan per block, CBC encrypts an AES input in one loop per record, and
-  CBC decrypts an AES input of 16 blocks or more all at once with a
-  byte-sliced core, both charged as the per-block calls.
-  RC4 and AES key expansion run the same loops on both backends.
+  backend it was built on); AES, DES/3DES and ``PseudoRandom``'s raw
+  MD5 chain compute in the libcrypto ``hashlib`` already loads
+  (:mod:`repro.crypto.native`, or the Python cores where that binding
+  does not load), CBC hands each record to the cipher in one call, and
+  every block is charged one plan, as the per-block calls would be.
+  RC4 and the AES and DES key schedules run the same loops on both
+  backends.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original
   word-by-word reference loops execute, mirroring the profiled OpenSSL
@@ -43,7 +45,7 @@ _fastpath: bool = os.environ.get("REPRO_FASTPATH", "1").lower() not in _FALSEY
 
 
 def fastpath_enabled() -> bool:
-    """True when the native-int/flattened host backend is selected."""
+    """True when the fast host backend is selected."""
     return _fastpath
 
 

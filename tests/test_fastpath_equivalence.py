@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,14 +28,15 @@ from repro.perf import baseline
 from repro.bignum.bn import BigNum
 from repro.bignum.modexp import mod_exp
 from repro.bignum.montgomery import REDUCTION_STYLES, MontgomeryContext
-from repro.crypto import rsa
+from repro.crypto import native, rsa
 from repro.crypto.aes import AES
 from repro.crypto.des import DES, SEMI_WEAK_KEYS, WEAK_KEYS, TripleDES
 from repro.crypto.mac import Ssl3MacContext, TlsMacContext, ssl3_mac, tls_mac
 from repro.crypto.md5 import MD5
-from repro.crypto.modes import BATCH_MIN_BLOCKS, CBC
+from repro.crypto.modes import CBC
 from repro.crypto.rc4 import RC4
 from repro.crypto.sha1 import SHA1
+from repro.crypto.util import cbc_unchain
 from repro.ssl.loopback import make_server_identity, run_session
 
 
@@ -228,96 +230,131 @@ def test_des_edge_keys_equivalence(key):
         assert_des_roundtrip_equivalent((key, key, key), block)
 
 
-#: AES inputs around the batched-decryption threshold, in blocks.
-AES_BATCH_EDGES = (BATCH_MIN_BLOCKS - 1, BATCH_MIN_BLOCKS,
-                   BATCH_MIN_BLOCKS + 1, 1025)
+#: Every cipher CBC runs, as (class, key length).
+CBC_CIPHERS = [(AES, 16), (AES, 24), (AES, 32), (DES, 8), (TripleDES, 24)]
+#: The buffer types CBC accepts; ``ctypes``' ``c_char_p`` takes only bytes.
+BUFFERS = (bytes, bytearray, memoryview)
+#: A cipher class with a random key and IV.
+CBC_CASES = st.sampled_from(CBC_CIPHERS).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.binary(min_size=case[1], max_size=case[1]),
+        st.binary(min_size=case[0].block_size,
+                  max_size=case[0].block_size)))
+
+
+def binding_settings():
+    """``native.available`` as loaded, then forced off: each check runs
+    on libcrypto where the binding loads, and on the Python cores."""
+    return (True, False) if native.available else (False,)
+
+
+def binding(on: bool):
+    return mock.patch.object(native, "available", on)
 
 
 def test_cbc_mode_equivalence():
+    """Fast CBC -- ``encrypt_cbc``/``decrypt_cbc``, with the binding and
+    with it forced off -- equals the faithful per-block loop in output,
+    ``.iv`` and the full charge stream, for every cipher and buffer
+    type, and always returns ``bytes``."""
     rng = random.Random(0xCBC)
-    cases = [(AES, 16), (AES, 24), (AES, 32), (DES, 8), (TripleDES, 24)]
-    for cls, key_len in cases:
-        key = bytes(rng.randrange(256) for _ in range(key_len))
-        iv = bytes(rng.randrange(256) for _ in range(cls.block_size))
-        sizes = [cls.block_size * 11, 16 * 1024]
-        if cls is AES:
-            sizes += [16 * n for n in AES_BATCH_EDGES]
-        for size in sizes:
-            data = rng.randbytes(size)
+    for cls, key_len in CBC_CIPHERS:
+        key = rng.randbytes(key_len)
+        for nblocks in (0, 1, 2, 17, 300):
+            iv = rng.randbytes(cls.block_size)
+            data = rng.randbytes(cls.block_size * nblocks)
+            for wrap in BUFFERS:
 
-            def workload():
-                ct = CBC(cls(key), iv).encrypt(data)
-                pt = CBC(cls(key), iv).decrypt(ct)
-                return ct, pt
+                def workload():
+                    sender = CBC(cls(key), iv)
+                    ct = sender.encrypt(wrap(data))
+                    receiver = CBC(cls(key), iv)
+                    return (ct, sender.iv, receiver.decrypt(wrap(ct)),
+                            receiver.iv)
 
-            ct, pt = assert_equivalent(workload)
-            assert pt == data
+                for on in binding_settings():
+                    with binding(on):
+                        result = assert_equivalent(workload)
+                    assert all(type(part) is bytes for part in result)
+                    ct, sender_iv, pt, receiver_iv = result
+                    assert pt == data
+                    assert sender_iv == receiver_iv == (
+                        ct[-cls.block_size:] if ct else iv)
 
 
-def test_cbc_iv_chains_across_batch_threshold():
-    """One CBC object decrypting inputs that cross the batching threshold
-    in both directions keeps SSLv3's record-to-record IV chain."""
+def test_cbc_decrypt_chains_iv_across_records():
+    """One CBC object decrypting records of mixed sizes in turn keeps
+    SSLv3's record-to-record IV chain, for every cipher, with the binding
+    and without it."""
     rng = random.Random(0x1CB)
-    key, iv = rng.randbytes(16), rng.randbytes(16)
-    sizes = [3, BATCH_MIN_BLOCKS, 1, BATCH_MIN_BLOCKS + 7,
-             BATCH_MIN_BLOCKS - 1, 64, 0, 2, 300]
-    records = [rng.randbytes(16 * n) for n in sizes]
-    sender = CBC(AES(key), iv)
-    sealed = [sender.encrypt(record) for record in records]
+    sizes = [3, 16, 1, 23, 15, 64, 0, 2, 300]
+    for cls, key_len in CBC_CIPHERS:
+        key, iv = rng.randbytes(key_len), rng.randbytes(cls.block_size)
+        records = [rng.randbytes(cls.block_size * n) for n in sizes]
+        sender = CBC(cls(key), iv)
+        sealed = [sender.encrypt(record) for record in records]
 
-    def workload():
-        receiver = CBC(AES(key), iv)
-        return [(receiver.decrypt(ct), receiver.iv) for ct in sealed]
+        def workload():
+            receiver = CBC(cls(key), iv)
+            return [(receiver.decrypt(ct), receiver.iv) for ct in sealed]
 
-    chain = iv
-    for (plain, got_iv), record, ct in zip(assert_equivalent(workload),
-                                           records, sealed):
-        chain = ct[-16:] if ct else chain
-        assert plain == record
-        assert got_iv == chain
-
-
-AES_KEYS = st.sampled_from([16, 24, 32]).flatmap(
-    lambda n: st.binary(min_size=n, max_size=n))
+        for on in binding_settings():
+            with binding(on):
+                opened = assert_equivalent(workload)
+            chain = iv
+            for (plain, got_iv), record, ct in zip(opened, records, sealed):
+                chain = ct[-cls.block_size:] if ct else chain
+                assert plain == record
+                assert got_iv == chain
 
 
-@given(key=AES_KEYS, nblocks=st.integers(1, 300), seed=st.integers(0, 2**32))
+@given(case=CBC_CASES, nblocks=st.integers(1, 300),
+       seed=st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
-def test_decrypt_blocks_matches_per_block(key, nblocks, seed):
-    """The byte-sliced core equals one ``decrypt_block`` per block, in
-    output and in the full charge stream, on either backend."""
-    data = random.Random(seed).randbytes(16 * nblocks)
+def test_decrypt_cbc_matches_per_block(case, nblocks, seed):
+    """``decrypt_cbc`` equals one ``decrypt_block`` per block, unchained
+    by hand, in output and in the full charge stream, on either backend,
+    with the binding and without it."""
+    cls, key, iv = case
+    data = random.Random(seed).randbytes(cls.block_size * nblocks)
+    bs = cls.block_size
 
     def per_block():
-        cipher = AES(key)
-        return b"".join(cipher.decrypt_block(data[i:i + 16])
-                        for i in range(0, len(data), 16))
+        cipher = cls(key)
+        return cbc_unchain(iv, data, b"".join(
+            cipher.decrypt_block(data[i:i + bs])
+            for i in range(0, len(data), bs)))
 
     (ref, ref_snap), (faithful, faithful_snap) = run_both(per_block)
     for fast in (True, False):
-        with runtime.fastpath(fast):
-            profiler = perf.Profiler()
-            with perf.activate(profiler):
-                got = AES(key).decrypt_blocks(data)
-        assert got == ref == faithful
-        assert snapshot(profiler) == ref_snap == faithful_snap
+        for on in binding_settings():
+            with runtime.fastpath(fast), binding(on):
+                profiler = perf.Profiler()
+                with perf.activate(profiler):
+                    got = cls(key).decrypt_cbc(iv, data)
+            assert got == ref == faithful
+            assert snapshot(profiler) == ref_snap == faithful_snap
 
 
-@given(key=AES_KEYS, nblocks=st.integers(0, 300),
-       iv=st.binary(min_size=16, max_size=16), seed=st.integers(0, 2**32))
+@given(case=CBC_CASES, nblocks=st.integers(0, 300),
+       wrap=st.sampled_from(BUFFERS), seed=st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
-def test_cbc_encrypt_record_loop_matches_per_block(key, nblocks, iv, seed):
-    """The fast path's one loop per record (``AES.encrypt_cbc``) equals
+def test_cbc_encrypt_record_loop_matches_per_block(case, nblocks, wrap, seed):
+    """Fast CBC encryption (``encrypt_cbc``, one call per record) equals
     the faithful per-block loop in output, chaining value and the full
-    charge stream."""
-    data = random.Random(seed).randbytes(16 * nblocks)
+    charge stream, with the binding and without it."""
+    cls, key, iv = case
+    data = random.Random(seed).randbytes(cls.block_size * nblocks)
 
     def workload():
-        cbc = CBC(AES(key), iv)
-        return cbc.encrypt(data), cbc.iv
+        cbc = CBC(cls(key), iv)
+        return cbc.encrypt(wrap(data)), cbc.iv
 
-    ct, got_iv = assert_equivalent(workload)
-    assert got_iv == (ct[-16:] if ct else iv)
+    for on in binding_settings():
+        with binding(on):
+            ct, got_iv = assert_equivalent(workload)
+        assert got_iv == (ct[-cls.block_size:] if ct else iv)
 
 
 def test_cbc_encrypt_chains_iv_across_records():
@@ -332,48 +369,66 @@ def test_cbc_encrypt_chains_iv_across_records():
         sender = CBC(AES(key), iv)
         return [(sender.encrypt(record), sender.iv) for record in records]
 
-    cipher = AES(key)
     chain = iv
     for (ct, got_iv), record in zip(assert_equivalent(workload), records):
-        size = len(ct)
-        plain = (int.from_bytes(cipher.decrypt_blocks(ct), "big")
-                 ^ int.from_bytes((chain + ct)[:size], "big"))
-        assert plain.to_bytes(size, "big") == record
+        with runtime.fastpath(False):
+            assert CBC(AES(key), chain).decrypt(ct) == record
         chain = ct[-16:] if ct else chain
         assert got_iv == chain
 
 
 def test_cbc_encrypt_takes_the_record_loop(monkeypatch):
-    """On the fast path an AES ``CBC.encrypt`` runs ``encrypt_cbc`` and
-    makes no ``encrypt_block`` call; the faithful path makes one per
-    block.  A silent fallback to the per-block loop keeps every
-    signature, so only this catches it."""
+    """On the fast path ``CBC.encrypt``/``decrypt`` run ``encrypt_cbc``/
+    ``decrypt_cbc`` and make no block call, for every cipher; the
+    faithful path makes one per block.  A silent fallback to the
+    per-block loop keeps every signature, so only this catches it."""
     calls = []
-    encrypt_block = AES.encrypt_block
 
-    def counted(self, block):
-        calls.append(block)
-        return encrypt_block(self, block)
+    def counted(method):
+        def call(self, block):
+            calls.append(block)
+            return method(self, block)
+        return call
 
-    monkeypatch.setattr(AES, "encrypt_block", counted)
-    for fast, expected in ((True, 0), (False, 7)):
-        calls.clear()
-        with runtime.fastpath(fast):
-            CBC(AES(bytes(16)), bytes(16)).encrypt(bytes(16 * 7))
-        assert len(calls) == expected
+    for cls in (AES, DES, TripleDES):
+        for name in ("encrypt_block", "decrypt_block"):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    for cls, key_len in CBC_CIPHERS:
+        data = bytes(cls.block_size * 7)
+        for fast, expected in ((True, 0), (False, 14)):
+            calls.clear()
+            with runtime.fastpath(fast):
+                ct = CBC(cls(bytes(key_len)), bytes(cls.block_size)).encrypt(
+                    data)
+                CBC(cls(bytes(key_len)), bytes(cls.block_size)).decrypt(ct)
+            assert len(calls) == expected
 
 
-@given(key=AES_KEYS, blocks=st.lists(st.binary(min_size=16, max_size=16),
-                                     min_size=1, max_size=40))
+@given(key=st.sampled_from([16, 24, 32]).flatmap(
+           lambda n: st.binary(min_size=n, max_size=n)),
+       iv=st.binary(min_size=16, max_size=16),
+       blocks=st.lists(st.binary(min_size=16, max_size=16),
+                       min_size=1, max_size=40))
 @settings(max_examples=30, deadline=None)
-def test_encrypt_block_inverted_by_decrypt_blocks(key, blocks):
-    """``encrypt_block`` (the T-table core both backends run) is undone by
-    the byte-sliced core, an independent algorithm."""
-    for fast in (True, False):
-        with runtime.fastpath(fast):
+def test_encrypt_block_inverted_by_decrypt_cbc(key, iv, blocks):
+    """CBC chained by hand through ``encrypt_block`` is undone by
+    ``decrypt_cbc``: the T-table cores against libcrypto's, each way,
+    and each against itself."""
+    cores = [(fast, on) for fast in (True, False)
+             for on in binding_settings()]
+    for enc_fast, enc_on in cores:
+        with runtime.fastpath(enc_fast), binding(enc_on):
             cipher = AES(key)
-            ct = b"".join(cipher.encrypt_block(b) for b in blocks)
-            assert cipher.decrypt_blocks(ct) == b"".join(blocks)
+            chain, ct = iv, []
+            for block in blocks:
+                chain = cipher.encrypt_block(
+                    (int.from_bytes(block, "big")
+                     ^ int.from_bytes(chain, "big")).to_bytes(16, "big"))
+                ct.append(chain)
+        for dec_fast, dec_on in cores:
+            with runtime.fastpath(dec_fast), binding(dec_on):
+                assert (AES(key).decrypt_cbc(iv, b"".join(ct))
+                        == b"".join(blocks))
 
 
 def test_rc4_equivalence():

@@ -1,9 +1,13 @@
 """PRNG determinism, PKCS#1 formatting, prime generation."""
 
+import hashlib
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import pkcs1
+from repro import runtime
+from repro.crypto import native, pkcs1
 from repro.crypto.pkcs1 import Pkcs1Error
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rand import PseudoRandom
@@ -58,6 +62,30 @@ class TestPseudoRandom:
         PseudoRandom(b"s").bytes(32)
         stats = isolated_profiler.functions.get("rand_pseudo_bytes")
         assert stats is not None and stats.cycles > 0
+
+    #: SHA-256 of :meth:`transcript`, recorded on the pure-Python
+    #: generator.  Every key and wire transcript depends on these bytes.
+    PINNED = "ba7e3b27e7f90978d6874507659a5f129354a2cab5a27f10545d9b34846d26b0"
+
+    @staticmethod
+    def transcript() -> str:
+        h = hashlib.sha256()
+        for seed in (b"repro-ssl-anatomy", b"rand-pin"):
+            rng = PseudoRandom(seed)
+            for n in (0, 1, 15, 16, 17, 28, 46, 128, 1000):
+                h.update(rng.bytes(n))
+            h.update(rng.int_below(10 ** 30).to_bytes(13, "big"))
+            h.update(rng.odd_int(512).to_bytes(64, "big"))
+        return h.hexdigest()
+
+    def test_pinned_transcript(self, isolated_profiler):
+        """The same bytes with the libcrypto binding, with it forced off,
+        and on the faithful path."""
+        for fast, on in ((True, native.available), (True, False),
+                         (False, False)):
+            with runtime.fastpath(fast), \
+                    mock.patch.object(native, "available", on):
+                assert self.transcript() == self.PINNED
 
 
 class TestPkcs1Encryption:

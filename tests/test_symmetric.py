@@ -189,7 +189,7 @@ class TestAes:
                 assert ct.hex() == expected
                 assert a.encrypt_cbc(bytes(16), self.PT) == ct
                 assert a.decrypt_block(ct) == self.PT
-                assert a.decrypt_blocks(ct * 3) == self.PT * 3
+                assert a.decrypt_cbc(bytes(16), ct) == self.PT
 
     def test_fips197_appendix_b(self):
         pt = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
@@ -199,7 +199,7 @@ class TestAes:
                 a = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
                 assert a.encrypt_block(pt) == ct
                 assert a.encrypt_cbc(bytes(16), pt) == ct
-                assert a.decrypt_blocks(ct) == pt
+                assert a.decrypt_cbc(bytes(16), ct) == pt
 
     def test_round_counts(self):
         assert AES(bytes(16)).rounds == 10
@@ -221,7 +221,9 @@ class TestAes:
         with pytest.raises(ValueError):
             AES(bytes(16)).encrypt_block(bytes(8))
         with pytest.raises(ValueError):
-            AES(bytes(16)).decrypt_blocks(bytes(24))
+            AES(bytes(16)).decrypt_cbc(bytes(16), bytes(24))
+        with pytest.raises(ValueError):
+            AES(bytes(16)).decrypt_cbc(bytes(8), bytes(16))
         with pytest.raises(ValueError):
             AES(bytes(16)).encrypt_cbc(bytes(16), bytes(24))
         with pytest.raises(ValueError):
@@ -268,7 +270,7 @@ class TestAesAvsKat:
                 assert a.encrypt_block(bytes.fromhex(pt)).hex() == ct
                 assert a.encrypt_cbc(bytes(16), bytes.fromhex(pt)).hex() == ct
                 assert a.decrypt_block(bytes.fromhex(ct)).hex() == pt
-                assert a.decrypt_blocks(bytes.fromhex(ct)).hex() == pt
+                assert a.decrypt_cbc(bytes(16), bytes.fromhex(ct)).hex() == pt
 
     def test_chained_encryption_reversible(self):
         """Monte-Carlo-style chaining: 1000 chained encryptions walk back
@@ -283,9 +285,12 @@ class TestAesAvsKat:
             seen.add(block)
             block = a.encrypt_block(block)
             trajectory.append(block)
-        # The byte-sliced core undoes every step at once.
-        assert a.decrypt_blocks(b"".join(trajectory[1:])) == \
-            b"".join(trajectory[:-1])
+        # The trajectory is the CBC encryption of zeros from a zero IV,
+        # so one CBC call each way covers every step.
+        assert a.encrypt_cbc(bytes(16), bytes(16000)) == \
+            b"".join(trajectory[1:])
+        assert a.decrypt_cbc(bytes(16), b"".join(trajectory[1:])) == \
+            bytes(16000)
         for _ in range(1000):
             block = a.decrypt_block(block)
         assert block == bytes(16)
