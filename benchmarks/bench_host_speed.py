@@ -19,24 +19,31 @@ Writes ``BENCH_host_speed.json`` at the repository root:
 * ``bulk_*``: application-payload throughput (MB/s) for an echo of a 64 KiB
   payload through the established session, per cipher suite (DES-CBC3-SHA,
   AES128-SHA, RC4-MD5);
+* ``rsa1024_decrypt_crt`` and ``rsa1024_decrypt_noncrt``: one charged
+  PKCS #1 private decryption with the same 1024-bit key, whose modular
+  exponentiations run their Montgomery products in libcrypto on the fast
+  path;
 * every entry carries the fast/faithful ``speedup`` ratio;
-* ``commit`` (``git describe --always --dirty``, so a run from an
-  uncommitted tree says so) and ``cpus`` sit beside ``python`` and
-  ``machine``, the facts perfbench's provenance line records.
+* ``command``, ``commit`` (``git describe --always --dirty``, so a run
+  from an uncommitted tree says so) and ``cpus`` sit beside ``python``
+  and ``machine``, the facts perfbench's provenance line records.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pathlib
 import platform
 import subprocess
+import sys
 import time
 from typing import Optional
 
-from repro import runtime
+from repro import perf, runtime
 from repro.crypto import rsa
+from repro.crypto.rand import PseudoRandom
 from repro.perf.baseline import write_json
 from repro.ssl.ciphersuites import AES128_SHA, DES_CBC3_SHA, RC4_MD5
 from repro.ssl.loopback import make_server_identity, run_session
@@ -82,12 +89,38 @@ def _both_backends(data: bytes, suite, key, cert, fast_reps: int,
             "speedup": faithful / fast}
 
 
+def _time_decrypt(key, ciphertext: bytes, reps: int) -> float:
+    """Best-of-``reps`` wall-clock seconds for one charged decryption."""
+    best = float("inf")
+    with perf.activate(perf.Profiler()):
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            key.decrypt(ciphertext)
+            best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _decrypt_both_backends(key, use_crt: bool) -> dict:
+    key.use_crt = use_crt
+    ciphertext = key.public().encrypt(b"premaster secret",
+                                      PseudoRandom(b"bench-host"))
+    times = {}
+    for label, fast, reps in (("fast_s", True, 5), ("faithful_s", False, 2)):
+        with runtime.fastpath(fast):
+            key.decrypt(ciphertext)  # build the contexts outside the timing
+            times[label] = _time_decrypt(key, ciphertext, reps)
+    return {"crt": use_crt, **times,
+            "speedup": times["faithful_s"] / times["fast_s"]}
+
+
 def main() -> dict:
     # The 1024-bit identity is deterministic and expensive; build it once,
     # outside every timed region.
     key, cert = make_server_identity()
 
     results: dict = {
+        "command": [pathlib.Path(sys.executable).name,
+                    "benchmarks/bench_host_speed.py"] + sys.argv[1:],
         "python": platform.python_version(),
         "machine": platform.machine(),
         "commit": _git_commit(),
@@ -123,6 +156,13 @@ def main() -> dict:
             "speedup": faithful_bulk / fast_bulk,
         }
 
+    # The RSA private decryption alone, on a copy of the key so the
+    # sessions above keep their blinding sequence.
+    rsa_key = copy.deepcopy(key)
+    for use_crt, label in ((True, "rsa1024_decrypt_crt"),
+                           (False, "rsa1024_decrypt_noncrt")):
+        results[label] = _decrypt_both_backends(rsa_key, use_crt)
+
     # Canonical writer (sorted keys, stable float text, trailing newline):
     # regenerating the artifact yields a clean diff against the committed
     # copy even though the wall-clock *values* vary run to run.
@@ -138,3 +178,7 @@ if __name__ == "__main__":
           f"{res['handshake']['faithful_s'] * 1e3:.1f} ms -> "
           f"{res['handshake']['fast_s'] * 1e3:.1f} ms "
           f"({hs_speedup:.2f}x)")
+    for label in ("rsa1024_decrypt_crt", "rsa1024_decrypt_noncrt"):
+        row = res[label]
+        print(f"{label}: {row['faithful_s'] * 1e3:.1f} ms -> "
+              f"{row['fast_s'] * 1e3:.2f} ms ({row['speedup']:.1f}x)")

@@ -4,6 +4,13 @@ This is "step 4: RSA computation" of Table 7 -- 97-99% of an RSA private
 operation.  The implementation mirrors OpenSSL's: a window size chosen from
 the exponent length, a table of odd powers in Montgomery form, and a
 square-and-multiply scan of the exponent.
+
+The fast path runs the same scan over registers from
+:meth:`MontgomeryContext.registers`: BIGNUMs with one libcrypto
+``BN_mod_mul_montgomery`` per product where the binding is on, Python
+ints otherwise.  Each product is charged the plan of its operands' word
+counts, read from the bit length of the product before it, so every
+product must still be made one at a time where it is charged.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from typing import List
 from ..perf import ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
 from .bn import BigNum
-from .kernels import words_from_int
-from .montgomery import MontgomeryContext
+from .kernels import WORD_BITS, words_from_int
+from .montgomery import MontgomeryContext, _mul_row, _redc_plan, _sqr_row
 
 #: Per-exponent-bit scan overhead in BN_mod_exp_mont (bit extraction, window
 #: assembly, branches) -- small next to the Montgomery multiplications.
@@ -56,7 +63,7 @@ def mod_exp(base: BigNum, exponent: BigNum, modulus: BigNum,
     charge(EXP_BIT_SCAN, times=bits, function="BN_mod_exp_mont")
 
     if mont.reduction == "interleaved" and fastpath_enabled():
-        return _mod_exp_int(base, exponent, mont, bits, wsize)
+        return _mod_exp_fast(base, exponent, mont, bits, wsize)
 
     # Precompute odd powers: table[i] = base^(2i+1) in Montgomery form.
     table = [mont.to_mont(base)]
@@ -93,53 +100,69 @@ def mod_exp(base: BigNum, exponent: BigNum, modulus: BigNum,
     return mont.from_mont(acc)
 
 
-def _mod_exp_int(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
-                 bits: int, wsize: int) -> BigNum:
-    """Fast-path exponentiation loop holding intermediates as native ints.
+def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
+                  bits: int, wsize: int) -> BigNum:
+    """Fast-path exponentiation: the window scan above over registers.
 
-    Mirrors the window scan above; the only change is representation.  The
-    exponent is read as one int, so a window's value is one shift and
-    mask.  ``to_mont``/``one`` still run through the BigNum entry points
-    (once each).  The Montgomery operations of the table build and of the
-    exponent scan collect their charge plans, which are
-    bit-identical to the word-array path's charges, and each phase
-    charges its plans in one call, in the order the faithful loop would
-    have charged them, so the modeled cost of an exponentiation is
-    unchanged.
+    Registers ``0 .. size - 1`` hold the odd powers, then come the
+    accumulator, the base's square and 1.  The exponent is read as one
+    int, so a window's value is one shift and mask.  ``to_mont``/``one``
+    still run through the BigNum entry points (once each).  Each product
+    appends the plan of its operands' word counts, taken from their bit
+    lengths, and each phase charges its plans in one call, in the order
+    the faithful loop would have charged them, so the modeled cost of an
+    exponentiation is unchanged.
     """
-    table = [mont.to_mont(base).to_int()]
+    n = mont.nwords
+    size = 1 << (wsize - 1)
+    acc, base_sq, one = size, size + 1, size + 2
+    sqr = _sqr_row(n)
+    regs = mont.registers(size + 3)
+    first = mont.to_mont(base).to_int()
+    regs.set(0, first)
+    tbits = [first.bit_length()]
     plans: List[ChargePlan] = []
     if wsize > 1:
-        base_sq = mont._sqr(table[0], plans)
-        for _ in range(1, 1 << (wsize - 1)):
-            table.append(mont._mul(table[-1], base_sq, plans))
+        plans.append(sqr[tbits[0]])
+        row = _mul_row(-(-regs.product(base_sq, 0, 0) // WORD_BITS), n)
+        for i in range(1, size):
+            plans.append(row[tbits[-1]])
+            tbits.append(regs.product(i, i - 1, base_sq))
         charge_plans(plans)  # before one()'s charges
         plans.clear()
+    mont.one()  # charged only: the scan starts from its first window
+    rows = [_mul_row(-(-b // WORD_BITS), n) for b in tbits]
 
-    acc = mont.one().to_int()
     e = exponent.to_int()
-    started = False  # skip leading squarings of 1
+    abits = 0
+    started = False  # the top bit is set: its window starts the scan
     i = bits - 1
     while i >= 0:
         if not (e >> i) & 1:
-            if started:
-                acc = mont._sqr(acc, plans)
+            plans.append(sqr[abits])
+            abits = regs.product(acc, acc, acc)
             i -= 1
             continue
         # Take the longest window [j..i] that starts and ends with a set bit.
         j = max(i - wsize + 1, 0)
         while not (e >> j) & 1:
             j += 1
-        value = (e >> j) & ((1 << (i - j + 1)) - 1)
+        k = ((e >> j) & ((1 << (i - j + 1)) - 1)) >> 1
         if started:
             for _ in range(i - j + 1):
-                acc = mont._sqr(acc, plans)
-            acc = mont._mul(acc, table[(value - 1) >> 1], plans)
+                plans.append(sqr[abits])
+                abits = regs.product(acc, acc, acc)
+            plans.append(rows[k][abits])
+            abits = regs.product(acc, acc, k)
         else:
-            acc = table[(value - 1) >> 1]
+            regs.copy(acc, k)  # squaring in place must not touch table[k]
+            abits = tbits[k]
             started = True
         i = j - 1
 
-    result = mont._redc(acc, plans)
+    plans.append(_redc_plan(n))
+    regs.set(one, 1)
+    regs.product(acc, acc, one)
+    result = regs.get(acc)
     charge_plans(plans)
-    return BigNum(words_from_int(result, mont.nwords))
+    return BigNum(words_from_int(result, n))

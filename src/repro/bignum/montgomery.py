@@ -21,12 +21,20 @@ kernels of :mod:`repro.bignum.kernels`:
   product.  Selecting this mode reproduces the paper's *absolute* RSA cycle
   counts (Table 7's 6.04M for 1024-bit); the interleaved mode is ~2/3 of
   that.  The ablation benchmark compares both.
+
+On the fast path the interleaved products compute on whole Python ints,
+or, for a modular exponentiation's table and scan, in libcrypto: each
+context builds a ``BN_MONT_CTX`` kernel (:mod:`repro.crypto.native`) the
+first time :meth:`MontgomeryContext.kernel` is asked for, and keeps it
+when one product shows that libcrypto's radix is this model's R.
+Every product is charged the plan of its operands' word counts, whichever
+host computes it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List
+from typing import List, Tuple
 
 from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
 from ..runtime import fastpath_enabled
@@ -97,6 +105,21 @@ def _mul_plan(na: int, nb: int, n: int) -> ChargePlan:
 
 
 @functools.cache
+def _sqr_row(n: int) -> Tuple[ChargePlan, ...]:
+    """``_sqr_plan`` of an operand of each bit length up to ``32 * n``."""
+    return tuple(_sqr_plan(-(-bits // WORD_BITS), n)
+                 for bits in range(n * WORD_BITS + 1))
+
+
+@functools.cache
+def _mul_row(nb: int, n: int) -> Tuple[ChargePlan, ...]:
+    """``_mul_plan`` of an operand of each bit length up to ``32 * n``
+    by an ``nb``-word one."""
+    return tuple(_mul_plan(-(-bits // WORD_BITS), nb, n)
+                 for bits in range(n * WORD_BITS + 1))
+
+
+@functools.cache
 def _sqr_plan(na: int, n: int) -> ChargePlan:
     """``BigNum.sqr`` of an ``na``-word operand, then REDC."""
     steps = []
@@ -112,8 +135,39 @@ def _sqr_plan(na: int, n: int) -> ChargePlan:
     return ChargePlan(steps + _redc_steps(n))
 
 
+class _IntRegisters:
+    """Fast-path registers holding Python ints: a product is one whole
+    multiplication and :meth:`MontgomeryContext._reduce_int`."""
+
+    __slots__ = ("_r", "_reduce")
+
+    def __init__(self, reduce, count: int):
+        self._r = [0] * count
+        self._reduce = reduce
+
+    def set(self, i: int, value: int) -> None:
+        self._r[i] = value
+
+    def get(self, i: int) -> int:
+        return self._r[i]
+
+    def copy(self, dst: int, src: int) -> None:
+        self._r[dst] = self._r[src]
+
+    def product(self, dst: int, a: int, b: int) -> int:
+        """``r[dst] = r[a] * r[b] / R mod n``; its bit length."""
+        r = self._r
+        value = r[dst] = self._reduce(r[a] * r[b])
+        return value.bit_length()
+
+
 class MontgomeryContext:
     """Precomputed state for repeated multiplication modulo one odd modulus."""
+
+    #: The libcrypto kernel: None until :meth:`kernel` first runs, then
+    #: the kernel, or False where none can be built or its radix is not
+    #: this model's R.
+    _kernel = None
 
     def __init__(self, modulus: BigNum, reduction: str = "interleaved"):
         if modulus.is_zero() or not modulus.is_odd():
@@ -136,6 +190,13 @@ class MontgomeryContext:
         r2 = BigNum.from_int(1 << (2 * self.nwords * WORD_BITS))
         self.rr = r2.mod(modulus)
         self._ni: BigNum | None = None  # -n^{-1} mod R, for "separate" mode
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles leave the kernel behind (it owns libcrypto
+        memory); a copy builds its own on first use."""
+        state = dict(self.__dict__)
+        state.pop("_kernel", None)
+        return state
 
     def _full_inverse(self) -> BigNum:
         """``-n^{-1} mod R`` (0.9.7's BN_MONT_CTX Ni), computed lazily."""
@@ -215,16 +276,14 @@ class MontgomeryContext:
             return BigNum(diff)
         return BigNum(rp[:n])
 
-    # -- native-int fast path ---------------------------------------------------
-    # These operate on Python ints end to end: the double-width product never
-    # becomes a word array, skipping the pack/unpack round trips that
-    # ``BigNum.mul``/``BigNum.sqr`` + ``_reduce`` would perform.  Each
-    # operation appends to ``plans`` the plan of its operand word counts,
-    # which holds the exact sequence (mixes, times, order) the faithful
-    # word-array path emits, so modeled cycles and instruction mixes are
-    # bit-identical between backends.  The caller charges the plans:
-    # ``_mont_int`` after each operation, ``mod_exp`` once for its table
-    # build and once for its exponent scan.
+    # -- fast path ----------------------------------------------------------------
+    # Whole-operand products on Python ints, or in libcrypto.  Each one is
+    # charged the plan of its operand word counts, which holds the exact
+    # sequence (mixes, times, order) the faithful word-array path emits,
+    # so modeled cycles and instruction mixes are bit-identical between
+    # backends.  ``_mont_int`` charges each single product;
+    # ``mod_exp`` collects the plans of its table build and of its
+    # exponent scan and charges each group in one call.
 
     def _reduce_int(self, t: int) -> int:
         """Uncharged whole-operand REDC: m = (t mod R) * (-n^{-1} mod R)
@@ -237,34 +296,55 @@ class MontgomeryContext:
             r_val -= self._n_int
         return r_val
 
-    def _redc(self, t: int, plans: List[ChargePlan]) -> int:
-        """``t / R mod n``; charges match ``_reduce_interleaved``."""
-        plans.append(_redc_plan(self.nwords))
-        return self._reduce_int(t)
-
-    def _mul(self, a_int: int, b_int: int, plans: List[ChargePlan]) -> int:
-        """``a * b / R mod n``; charges match ``BigNum.mul`` + REDC."""
-        na = (a_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        nb = (b_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        plans.append(_mul_plan(na, nb, self.nwords))
-        return self._reduce_int(a_int * b_int)
-
-    def _sqr(self, a_int: int, plans: List[ChargePlan]) -> int:
-        """``a * a / R mod n``; charges match ``BigNum.sqr`` + REDC."""
-        na = (a_int.bit_length() + WORD_BITS - 1) // WORD_BITS
-        plans.append(_sqr_plan(na, self.nwords))
-        return self._reduce_int(a_int * a_int)
-
     def _mont_int(self, a: BigNum, b: BigNum | None) -> BigNum:
-        """BigNum facade over the int fast path (one pack/unpack at the rim)."""
-        plans: List[ChargePlan] = []
+        """BigNum facade over the int fast path (one pack/unpack at the
+        rim); charges match ``BigNum.mul``/``BigNum.sqr`` + REDC."""
+        a_int = K.int_from_words(a.d)
+        na = -(-a_int.bit_length() // WORD_BITS)
         if b is None:
-            r_val = self._sqr(K.int_from_words(a.d), plans)
+            plan = _sqr_plan(na, self.nwords)
+            t = a_int * a_int
         else:
-            r_val = self._mul(K.int_from_words(a.d), K.int_from_words(b.d),
-                              plans)
-        charge_plans(plans)
-        return BigNum(K.words_from_int(r_val, self.nwords))
+            b_int = K.int_from_words(b.d)
+            plan = _mul_plan(na, -(-b_int.bit_length() // WORD_BITS),
+                             self.nwords)
+            t = a_int * b_int
+        charge_plans((plan,))
+        return BigNum(K.words_from_int(self._reduce_int(t), self.nwords))
+
+    def kernel(self):
+        """This modulus's libcrypto kernel (:class:`repro.crypto.native.
+        MontKernel`), built on first ask, or None where the binding is
+        off or libcrypto's radix is not R."""
+        from ..crypto import native  # repro.crypto imports this package
+
+        if not native.available:
+            return None
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = self._build_kernel(native)
+        return kernel or None
+
+    def registers(self, count: int):
+        """``count`` uncharged fast-path registers for values below n:
+        BIGNUMs under :meth:`kernel`, or Python ints where there is
+        none.  Each has ``set``, ``get``, ``copy`` and ``product``."""
+        kernel = self.kernel()
+        if kernel is None:
+            return _IntRegisters(self._reduce_int, count)
+        return kernel.registers(count)
+
+    def _build_kernel(self, native):
+        """A libcrypto kernel for n, or False.  Its products divide by
+        libcrypto's radix, 2^(BN_BITS2 x words of n); they equal this
+        model's exactly when that radix's inverse mod n is R's, which
+        the product 1 * 1 shows (with 64-bit words: an even ``nwords``)."""
+        try:
+            kernel = native.MontKernel(self._n_int)
+        except ValueError:
+            return False
+        return kernel if kernel.radix_inverse() == self._reduce_int(1) \
+            else False
 
     # -- public operations -------------------------------------------------------
     def mul(self, a: BigNum, b: BigNum) -> BigNum:

@@ -24,6 +24,7 @@ charge the same cycles: :meth:`AES.encrypt_cbc` and
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Dict, List, Sequence, Tuple
 
@@ -288,7 +289,9 @@ class AES:
     (:mod:`.native`) for its whole life when the binding loaded, and
     with the T-table cores otherwise; a hash context keeps its backend
     the same way.  Whichever core runs, a block is charged one plan on
-    the fast path and four per-phase charges on the faithful path.
+    the fast path and four per-phase charges on the faithful path.  The
+    Python key schedules ``_ek``/``_dk`` are built when first read: by
+    the T-table cores, or by the Table 4 bench, which reads ``_ek``.
     """
 
     name = "aes"
@@ -299,9 +302,7 @@ class AES:
             raise ValueError("AES key must be 16, 24 or 32 bytes")
         self.key_size = len(key)
         self.rounds = len(key) // 4 + 6
-        ek = _expand_key(key)
-        self._ek = _by_round(ek)
-        self._dk = _by_round(_inv_mix_key(ek, self.rounds))
+        self._key = bytes(key)
         self._native = (native.AesKey(key)
                         if fastpath_enabled() and native.available else None)
         nwords = 4 * (self.rounds + 1)
@@ -309,6 +310,14 @@ class AES:
         # plus an InvMixColumns pass; SSL contexts need both directions.
         charge(AES_KEXP_WORD, times=2 * nwords, function="AES_set_encrypt_key")
         charge(AES_CALL, times=2, function="AES_set_encrypt_key")
+
+    @functools.cached_property
+    def _ek(self) -> Tuple[Tuple[int, ...], ...]:
+        return _by_round(_expand_key(self._key))
+
+    @functools.cached_property
+    def _dk(self) -> Tuple[Tuple[int, ...], ...]:
+        return _by_round(_inv_mix_key(_expand_key(self._key), self.rounds))
 
     # -- core -----------------------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:

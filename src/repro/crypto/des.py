@@ -15,6 +15,7 @@ binding did not load.  Both paths charge the same cycles.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
@@ -313,8 +314,7 @@ def _charge_phases(function: str, rounds: int) -> None:
 
 
 class _DesCipher:
-    """What DES and 3DES share.  ``_enc`` and ``_dec`` hold one
-    16-subkey schedule per DES stage.  An instance built on the fast path
+    """What DES and 3DES share.  An instance built on the fast path
     computes with libcrypto (:mod:`.native`) for its whole life when the
     binding loaded, and with :func:`_crypt` otherwise; whichever core
     runs, a block is charged one plan on the fast path and four
@@ -325,15 +325,28 @@ class _DesCipher:
     block_size = 8
     _function: str
     _plan: Tuple[ChargePlan]
-    _enc: Tuple[Sequence[int], ...]
-    _dec: Tuple[Sequence[int], ...]
 
     def _bind(self, key: bytes) -> None:
+        self._key = bytes(key)
         self._native = (native.DesKey(key)
                         if fastpath_enabled() and native.available else None)
 
-    def _block(self, block: bytes, schedules: Tuple[Sequence[int], ...],
-               encrypt: bool) -> bytes:
+    @functools.cached_property
+    def _enc(self) -> Tuple[Sequence[int], ...]:
+        """One 16-subkey schedule per DES stage, EDE: the middle stage of
+        3DES decrypts.  Built when first read: by :func:`_crypt`, or by
+        the Table 4 bench."""
+        stages = [_key_schedule(self._key[i:i + 8])
+                  for i in range(0, len(self._key), 8)]
+        return tuple(subkeys[::-1] if stage % 2 else subkeys
+                     for stage, subkeys in enumerate(stages))
+
+    @functools.cached_property
+    def _dec(self) -> Tuple[Sequence[int], ...]:
+        """The stages of ``_enc`` in reverse, each schedule reversed."""
+        return tuple(subkeys[::-1] for subkeys in reversed(self._enc))
+
+    def _block(self, block: bytes, encrypt: bool) -> bytes:
         if len(block) != 8:
             raise ValueError(f"{self.name.upper()} block must be 8 bytes")
         if fastpath_enabled():
@@ -343,13 +356,13 @@ class _DesCipher:
         if self._native is not None:
             return self._native.ecb(block, encrypt)
         return _crypt(int.from_bytes(block, "big"),
-                      schedules).to_bytes(8, "big")
+                      self._enc if encrypt else self._dec).to_bytes(8, "big")
 
     def encrypt_block(self, block: bytes) -> bytes:
-        return self._block(block, self._enc, True)
+        return self._block(block, True)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return self._block(block, self._dec, False)
+        return self._block(block, False)
 
     def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes:
         """CBC-encrypt every 8-byte block of ``data``, chained from
@@ -393,9 +406,6 @@ class DES(_DesCipher):
             raise ValueError("DES key must be 8 bytes")
         if check_weak and is_weak_key(key):
             raise ValueError("weak or semi-weak DES key rejected")
-        subkeys = _key_schedule(key)
-        self._enc = (subkeys,)
-        self._dec = (subkeys[::-1],)
         self._bind(key)
         charge(DES_KS_SETUP, function="DES_set_key")
         charge(DES_KS_ROUND, times=16, function="DES_set_key")
@@ -417,12 +427,6 @@ class TripleDES(_DesCipher):
     def __init__(self, key: bytes):
         if len(key) != 24:
             raise ValueError("3DES key must be 24 bytes (three DES keys)")
-        k1 = _key_schedule(key[0:8])
-        k2 = _key_schedule(key[8:16])
-        k3 = _key_schedule(key[16:24])
-        # EDE: encrypt with k1, decrypt with k2, encrypt with k3.
-        self._enc = (k1, k2[::-1], k3)
-        self._dec = (k3[::-1], k2, k1[::-1])
         self._bind(key)
         charge(DES_KS_SETUP, times=3, function="DES_set_key")
         charge(DES_KS_ROUND, times=48, function="DES_set_key")

@@ -1,26 +1,29 @@
 """Host kernels from the libcrypto that ``hashlib`` already loads.
 
-On the fast path, AES, DES/3DES and :class:`~repro.crypto.rand.PseudoRandom`'s
-raw MD5 chain compute their bytes with OpenSSL's own low-level functions
-through ``ctypes``.  The library is ``_hashlib``'s shared object, opened
-with ``ctypes.CDLL``, so ``dlsym`` resolves every symbol through the
-libcrypto ``_hashlib`` links: nothing new is installed or loaded.  Every
+On the fast path, AES, DES/3DES, :class:`~repro.crypto.rand.PseudoRandom`'s
+raw MD5 chain and the Montgomery products of a modular exponentiation
+compute with OpenSSL's own low-level functions through ``ctypes``.  The
+library is ``_hashlib``'s shared object, opened with ``ctypes.PyDLL``,
+so ``dlsym`` resolves every symbol through the libcrypto ``_hashlib``
+links and nothing new is installed or loaded; a ``PyDLL`` call keeps the
+GIL, which a sub-microsecond product cannot afford to release.  Every
 symbol gets an explicit signature (``argtypes``/``restype``, from
-OpenSSL's ``md5.h``, ``aes.h`` and ``des.h``).
+OpenSSL's ``md5.h``, ``aes.h``, ``des.h`` and ``bn.h``).
 
-At import, every bound function runs a published vector: FIPS-197
-Appendix C (AES-128/192/256), FIPS 81's "Now is t" (DES), the SP 800-67
-example (3DES), each CBC function over a two-block input that chains
-back to the same vector, and RFC 1321's MD5("abc") as one raw
-compression of its padded block.  If ``_hashlib``, its library, a symbol
-or an answer is missing or wrong, :data:`available` is False,
-:data:`reason` says why, and the fast path runs the Python cores instead.
-No option or environment variable selects this: the binding is used
-wherever it loads and answers correctly.
+At import, every bound function runs a check: FIPS-197 Appendix C
+(AES-128/192/256), FIPS 81's "Now is t" (DES), the SP 800-67 example
+(3DES), each CBC function over a two-block input that chains back to the
+same vector, RFC 1321's MD5("abc") as one raw compression of its padded
+block, and Montgomery products modulo a fixed 128-bit odd number against
+Python's integers.  If ``_hashlib``, its library, a symbol or an answer
+is missing or wrong, :data:`available` is False, :data:`reason` says
+why, and the fast path runs the Python cores instead.  No option or
+environment variable selects this: the binding is used wherever it loads
+and answers correctly.
 
-This module only computes bytes.  The callers charge the same plans
-whichever core runs, so no modeled number depends on it.  The inputs may
-be ``bytes``, ``bytearray`` or ``memoryview``; ``ctypes``' ``c_char_p``
+This module only computes.  The callers charge the same plans whichever
+core runs, so no modeled number depends on it.  The inputs may be
+``bytes``, ``bytearray`` or ``memoryview``; ``ctypes``' ``c_char_p``
 takes only ``bytes``, so each is passed through ``bytes()``, which
 returns a ``bytes`` object itself without a copy, and its length is
 checked before libcrypto gets a pointer to it.
@@ -30,11 +33,14 @@ from __future__ import annotations
 
 import ctypes
 import struct
-from typing import Optional, Tuple
+import weakref
+from typing import List, Optional, Tuple
 
 _IN = ctypes.c_char_p
 _BUF = ctypes.c_void_p
 _INT = ctypes.c_int
+#: A BIGNUM, BN_CTX or BN_MONT_CTX pointer (a Python int on return).
+_PTR = ctypes.c_void_p
 
 #: name -> (restype, argtypes).
 _SIGNATURES = {
@@ -53,6 +59,18 @@ _SIGNATURES = {
                                 _INT)),
     "DES_ede3_cbc_encrypt": (None, (_IN, _BUF, ctypes.c_long, _BUF, _BUF,
                                     _BUF, _BUF, _INT)),
+    "BN_new": (_PTR, ()),
+    "BN_free": (None, (_PTR,)),
+    "BN_copy": (_PTR, (_PTR, _PTR)),
+    "BN_bin2bn": (_PTR, (_IN, _INT, _PTR)),
+    "BN_bn2binpad": (_INT, (_PTR, _BUF, _INT)),
+    "BN_num_bits": (_INT, (_PTR,)),
+    "BN_CTX_new": (_PTR, ()),
+    "BN_CTX_free": (None, (_PTR,)),
+    "BN_MONT_CTX_new": (_PTR, ()),
+    "BN_MONT_CTX_set": (_INT, (_PTR, _PTR, _PTR)),
+    "BN_MONT_CTX_free": (None, (_PTR,)),
+    "BN_mod_mul_montgomery": (_INT, (_PTR, _PTR, _PTR, _PTR, _PTR)),
 }
 
 # Buffer sizes for OpenSSL's structures, with room for their 64-bit-word
@@ -169,6 +187,114 @@ class DesKey:
         return out.raw
 
 
+def _uncopyable(obj, protocol=None):
+    raise TypeError(f"{type(obj).__name__} owns libcrypto memory and "
+                    f"cannot be copied or pickled")
+
+
+def _release(free, pointers) -> None:
+    for pointer in pointers:
+        free(pointer)
+
+
+class MontKernel:
+    """Montgomery products modulo one odd modulus: its ``BN_MONT_CTX``,
+    and a ``BN_CTX`` for the scratch each product takes.
+
+    A product is ``BN_mod_mul_montgomery``, ``a * b / R mod n`` with
+    libcrypto's radix R = 2^(BN_BITS2 x words of n), which is not
+    necessarily the caller's; :meth:`radix_inverse` is the product that
+    tells.  The structures are freed once, when the kernel is collected,
+    and a kernel cannot be copied or pickled, so no copy frees them
+    again.
+    """
+
+    __slots__ = ("nbytes", "_lib", "_mont", "_ctx", "__weakref__")
+    __reduce_ex__ = _uncopyable
+
+    def __init__(self, modulus: int):
+        if modulus <= 0 or not modulus & 1:
+            raise ValueError("Montgomery modulus must be odd and positive")
+        lib = self._lib = _lib
+        self.nbytes = (modulus.bit_length() + 7) // 8
+        self._ctx = lib.BN_CTX_new()
+        weakref.finalize(self, lib.BN_CTX_free, self._ctx)
+        self._mont = lib.BN_MONT_CTX_new()
+        weakref.finalize(self, lib.BN_MONT_CTX_free, self._mont)
+        if not self._ctx or not self._mont:
+            raise MemoryError("BN_CTX_new or BN_MONT_CTX_new failed")
+        regs = BnRegisters(self, 1)
+        regs.set(0, modulus)
+        if lib.BN_MONT_CTX_set(self._mont, regs._r[0], self._ctx) != 1:
+            raise ValueError("BN_MONT_CTX_set failed")
+
+    def registers(self, count: int) -> "BnRegisters":
+        return BnRegisters(self, count)
+
+    def radix_inverse(self) -> int:
+        """``1 * 1 / R mod n``: libcrypto's R^-1 modulo n."""
+        regs = BnRegisters(self, 1)
+        regs.set(0, 1)
+        regs.product(0, 0, 0)
+        return regs.get(0)
+
+
+class BnRegisters:
+    """Numbered BIGNUMs for one computation under a :class:`MontKernel`.
+
+    Values below the modulus go in and out as Python ints; a product
+    leaves ``a * b / R mod n`` in its destination, which may be either
+    operand, and returns its bit length.  The BIGNUMs are freed once,
+    when the registers are collected; they hold their kernel, so it
+    outlives them.
+    """
+
+    __slots__ = ("_kernel", "_r", "_buf", "_mul", "_bits", "_mont", "_ctx",
+                 "__weakref__")
+    __reduce_ex__ = _uncopyable
+
+    def __init__(self, kernel: MontKernel, count: int):
+        lib = kernel._lib
+        self._kernel = kernel
+        self._r: List[int] = []
+        weakref.finalize(self, _release, lib.BN_free, self._r)
+        for _ in range(count):
+            pointer = lib.BN_new()
+            if not pointer:
+                raise MemoryError("BN_new failed")
+            self._r.append(pointer)
+        self._buf = ctypes.create_string_buffer(kernel.nbytes)
+        self._mul = lib.BN_mod_mul_montgomery
+        self._bits = lib.BN_num_bits
+        self._mont, self._ctx = kernel._mont, kernel._ctx
+
+    def set(self, i: int, value: int) -> None:
+        size = self._kernel.nbytes
+        if self._kernel._lib.BN_bin2bn(value.to_bytes(size, "big"), size,
+                                       self._r[i]) != self._r[i]:
+            raise ValueError("BN_bin2bn failed")
+
+    def get(self, i: int) -> int:
+        size = self._kernel.nbytes
+        if self._kernel._lib.BN_bn2binpad(self._r[i], self._buf,
+                                          size) != size:
+            raise ValueError("BN_bn2binpad failed")
+        return int.from_bytes(self._buf.raw, "big")
+
+    def copy(self, dst: int, src: int) -> None:
+        if self._kernel._lib.BN_copy(self._r[dst],
+                                     self._r[src]) != self._r[dst]:
+            raise ValueError("BN_copy failed")
+
+    def product(self, dst: int, a: int, b: int) -> int:
+        """``r[dst] = r[a] * r[b] / R mod n``; its bit length."""
+        r = self._r
+        out = r[dst]
+        if not self._mul(out, r[a], r[b], self._mont, self._ctx):
+            raise ValueError("BN_mod_mul_montgomery failed")
+        return self._bits(out)
+
+
 # ---------------------------------------------------------------------------
 # Loading and the self-check
 # ---------------------------------------------------------------------------
@@ -190,6 +316,11 @@ _DES_VECTORS = (
     ("SP 800-67 3DES", "0123456789abcdef23456789abcdef01456789abcdef0123",
      b"The qufc", "a826fd8ce53b855f", "DES_ede3_cbc_encrypt"),
 )
+#: An odd 128-bit modulus (top bit set, so R = 2^128 for 32- and 64-bit
+#: BN_ULONG alike) and two operands below it.
+_BN_MODULUS = (1 << 128) - 159
+_BN_A = 0x0123456789ABCDEF0FEDCBA987654321
+_BN_B = 0xF0E1D2C3B4A5968778695A4B3C2D1E0F
 #: RFC 1321's MD5("abc"): "abc" padded to one 64-byte block.
 _MD5_ABC = b"abc\x80" + bytes(52) + struct.pack("<Q", 24)
 _MD5_IV = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
@@ -216,6 +347,32 @@ def _check_cipher(name: str, key, plain: bytes, cipher: bytes,
             plain + second)
 
 
+def _check_montgomery() -> None:
+    """Products modulo :data:`_BN_MODULUS` against Python's ints: the
+    conversions both ways, ``a * b / R``, its bit length, a copy over a
+    register holding another value, and an in-place square."""
+    n = _BN_MODULUS
+    r_inv = pow(1 << 128, -1, n)
+    regs = BnRegisters(MontKernel(n), 3)
+    regs.set(0, _BN_A)
+    regs.set(1, _BN_B)
+    if regs.get(0) != _BN_A:
+        raise ValueError("BN_bin2bn/BN_bn2binpad did not round-trip")
+    expected = _BN_A * _BN_B * r_inv % n
+    bits = regs.product(2, 0, 1)
+    if regs.get(2) != expected:
+        raise ValueError("BN_mod_mul_montgomery gave a wrong product")
+    if bits != expected.bit_length():
+        raise ValueError(f"BN_num_bits gave {bits}, expected "
+                         f"{expected.bit_length()}")
+    regs.copy(0, 2)
+    if regs.get(0) != expected:
+        raise ValueError("BN_copy did not copy")
+    regs.product(0, 0, 0)
+    if regs.get(0) != expected * expected * r_inv % n:
+        raise ValueError("BN_mod_mul_montgomery squared in place wrongly")
+
+
 def _self_check() -> None:
     """Run every bound function on its published vector; raise
     ``ValueError`` naming the first wrong answer."""
@@ -229,13 +386,14 @@ def _self_check() -> None:
     _expect("RFC 1321 MD5('abc') raw compression",
             struct.pack("<4I", *md5_compress(_MD5_IV, _MD5_ABC)),
             bytes.fromhex("900150983cd24fb0d6963f7d28e17f72"))
+    _check_montgomery()
 
 
-def _open() -> ctypes.CDLL:
+def _open() -> ctypes.PyDLL:
     """``_hashlib``'s shared object, every signature declared on it."""
     import _hashlib
 
-    lib = ctypes.CDLL(_hashlib.__file__)
+    lib = ctypes.PyDLL(_hashlib.__file__)
     for name, (restype, argtypes) in _SIGNATURES.items():
         function = getattr(lib, name)
         function.restype = restype
@@ -243,7 +401,7 @@ def _open() -> ctypes.CDLL:
     return lib
 
 
-_lib: Optional[ctypes.CDLL] = None
+_lib: Optional[ctypes.PyDLL] = None
 #: Why the binding is off, or None when it loaded and passed every vector.
 reason: Optional[str] = None
 try:
@@ -253,6 +411,6 @@ except (ImportError, OSError, AttributeError, ValueError) as exc:
     _lib = None
     reason = f"{type(exc).__name__}: {exc}"
 
-#: True when the fast path computes AES, DES/3DES and the raw MD5 chain
-#: with this binding.
+#: True when the fast path computes AES, DES/3DES, the raw MD5 chain and
+#: Montgomery products with this binding.
 available: bool = _lib is not None

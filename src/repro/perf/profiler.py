@@ -278,17 +278,9 @@ class Profiler:
         return cycles
 
     # -- regions ------------------------------------------------------------
-    @contextmanager
-    def region(self, name: str) -> Iterator[RegionNode]:
+    def region(self, name: str) -> "Region":
         """Open a nested region; charges inside attribute to it."""
-        node = self._stack[-1].child(name)
-        node.entries += 1
-        self._stack.append(node)
-        try:
-            yield node
-        finally:
-            popped = self._stack.pop()
-            assert popped is node, "region stack corrupted"
+        return Region(name, self)
 
     def now(self) -> float:
         """Virtual timestamp: total cycles charged so far (the rdtsc stand-in)."""
@@ -390,8 +382,30 @@ def charge_plans(plans: Sequence[ChargePlan]) -> None:
     _ACTIVE[-1].charge_plans(plans)
 
 
-@contextmanager
-def region(name: str) -> Iterator[RegionNode]:
-    """Open a region on the active profiler (convenience wrapper)."""
-    with _ACTIVE[-1].region(name) as node:
-        yield node
+class Region:
+    """A region scope: ``with`` pushes the named child of the innermost
+    region, counting one entry, and yields it; leaving, normally or by an
+    exception, pops it again.  ``profiler`` None means the profiler
+    active when the scope is entered."""
+
+    __slots__ = ("name", "_profiler", "_stack", "_node")
+
+    def __init__(self, name: str, profiler: Optional[Profiler] = None):
+        self.name = name
+        self._profiler = profiler
+
+    def __enter__(self) -> RegionNode:
+        stack = self._stack = (self._profiler or _ACTIVE[-1])._stack
+        node = stack[-1].child(self.name)
+        node.entries += 1
+        stack.append(node)
+        self._node = node
+        return node
+
+    def __exit__(self, *exc) -> None:
+        popped = self._stack.pop()
+        assert popped is self._node, "region stack corrupted"
+
+
+#: Open a region on the active profiler: ``with region("handshake"):``.
+region = Region

@@ -17,13 +17,13 @@ backends:
 * **fast path** (default): word arrays pack into Python ints and whole
   operands multiply/reduce in one big-int operation; MD5 and SHA-1 hash
   with ``hashlib``, charged from byte counts (a hash context keeps the
-  backend it was built on); AES, DES/3DES and ``PseudoRandom``'s raw
-  MD5 chain compute in the libcrypto ``hashlib`` already loads
-  (:mod:`repro.crypto.native`, or the Python cores where that binding
-  does not load), CBC hands each record to the cipher in one call, and
-  every block is charged one plan, as the per-block calls would be.
-  RC4 and the AES and DES key schedules run the same loops on both
-  backends.
+  backend it was built on); AES, DES/3DES, ``PseudoRandom``'s raw MD5
+  chain and each Montgomery product of a modular exponentiation compute
+  in the libcrypto ``hashlib`` already loads (:mod:`repro.crypto.native`,
+  or the Python cores and ints where that binding does not load), CBC
+  hands each record to the cipher in one call, and every block and
+  product is charged one plan, as the faithful calls would be.  RC4
+  runs the same loop on both backends.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original
   word-by-word reference loops execute, mirroring the profiled OpenSSL

@@ -3,9 +3,10 @@
 Prints, per algorithm, the modelled throughput / CPI / path length on the
 paper's 2.26 GHz Pentium 4 model -- the quantities of Table 11 -- plus the
 host wall-clock for context.  On the fast path MD5 and SHA-1 compute with
-``hashlib``, and AES and DES/3DES with the libcrypto ``hashlib`` loads
-(:mod:`repro.crypto.native`); RC4, SHA-256, RSA and every charge are
-Python.
+``hashlib``; AES, DES/3DES and RSA's Montgomery products with the
+libcrypto ``hashlib`` loads (:mod:`repro.crypto.native`), one call per
+product because each is charged by its operands' word counts; RC4,
+SHA-256, the rest of RSA and every charge are Python.
 
     python -m repro.tools.speed
     python -m repro.tools.speed --bytes 16384 --rsa-bits 512 aes rc4 rsa

@@ -1,11 +1,15 @@
 """Unit + property tests for sliding-window modular exponentiation."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.bignum import (
     BigNum, MontgomeryContext, mod_exp, window_bits_for_exponent_size,
 )
+from repro.crypto import native
 
 odd_modulus = st.integers(3, 2**192).map(lambda x: x | 1)
 
@@ -67,6 +71,24 @@ class TestModExp:
         e = 1 << 127
         assert mod_exp(BigNum.from_int(5), BigNum.from_int(e),
                        BigNum.from_int(m)).to_int() == pow(5, e, m)
+
+    @pytest.mark.parametrize("exp", [
+        0b101,                                  # 1-bit windows: table[0]
+        (0b101 << 30) | 0b101,                  # 3-bit windows: 5, then 5
+        (0b110001 << 700) | (0b110001 << 300) | 0b110001,   # 6-bit: 49
+    ], ids=["1-bit", "3-bit", "6-bit"])
+    def test_first_window_power_recurs(self, exp):
+        """The accumulator starts as the first window's odd power and is
+        squared in place; when that power is needed again later it must
+        still be in the table, on every host."""
+        m = (1 << 1024) - 105                   # odd, 32 words
+        for fast, on in ((True, native.available), (True, False),
+                         (False, False)):
+            with runtime.fastpath(fast), \
+                    mock.patch.object(native, "available", on):
+                got = mod_exp(BigNum.from_int(7), BigNum.from_int(exp),
+                              BigNum.from_int(m))
+            assert got.to_int() == pow(7, exp, m)
 
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):

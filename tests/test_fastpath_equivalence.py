@@ -16,6 +16,7 @@ drifts by a single charge (or a single float ULP) fails loudly.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import random
 from unittest import mock
@@ -174,6 +175,70 @@ def test_mod_exp_equivalence(style):
 
             result = assert_equivalent(workload)
             assert result == pow(base_int, exp.to_int(), n_int)
+
+
+def mod_exp_three_ways(n: int, base: int, exp: int) -> MontgomeryContext:
+    """``base ** exp mod n`` with the libcrypto kernel (where the binding
+    loaded), with the binding forced off, and on the faithful path: the
+    results and the full charge signatures must all be equal.  Returns
+    the context of the first run."""
+    modulus = BigNum.from_int(n)
+    runs, contexts = [], []
+    for fast, on in ((True, native.available), (True, False), (False, False)):
+        with runtime.fastpath(fast), binding(on):
+            profiler = perf.Profiler()
+            with perf.activate(profiler):
+                ctx = MontgomeryContext(modulus)
+                result = mod_exp(BigNum.from_int(base), BigNum.from_int(exp),
+                                 modulus, ctx).to_int()
+        runs.append((result, snapshot(profiler)))
+        contexts.append(ctx)
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == pow(base, exp, n)
+    return contexts[0]
+
+
+def short_form_base(n: int, words: int, form: int) -> int:
+    """The base whose Montgomery form ``base * R mod n`` is ``form``."""
+    return form * pow(1 << (32 * words), -1, n) % n
+
+
+def assert_kernel_when_even(ctx: MontgomeryContext) -> None:
+    """On a 64-bit libcrypto an even word count gets the kernel and an
+    odd one keeps the int registers."""
+    if native.available and ctypes.sizeof(ctypes.c_void_p) == 8:
+        assert (ctx.kernel() is None) == bool(ctx.nwords % 2)
+
+
+@given(words=st.integers(2, 8), top=st.integers(1, 15),
+       low=st.integers(0, 2**256), exp=st.integers(1, 2**96),
+       base=st.sampled_from(["zero", "one", "n-1", "short", "full"]))
+@settings(max_examples=40, deadline=None)
+def test_mod_exp_kernel_on_small_top_words(words, top, low, exp, base):
+    """Moduli whose top word is 1-15 leave many intermediates a word
+    shorter than the modulus, so their products are charged by plans of
+    both word counts, and bases 0, 1, n - 1 and one whose Montgomery form
+    is one word keep the table's operands short too."""
+    n = (top << (32 * (words - 1))) | (low % (1 << (32 * (words - 1)))) | 1
+    base_int = {"zero": 0, "one": 1, "n-1": n - 1,
+                "short": short_form_base(n, words, (low >> 7) % 2**32 | 1),
+                "full": low % n}[base]
+    assert_kernel_when_even(mod_exp_three_ways(n, base_int, exp))
+
+
+@pytest.mark.parametrize("bits,exp_bits", [(512, 512), (544, 160),
+                                           (1024, 96), (2048, 40)])
+def test_mod_exp_kernel_on_random_moduli(bits, exp_bits):
+    """Random moduli from 512 to 2048 bits (the faithful word loops keep
+    the exponents short above 512 bits), and a 544-bit modulus, whose
+    odd word count takes the int registers, with equal results."""
+    rng = random.Random(bits)
+    n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    words = bits // 32
+    exp = rng.getrandbits(exp_bits) | (1 << (exp_bits - 1))
+    for base in (0, 1, n - 1, short_form_base(n, words, 5),
+                 rng.getrandbits(bits) % n):
+        assert_kernel_when_even(mod_exp_three_ways(n, base, exp))
 
 
 # ---------------------------------------------------------------------------

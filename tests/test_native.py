@@ -3,25 +3,34 @@ self-check, and that the fast path really computes with it.
 
 Every signature is the same whichever core computes the bytes, so the
 equivalence tests cannot tell a silent fallback to the Python cores from
-the binding; :func:`test_fast_path_never_reaches_the_python_cores` can.
+the binding; :func:`test_fast_path_never_reaches_the_python_cores` and
+:func:`test_mod_exp_never_reaches_the_int_registers` can.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
+import gc
 import importlib
+import pickle
 import random
+import weakref
+from unittest import mock
 
 import pytest
 
 from repro import perf, runtime
+from repro.bignum import BigNum, MontgomeryContext, montgomery
 from repro.crypto import aes, des, md5, native
 from repro.crypto.aes import AES
 from repro.crypto.des import DES, TripleDES
 from repro.crypto.modes import CBC
 from repro.crypto.rand import PseudoRandom
+from repro.crypto.rsa import generate_key
 
-#: Each bound function that writes an answer, and the argument it writes.
+#: Each bound function that writes an answer into a buffer, and the
+#: argument it writes.
 OUTPUTS = {
     "MD5_Update": 0,
     "AES_set_encrypt_key": 2,
@@ -34,6 +43,19 @@ OUTPUTS = {
     "DES_ecb3_encrypt": 1,
     "DES_ncbc_encrypt": 1,
     "DES_ede3_cbc_encrypt": 1,
+    "BN_bn2binpad": 1,
+}
+
+#: Each bound function that answers with a value or a BIGNUM, and a
+#: wrong answer made around the real call.
+WRONG = {
+    "BN_bin2bn": lambda f, data, size, ret: f(
+        bytes([data[0] ^ 0xFF]) + data[1:], size, ret),
+    "BN_num_bits": lambda f, a: f(a) ^ 1,
+    "BN_copy": lambda f, dst, src: dst,                 # copies nothing
+    "BN_MONT_CTX_set": lambda f, mont, n, ctx: 1,       # sets nothing
+    "BN_mod_mul_montgomery": lambda f, r, a, b, mont, ctx: f(
+        r, a, a, mont, ctx),
 }
 
 
@@ -55,6 +77,16 @@ class _Flipped:
         return result
 
 
+class _Wrong(_Flipped):
+    """A bound function whose answer is ``wrong(function, *args)``."""
+
+    def __init__(self, function, wrong):
+        vars(self).update(function=function, wrong=wrong)
+
+    def __call__(self, *args):
+        return self.wrong(self.function, *args)
+
+
 class _Tampered:
     """``_hashlib``'s library with one symbol missing or one answer
     wrong."""
@@ -66,8 +98,10 @@ class _Tampered:
         if name == self._missing:
             raise AttributeError(f"undefined symbol: {name}")
         function = getattr(self._lib, name)
-        if name == self._flipped:
+        if name == self._flipped and name in OUTPUTS:
             return _Flipped(function, OUTPUTS[name])
+        if name == self._flipped:
+            return _Wrong(function, WRONG[name])
         return function
 
 
@@ -75,11 +109,11 @@ class _Tampered:
 def reload_with(monkeypatch):
     """Re-import the binding over a tampered library; the real one is
     loaded again afterwards."""
-    real_cdll = ctypes.CDLL
+    real_pydll = ctypes.PyDLL
 
     def reload(**tamper):
-        monkeypatch.setattr(ctypes, "CDLL",
-                            lambda path: _Tampered(real_cdll(path), **tamper))
+        monkeypatch.setattr(ctypes, "PyDLL",
+                            lambda path: _Tampered(real_pydll(path), **tamper))
         importlib.reload(native)
 
     yield reload
@@ -92,8 +126,10 @@ needs_binding = pytest.mark.skipif(not native.available,
 
 
 @needs_binding
-@pytest.mark.parametrize("name", sorted(OUTPUTS))
+@pytest.mark.parametrize("name", sorted(OUTPUTS) + sorted(WRONG))
 def test_one_wrong_byte_leaves_the_binding_off(reload_with, name):
+    """A flipped byte in an output buffer, or a BN function's wrong
+    value, BIGNUM or return code."""
     reload_with(flipped=name)
     assert not native.available
     assert native.reason.startswith("ValueError")
@@ -119,11 +155,13 @@ def _refuse(*args, **kwargs):
 
 @needs_binding
 def test_fast_path_never_reaches_the_python_cores(monkeypatch):
-    """One 16 KB CBC record per cipher, each way, and one
-    ``PseudoRandom.bytes(46)``: on the fast path libcrypto computes all
-    of it, so the Python cores, patched to raise, never run."""
+    """One 16 KB CBC record per cipher, each way, one block each way,
+    and one ``PseudoRandom.bytes(46)``: on the fast path libcrypto
+    computes all of it, so the Python cores and key schedules, patched
+    to raise, never run, not even when a cipher is constructed."""
     record = random.Random(0x16).randbytes(16 * 1024)
     for module, core in ((aes, "_encrypt_cbc"), (aes, "_decrypt_core"),
+                         (aes, "_expand_key"), (des, "_key_schedule"),
                          (des, "_crypt"), (md5, "_compress")):
         monkeypatch.setattr(module, core, _refuse)
     with runtime.fastpath(True), perf.activate(perf.Profiler()):
@@ -131,7 +169,92 @@ def test_fast_path_never_reaches_the_python_cores(monkeypatch):
             key, iv = bytes(range(key_len)), bytes(cls.block_size)
             ct = CBC(cls(key), iv).encrypt(record)
             assert CBC(cls(key), iv).decrypt(ct) == record
+            cipher = cls(key)
+            assert cipher.decrypt_block(cipher.encrypt_block(iv)) == iv
         assert len(PseudoRandom(b"native").bytes(46)) == 46
+
+
+#: The full-handshake campaign's RSA key: 1024 bits, 32 words for n and
+#: 16 for p and q, even counts, so every context gets its kernel.
+CAMPAIGN_BITS = 1024
+
+
+@needs_binding
+def test_mod_exp_never_reaches_the_int_registers(monkeypatch):
+    """A 1024-bit private decryption, CRT and not, runs every product of
+    its exponentiations in libcrypto on the fast path: the Python-int
+    registers, patched to raise, never run, and every context it used
+    holds a kernel."""
+    key = generate_key(CAMPAIGN_BITS, rng=PseudoRandom(b"kernel"))
+    message = key.public().encrypt(b"premaster", PseudoRandom(b"pad"))
+    monkeypatch.setattr(montgomery._IntRegisters, "product", _refuse)
+    with runtime.fastpath(True), perf.activate(perf.Profiler()):
+        for crt in (False, True):
+            key.use_crt = crt
+            assert key.decrypt(message) == b"premaster"
+    contexts = list(key._mont_cache.values())
+    assert len(contexts) == 3
+    assert all(isinstance(ctx._kernel, native.MontKernel)
+               for ctx in contexts)
+
+
+@needs_binding
+@pytest.mark.parametrize("copier", [copy.deepcopy,
+                                    lambda key: pickle.loads(
+                                        pickle.dumps(key))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_key_outlives_its_original(copier):
+    """A warmed key's copies leave its kernels behind and build their
+    own.  A replica shares the original's contexts, so they live on
+    after the original is deleted and collected; once the replica goes
+    too, the original's kernel is collected, and a copy still decrypts
+    on its own kernel to the same charges as a copy with the binding
+    forced off."""
+    key = generate_key(CAMPAIGN_BITS, rng=PseudoRandom(b"copied"),
+                       use_crt=False)
+    message = key.public().encrypt(b"premaster", PseudoRandom(b"pad"))
+    with runtime.fastpath(True), perf.activate(perf.Profiler()):
+        key.decrypt(message)                    # warm: build the kernels
+    original = weakref.ref(key._ctx_n()._kernel)
+    twins, replica = [copier(key), copier(key)], key.replica()
+    del key
+    gc.collect()
+    with runtime.fastpath(True), perf.activate(perf.Profiler()):
+        assert replica.decrypt(message) == b"premaster"
+    assert replica._ctx_n()._kernel is original()
+    for copy_kernel in (copy.copy, copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError):
+            copy_kernel(original())
+    del replica
+    gc.collect()
+    assert original() is None
+    signatures = []
+    for twin, on in zip(twins, (True, False)):
+        profiler = perf.Profiler()
+        with runtime.fastpath(True), perf.activate(profiler), \
+                mock.patch.object(native, "available", on):
+            assert twin.decrypt(message) == b"premaster"
+        signatures.append((profiler.total_cycles(),
+                           profiler.total_instructions()))
+    assert signatures[0] == signatures[1]
+    assert isinstance(twins[0]._ctx_n()._kernel, native.MontKernel)
+
+
+@needs_binding
+@pytest.mark.skipif(ctypes.sizeof(ctypes.c_void_p) != 8,
+                    reason="libcrypto's words are 64-bit on 64-bit hosts")
+def test_a_kernel_checks_its_radix():
+    """An odd word count puts libcrypto's 64-bit radix at 2^32 R: the
+    context keeps the int registers.  An even one gets the kernel."""
+    rng = random.Random(544)
+    odd = MontgomeryContext(BigNum.from_int(rng.getrandbits(544) | 1 << 543
+                                            | 1))
+    even = MontgomeryContext(BigNum.from_int(rng.getrandbits(512) | 1 << 511
+                                             | 1))
+    assert odd.nwords == 17 and odd.kernel() is None
+    assert odd._kernel is False                 # built once, refused
+    assert even.nwords == 16
+    assert isinstance(even.kernel(), native.MontKernel)
 
 
 @pytest.mark.parametrize("nblocks", [0, 1, 2, 32])

@@ -136,6 +136,34 @@ class TestRegions:
         p.charge(mix(movl=1), function="f")
         assert p.root.exclusive_cycles > 0
 
+    def test_exception_inside_nested_regions_unwinds_to_root(self):
+        """Both entry points, nested three deep: the exception pops every
+        region, each counted one entry, and ``with`` yields the node."""
+        p = Profiler()
+        with pytest.raises(RuntimeError), perf.activate(p):
+            with p.region("a") as a:
+                with perf.region("b") as b:
+                    with p.region("c"):
+                        raise RuntimeError("boom")
+        assert p._stack == [p.root]
+        assert (a, b) == (p.find_region("a"), p.find_region("a/b"))
+        assert [n.entries for n in p.root.walk()][1:] == [1, 1, 1]
+
+    def test_region_binds_the_profiler_active_at_entry(self):
+        p, q = Profiler(), Profiler()
+        scope = perf.region("late")
+        with perf.activate(q):
+            with scope:
+                pass
+        assert p.find_region("late") is None
+        assert q.find_region("late").entries == 1
+
+    def test_a_corrupted_stack_fails_the_region(self):
+        p = Profiler()
+        with pytest.raises(AssertionError, match="region stack corrupted"):
+            with p.region("a"):
+                p._stack.append(p.root.child("stray"))
+
 
 class TestActiveProfilerStack:
     def test_activate_routes_module_level_charge(self):
