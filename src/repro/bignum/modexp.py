@@ -8,16 +8,16 @@ square-and-multiply scan of the exponent.
 The fast path runs the same scan over registers from
 :meth:`MontgomeryContext.registers`: BIGNUMs with one libcrypto
 ``BN_mod_mul_montgomery`` per product where the binding is on, Python
-ints otherwise.  Each product is charged the plan of its operands' word
-counts, read from the bit length of the product before it, so every
-product must still be made one at a time where it is charged.
+ints otherwise.  Every product it makes is a register product, the
+conversions into and out of Montgomery form included.  Each product is
+charged the plan of its operands' word counts, read from the bit length
+of the product before it, so every product must still be made one at a
+time where it is charged.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from ..perf import ChargePlan, charge, charge_plans, mix
+from ..perf import charge, charge_plans, mix
 from ..runtime import fastpath_enabled
 from .bn import BigNum
 from .kernels import WORD_BITS, words_from_int
@@ -105,9 +105,12 @@ def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
     """Fast-path exponentiation: the window scan above over registers.
 
     Registers ``0 .. size - 1`` hold the odd powers, then come the
-    accumulator, the base's square and 1.  The exponent is read as one
-    int, so a window's value is one shift and mask.  ``to_mont``/``one``
-    still run through the BigNum entry points (once each).  Each product
+    accumulator, the base's square and a constant: RR, whose product
+    with ``base mod n`` is ``to_mont``, and then 1, whose product with
+    the accumulator is ``from_mont``.  ``one()`` is charged, as
+    ``BigNum.one().mod(n)`` and the plan of its product by RR, but not
+    made: the scan starts from its first window.  The exponent is read
+    as one int, so a window's value is one shift and mask.  Each product
     appends the plan of its operands' word counts, taken from their bit
     lengths, and each phase charges its plans in one call, in the order
     the faithful loop would have charged them, so the modeled cost of an
@@ -115,22 +118,23 @@ def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
     """
     n = mont.nwords
     size = 1 << (wsize - 1)
-    acc, base_sq, one = size, size + 1, size + 2
+    acc, base_sq, const = size, size + 1, size + 2
     sqr = _sqr_row(n)
+    by_rr = _mul_row(mont.rr.nwords(), n)
     regs = mont.registers(size + 3)
-    first = mont.to_mont(base).to_int()
-    regs.set(0, first)
-    tbits = [first.bit_length()]
-    plans: List[ChargePlan] = []
+    reduced = base.mod(mont.n)
+    regs.set(0, reduced.to_int())
+    regs.set(const, mont.rr.to_int())
+    plans = [by_rr[reduced.nbits()]]
+    tbits = [regs.product(0, 0, const)]
     if wsize > 1:
         plans.append(sqr[tbits[0]])
         row = _mul_row(-(-regs.product(base_sq, 0, 0) // WORD_BITS), n)
         for i in range(1, size):
             plans.append(row[tbits[-1]])
             tbits.append(regs.product(i, i - 1, base_sq))
-        charge_plans(plans)  # before one()'s charges
-        plans.clear()
-    mont.one()  # charged only: the scan starts from its first window
+    charge_plans(plans)  # before one()'s charges
+    plans = [by_rr[BigNum.one().mod(mont.n).nbits()]]
     rows = [_mul_row(-(-b // WORD_BITS), n) for b in tbits]
 
     e = exponent.to_int()
@@ -161,8 +165,8 @@ def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
         i = j - 1
 
     plans.append(_redc_plan(n))
-    regs.set(one, 1)
-    regs.product(acc, acc, one)
+    regs.set(const, 1)
+    regs.product(acc, acc, const)
     result = regs.get(acc)
     charge_plans(plans)
     return BigNum(words_from_int(result, n))

@@ -22,13 +22,15 @@ kernels of :mod:`repro.bignum.kernels`:
   counts (Table 7's 6.04M for 1024-bit); the interleaved mode is ~2/3 of
   that.  The ablation benchmark compares both.
 
-On the fast path the interleaved products compute on whole Python ints,
-or, for a modular exponentiation's table and scan, in libcrypto: each
+On the fast path a modular exponentiation makes every interleaved
+product on :meth:`MontgomeryContext.registers`: in libcrypto, where the
 context builds a ``BN_MONT_CTX`` kernel (:mod:`repro.crypto.native`) the
-first time :meth:`MontgomeryContext.kernel` is asked for, and keeps it
-when one product shows that libcrypto's radix is this model's R.
-Every product is charged the plan of its operands' word counts, whichever
-host computes it.
+first time :meth:`MontgomeryContext.kernel` is asked for and keeps it
+because one product shows that libcrypto's radix is this model's R, or
+on whole Python ints.  Every product is charged the plan of its
+operands' word counts, whichever host computes it.  The single
+operations :meth:`~MontgomeryContext.mul`, ``sqr``, ``to_mont``,
+``from_mont`` and ``one`` run the word-array reference on both backends.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from __future__ import annotations
 import functools
 from typing import List, Tuple
 
-from ..perf import LIBCRYPTO, ChargePlan, charge, charge_plans, mix
-from ..runtime import fastpath_enabled
+from ..perf import LIBCRYPTO, ChargePlan, charge, mix
 from . import kernels as K
 from .bn import WRAPPER_CALL, BigNum
 from .kernels import WORD_BITS, WORD_MASK
@@ -69,8 +70,8 @@ REDUCTION_STYLES = ("interleaved", "separate")
 # -- fast-path charge plans ----------------------------------------------------
 # One plan per Montgomery operation, keyed by operand word counts: the
 # exact charges (mixes, times, order) of the faithful word-array path.
-# For a trimmed BigNum ``len(d) == ceil(bit_length / 32)``, so the int
-# kernels below key their plans by ``int.bit_length``.  Operands are
+# For a trimmed BigNum ``len(d) == ceil(bit_length / 32)``, so the
+# registers' products key their plans by bit length.  Operands are
 # below the modulus, so the caches hold at most n^2 plans per modulus
 # width n.
 
@@ -136,8 +137,9 @@ def _sqr_plan(na: int, n: int) -> ChargePlan:
 
 
 class _IntRegisters:
-    """Fast-path registers holding Python ints: a product is one whole
-    multiplication and :meth:`MontgomeryContext._reduce_int`."""
+    """Fast-path registers holding Python ints, for a context with no
+    libcrypto kernel: a product is one whole multiplication and
+    :meth:`MontgomeryContext._reduce_int`."""
 
     __slots__ = ("_r", "_reduce")
 
@@ -216,10 +218,6 @@ class MontgomeryContext:
 
     def _reduce_interleaved(self, t: List[int]) -> BigNum:
         n = self.nwords
-        if fastpath_enabled():
-            charge_plans((_redc_plan(n),))
-            return BigNum(K.words_from_int(
-                self._reduce_int(K.int_from_words(t)), n))
         need = 2 * n + 1
         if len(t) < need:
             t.extend([0] * (need - len(t)))
@@ -277,13 +275,13 @@ class MontgomeryContext:
         return BigNum(rp[:n])
 
     # -- fast path ----------------------------------------------------------------
-    # Whole-operand products on Python ints, or in libcrypto.  Each one is
-    # charged the plan of its operand word counts, which holds the exact
-    # sequence (mixes, times, order) the faithful word-array path emits,
-    # so modeled cycles and instruction mixes are bit-identical between
-    # backends.  ``_mont_int`` charges each single product;
-    # ``mod_exp`` collects the plans of its table build and of its
-    # exponent scan and charges each group in one call.
+    # Whole-operand products on registers: Python ints, or BIGNUMs in
+    # libcrypto.  ``mod_exp`` charges each one the plan of its operand
+    # word counts, which holds the exact sequence (mixes, times, order)
+    # the faithful word-array path emits, so modeled cycles and
+    # instruction mixes are bit-identical between backends; it collects
+    # the plans of its table build and of its exponent scan and charges
+    # each group in one call.
 
     def _reduce_int(self, t: int) -> int:
         """Uncharged whole-operand REDC: m = (t mod R) * (-n^{-1} mod R)
@@ -295,22 +293,6 @@ class MontgomeryContext:
         if r_val >= self._n_int:
             r_val -= self._n_int
         return r_val
-
-    def _mont_int(self, a: BigNum, b: BigNum | None) -> BigNum:
-        """BigNum facade over the int fast path (one pack/unpack at the
-        rim); charges match ``BigNum.mul``/``BigNum.sqr`` + REDC."""
-        a_int = K.int_from_words(a.d)
-        na = -(-a_int.bit_length() // WORD_BITS)
-        if b is None:
-            plan = _sqr_plan(na, self.nwords)
-            t = a_int * a_int
-        else:
-            b_int = K.int_from_words(b.d)
-            plan = _mul_plan(na, -(-b_int.bit_length() // WORD_BITS),
-                             self.nwords)
-            t = a_int * b_int
-        charge_plans((plan,))
-        return BigNum(K.words_from_int(self._reduce_int(t), self.nwords))
 
     def kernel(self):
         """This modulus's libcrypto kernel (:class:`repro.crypto.native.
@@ -349,15 +331,11 @@ class MontgomeryContext:
     # -- public operations -------------------------------------------------------
     def mul(self, a: BigNum, b: BigNum) -> BigNum:
         """``a * b / R mod n`` for Montgomery-form inputs (BN_mod_mul_montgomery)."""
-        if self.reduction == "interleaved" and fastpath_enabled():
-            return self._mont_int(a, b)
         t_bn = a.mul(b)
         return self._reduce(list(t_bn.d))
 
     def sqr(self, a: BigNum) -> BigNum:
         """Montgomery square; routes through BN_sqr like the profiled library."""
-        if self.reduction == "interleaved" and fastpath_enabled():
-            return self._mont_int(a, None)
         t_bn = a.sqr()
         return self._reduce(list(t_bn.d))
 

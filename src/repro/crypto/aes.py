@@ -16,10 +16,11 @@ round packs the four state words and unpacks the 16 bytes into locals,
 so the sixteen table indices need no shifts or masks; the encryption
 core runs a whole CBC input in one loop, chaining in ints, and a single
 block is that loop from a zero IV.  On the fast path an instance
-computes with libcrypto's ``AES_*`` functions (:mod:`.native`), or with
-the same T-table cores where that binding did not load.  Both backends
-charge the same cycles: :meth:`AES.encrypt_cbc` and
-:meth:`AES.decrypt_cbc` charge one block plan per block.
+computes with libcrypto's ``AES_cbc_encrypt`` (:mod:`.native`), a single
+block as a one-block CBC from a zero IV too, or with the same T-table
+cores where that binding did not load.  Both backends charge the same
+cycles: :meth:`AES.encrypt_cbc` and :meth:`AES.decrypt_cbc` charge one
+block plan per block.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ class AES:
         else:
             _charge_phases("AES_encrypt", self.rounds)
         if self._native is not None:
-            return self._native.ecb(block, True)
+            return self._native.cbc(_ZERO_IV, block, True)
         return _encrypt_cbc(self._ek, _ZERO_IV, block)
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -339,7 +340,7 @@ class AES:
         else:
             _charge_phases("AES_decrypt", self.rounds)
         if self._native is not None:
-            return self._native.ecb(block, False)
+            return self._native.cbc(_ZERO_IV, block, False)
         return _decrypt_core(self._dk, block)
 
     def encrypt_cbc(self, iv: bytes, data: bytes) -> bytes:

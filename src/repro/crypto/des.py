@@ -8,9 +8,10 @@ performs eight 6-bit-indexed table lookups (Table 4), which is how the
 faithful path executes it: the S-boxes are precomputed fused with the P
 permutation (OpenSSL's ``DES_SPtrans`` idea), and the wide bit permutations
 (IP, FP, E, PC-1, PC-2) are applied via byte-indexed mask tables built once
-from the FIPS tables.  The fast path computes with libcrypto's ``DES_*``
-functions (:mod:`.native`), or with the same Python rounds where that
-binding did not load.  Both paths charge the same cycles.
+from the FIPS tables.  The fast path computes with libcrypto's CBC
+functions (:mod:`.native`), a single block as a one-block CBC from a
+zero IV, or with the same Python rounds where that binding did not
+load.  Both paths charge the same cycles.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ _SP = _build_sp_tables()
 
 _M32 = 0xFFFFFFFF
 _M28 = 0x0FFFFFFF
+_ZERO_IV = bytes(8)
 
 #: The four weak and twelve semi-weak DES keys (FIPS 74 / Menezes et al.,
 #: the handbook the paper cites).  With a weak key, encryption equals
@@ -354,7 +356,7 @@ class _DesCipher:
         else:
             _charge_phases(self._function, self.rounds)
         if self._native is not None:
-            return self._native.ecb(block, encrypt)
+            return self._native.cbc(_ZERO_IV, block, encrypt)
         return _crypt(int.from_bytes(block, "big"),
                       self._enc if encrypt else self._dec).to_bytes(8, "big")
 

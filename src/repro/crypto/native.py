@@ -2,24 +2,27 @@
 
 On the fast path, AES, DES/3DES, :class:`~repro.crypto.rand.PseudoRandom`'s
 raw MD5 chain and the Montgomery products of a modular exponentiation
-compute with OpenSSL's own low-level functions through ``ctypes``.  The
-library is ``_hashlib``'s shared object, opened with ``ctypes.PyDLL``,
-so ``dlsym`` resolves every symbol through the libcrypto ``_hashlib``
-links and nothing new is installed or loaded; a ``PyDLL`` call keeps the
-GIL, which a sub-microsecond product cannot afford to release.  Every
-symbol gets an explicit signature (``argtypes``/``restype``, from
-OpenSSL's ``md5.h``, ``aes.h``, ``des.h`` and ``bn.h``).
+compute with OpenSSL's own low-level functions through ``ctypes``.  A
+cipher has one entry, CBC over whole blocks; a single block is a
+one-block CBC from a zero IV.  The library is ``_hashlib``'s shared
+object, opened with ``ctypes.PyDLL``, so ``dlsym`` resolves every symbol
+through the libcrypto ``_hashlib`` links and nothing new is installed or
+loaded; a ``PyDLL`` call keeps the GIL, which a sub-microsecond product
+cannot afford to release.  Every symbol gets an explicit signature
+(``argtypes``/``restype``, from OpenSSL's ``md5.h``, ``aes.h``,
+``des.h`` and ``bn.h``).
 
 At import, every bound function runs a check: FIPS-197 Appendix C
-(AES-128/192/256), FIPS 81's "Now is t" (DES), the SP 800-67 example
-(3DES), each CBC function over a two-block input that chains back to the
-same vector, RFC 1321's MD5("abc") as one raw compression of its padded
-block, and Montgomery products modulo a fixed 128-bit odd number against
-Python's integers.  If ``_hashlib``, its library, a symbol or an answer
-is missing or wrong, :data:`available` is False, :data:`reason` says
-why, and the fast path runs the Python cores instead.  No option or
-environment variable selects this: the binding is used wherever it loads
-and answers correctly.
+(AES-128/192/256), FIPS 81's "Now is t" (DES) and the SP 800-67 example
+(3DES), each as a one-block CBC both ways and then over a two-block
+input that chains back to the same vector; RFC 1321's MD5("abc") as one
+raw compression of its padded block; and Montgomery products modulo a
+fixed 128-bit odd number against Python's integers.  If ``_hashlib``,
+its library, a symbol or an answer is missing or wrong,
+:data:`available` is False, :data:`reason` says why, and the fast path
+runs the Python cores instead.  No option or environment variable
+selects this: the binding is used wherever it loads and answers
+correctly.
 
 This module only computes.  The callers charge the same plans whichever
 core runs, so no modeled number depends on it.  The inputs may be
@@ -48,13 +51,9 @@ _SIGNATURES = {
     "MD5_Update": (_INT, (_BUF, _IN, ctypes.c_size_t)),
     "AES_set_encrypt_key": (_INT, (_IN, _INT, _BUF)),
     "AES_set_decrypt_key": (_INT, (_IN, _INT, _BUF)),
-    "AES_encrypt": (None, (_IN, _BUF, _BUF)),
-    "AES_decrypt": (None, (_IN, _BUF, _BUF)),
     "AES_cbc_encrypt": (None, (_IN, _BUF, ctypes.c_size_t, _BUF, _BUF,
                                _INT)),
     "DES_set_key_unchecked": (None, (_IN, _BUF)),
-    "DES_ecb_encrypt": (None, (_IN, _BUF, _BUF, _INT)),
-    "DES_ecb3_encrypt": (None, (_IN, _BUF, _BUF, _BUF, _BUF, _INT)),
     "DES_ncbc_encrypt": (None, (_IN, _BUF, ctypes.c_long, _BUF, _BUF,
                                 _INT)),
     "DES_ede3_cbc_encrypt": (None, (_IN, _BUF, ctypes.c_long, _BUF, _BUF,
@@ -116,7 +115,8 @@ def md5_compress(state: Tuple[int, int, int, int],
 
 
 class AesKey:
-    """An AES key's libcrypto encryption and decryption schedules."""
+    """An AES key's libcrypto encryption and decryption schedules, used
+    through :meth:`cbc`."""
 
     __slots__ = ("_enc", "_dec")
 
@@ -128,14 +128,6 @@ class AesKey:
         self._dec = ctypes.create_string_buffer(_AES_KEY)
         _lib.AES_set_encrypt_key(key, 8 * len(key), self._enc)
         _lib.AES_set_decrypt_key(key, 8 * len(key), self._dec)
-
-    def ecb(self, block: bytes, encrypt: bool) -> bytes:
-        out = ctypes.create_string_buffer(16)
-        if encrypt:
-            _lib.AES_encrypt(_exact(block, 16), out, self._enc)
-        else:
-            _lib.AES_decrypt(_exact(block, 16), out, self._dec)
-        return out.raw
 
     def cbc(self, iv: bytes, data: bytes, encrypt: bool) -> bytes:
         """CBC over every block of ``data``, chained from ``iv``."""
@@ -149,7 +141,8 @@ class AesKey:
 
 
 class DesKey:
-    """DES under one 8-byte key, or EDE 3DES under three."""
+    """DES under one 8-byte key, or EDE 3DES under three, used through
+    :meth:`cbc`."""
 
     __slots__ = ("_schedules",)
 
@@ -163,15 +156,6 @@ class DesKey:
             _lib.DES_set_key_unchecked(key[i:i + 8], schedule)
             schedules.append(schedule)
         self._schedules = tuple(schedules)
-
-    def ecb(self, block: bytes, encrypt: bool) -> bytes:
-        block = _exact(block, 8)
-        out = ctypes.create_string_buffer(8)
-        if len(self._schedules) == 1:
-            _lib.DES_ecb_encrypt(block, out, *self._schedules, encrypt)
-        else:
-            _lib.DES_ecb3_encrypt(block, out, *self._schedules, encrypt)
-        return out.raw
 
     def cbc(self, iv: bytes, data: bytes, encrypt: bool) -> bytes:
         """CBC over every block of ``data``, chained from ``iv``."""
@@ -334,14 +318,15 @@ def _expect(what: str, got: bytes, expected: bytes) -> None:
 
 def _check_cipher(name: str, key, plain: bytes, cipher: bytes,
                   cbc: str) -> None:
-    """One block each way, then CBC over ``[P, P ^ C]`` from a zero IV,
-    which chains back to ``[C, C]``, and its decryption."""
+    """The vector as a one-block CBC from a zero IV each way, then CBC
+    over ``[P, P ^ C]``, which chains back to ``[C, C]``, and its
+    decryption."""
     size = len(plain)
-    _expect(f"{name} encrypt", key.ecb(plain, True), cipher)
-    _expect(f"{name} decrypt", key.ecb(cipher, False), plain)
+    iv = bytes(size)
+    _expect(f"{name} encrypt", key.cbc(iv, plain, True), cipher)
+    _expect(f"{name} decrypt", key.cbc(iv, cipher, False), plain)
     second = (int.from_bytes(plain, "big")
               ^ int.from_bytes(cipher, "big")).to_bytes(size, "big")
-    iv = bytes(size)
     _expect(cbc, key.cbc(iv, plain + second, True), cipher + cipher)
     _expect(f"{cbc} (decrypt)", key.cbc(iv, cipher + cipher, False),
             plain + second)

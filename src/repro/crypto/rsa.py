@@ -155,9 +155,6 @@ class RsaPrivateKey:
         self._mont_reduction = mont_reduction
         self.size = (n.nbits() + 7) // 8
         self._rng = rng if rng is not None else PseudoRandom(b"rsa-blinding")
-        self._mont_n: Optional[MontgomeryContext] = None
-        self._mont_p: Optional[MontgomeryContext] = None
-        self._mont_q: Optional[MontgomeryContext] = None
         #: Montgomery contexts by (modulus name, reduction style).  The cache
         #: outlives style switches and can be adopted by other keys over the
         #: same modulus (see :meth:`share_montgomery`), so one context per
@@ -192,9 +189,6 @@ class RsaPrivateKey:
                              mont_reduction=self._mont_reduction,
                              rng=copy.deepcopy(self._rng),
                              err_tables=ErrorTables(False))
-        twin._mont_n = self._mont_n
-        twin._mont_p = self._mont_p
-        twin._mont_q = self._mont_q
         twin._mont_cache = dict(self._mont_cache)
         twin._blind_pair = self._blind_pair
         return twin
@@ -208,7 +202,6 @@ class RsaPrivateKey:
     def mont_reduction(self, style: str) -> None:
         if style != self._mont_reduction:
             self._mont_reduction = style
-            self._mont_n = self._mont_p = self._mont_q = None
             self._blind_pair = None
 
     def _shared_ctx(self, name: str, modulus: BigNum) -> MontgomeryContext:
@@ -229,22 +222,15 @@ class RsaPrivateKey:
         if self.n != other.n or self.p != other.p or self.q != other.q:
             raise RsaError("Montgomery sharing requires identical moduli")
         self._mont_cache = other._mont_cache
-        self._mont_n = self._mont_p = self._mont_q = None
 
     def _ctx_n(self) -> MontgomeryContext:
-        if self._mont_n is None:
-            self._mont_n = self._shared_ctx("n", self.n)
-        return self._mont_n
+        return self._shared_ctx("n", self.n)
 
     def _ctx_p(self) -> MontgomeryContext:
-        if self._mont_p is None:
-            self._mont_p = self._shared_ctx("p", self.p)
-        return self._mont_p
+        return self._shared_ctx("p", self.p)
 
     def _ctx_q(self) -> MontgomeryContext:
-        if self._mont_q is None:
-            self._mont_q = self._shared_ctx("q", self.q)
-        return self._mont_q
+        return self._shared_ctx("q", self.q)
 
     # -- blinding --------------------------------------------------------------
     def _mod_mul_n(self, a: BigNum, b: BigNum) -> BigNum:

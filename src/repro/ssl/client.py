@@ -31,7 +31,7 @@ from .handshake import (
 from .record import ContentType
 from .session import SslSession
 from .ticket import SESSION_TICKET_EXT
-from .x509 import Certificate
+from .x509 import Certificate, verify_chain
 
 PRE_MASTER_LENGTH = 48
 
@@ -54,7 +54,6 @@ class SslClient(SslConnection):
     def __init__(self, suites: Sequence[CipherSuite] = (),
                  session: Optional[SslSession] = None,
                  rng: Optional[PseudoRandom] = None,
-                 verify_certificate: bool = True,
                  trusted_issuer: Optional[Certificate] = None,
                  version: int = 0x0300,
                  use_v2_hello: bool = False,
@@ -75,7 +74,6 @@ class SslClient(SslConnection):
         self._session_tickets = session_tickets
         self._offered_sid = b""
         self._pending_ticket: Optional[bytes] = None
-        self._verify_certificate = verify_certificate
         self._trusted_issuer = trusted_issuer
         self._state = ClientHandshakeState.START
         self._server_cert: Optional[Certificate] = None
@@ -229,14 +227,10 @@ class SslClient(SslConnection):
         if not msg.certificates:
             raise BadCertificate("empty certificate chain")
         chain = [Certificate.from_bytes(der) for der in msg.certificates]
-        cert = chain[0]
-        if self._verify_certificate:
-            from .x509 import verify_chain
-            trusted = ([self._trusted_issuer] if self._trusted_issuer
-                       else None)
-            if not verify_chain(chain, trusted=trusted):
-                raise BadCertificate("certificate chain invalid")
-        self._server_cert = cert
+        trusted = [self._trusted_issuer] if self._trusted_issuer else None
+        if not verify_chain(chain, trusted=trusted):
+            raise BadCertificate("certificate chain invalid")
+        self._server_cert = chain[0]
         self._server_chain = chain
         self._state = ClientHandshakeState.WAIT_SERVER_DONE
 

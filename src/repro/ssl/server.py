@@ -129,17 +129,17 @@ class HandshakeBatcher:
     inline; once one ciphertext per distinct member key is queued (or a
     virtual-time timeout fires) the queue is drained through one
     Shacham-Boneh batched private operation and every suspended handshake
-    is resumed from its continuation.  Time is virtual: the driving loop
-    (the web-server simulator's transaction interleaver) calls
-    :meth:`tick` once per scheduling round.
+    is resumed from its continuation.  The batched operation always
+    blinds, as an :class:`RsaPrivateKey` does by default.  Time is
+    virtual: the driving loop (the web-server simulator's transaction
+    interleaver) calls :meth:`tick` once per scheduling round.
     """
 
     def __init__(self, keyset: BatchRsaKeySet,
                  batch_size: Optional[int] = None,
-                 timeout_ticks: int = 8,
-                 blinding: bool = True):
+                 timeout_ticks: int = 8):
         self.keyset = keyset
-        self.decryptor = BatchRsaDecryptor(keyset, blinding=blinding)
+        self.decryptor = BatchRsaDecryptor(keyset)
         self.batch_size = min(batch_size or len(keyset), len(keyset))
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
@@ -256,10 +256,7 @@ class SslServer(SslConnection):
                  clock: Optional[Callable[[], float]] = None,
                  session_lifetime: Optional[float] = None,
                  offload=None,
-                 ticket_keys: Optional[TicketKeyRing] = None,
-                 suite_policy: Optional[Callable[
-                     [Sequence[int]], Optional[Sequence[CipherSuite]]]]
-                 = None):
+                 ticket_keys: Optional[TicketKeyRing] = None):
         """``cert_chain``: intermediate/root certificates sent after the
         leaf (the paper's server used a single self-signed certificate).
         ``batcher``: a shared :class:`HandshakeBatcher`; when set, the RSA
@@ -275,13 +272,9 @@ class SslServer(SslConnection):
         a :class:`~repro.ssl.ticket.TicketKeyRing`; when set, the server
         mints RFC-5077-style stateless session tickets for clients that
         advertise support and accepts offered tickets for resumption
-        without consulting (or populating) the id cache.
-        ``suite_policy``: selection hook called with the client's offered
-        suite ids at ServerHello time; returning a suite sequence
-        replaces the server's preference order for this handshake
-        (returning ``None`` keeps it), which is how an overload
-        downgrade engine steers selection without reconfiguring the
-        server.  Pure policy -- the hook must not charge cycles."""
+        without consulting (or populating) the id cache.  ``suites`` is
+        the server's preference order: it picks the first of them the
+        client offers."""
         with perf.region("init"):
             super().__init__()
             self._key = private_key
@@ -289,7 +282,6 @@ class SslServer(SslConnection):
             self._chain = tuple(cert_chain)
             self._suites = tuple(suites) if suites else tuple(
                 s for s in ALL_SUITES if s.cipher != "null")
-            self._suite_policy = suite_policy
             self._cache = session_cache
             self._rng = rng if rng is not None else PseudoRandom(b"server")
             self._state = ServerHandshakeState.WAIT_CLIENT_HELLO
@@ -489,12 +481,7 @@ class SslServer(SslConnection):
             self._state = ServerHandshakeState.WAIT_CLIENT_KX
 
     def _choose_suite(self, offered: Sequence[int]) -> CipherSuite:
-        order = self._suites
-        if self._suite_policy is not None:
-            override = self._suite_policy(offered)
-            if override:
-                order = tuple(override)
-        for suite in order:
+        for suite in self._suites:
             if suite.suite_id in offered:
                 return suite
         raise HandshakeFailure("no common cipher suite")

@@ -205,24 +205,29 @@ def short_form_base(n: int, words: int, form: int) -> int:
 
 def assert_kernel_when_even(ctx: MontgomeryContext) -> None:
     """On a 64-bit libcrypto an even word count gets the kernel and an
-    odd one keeps the int registers."""
+    odd one keeps the int registers (for two words or more: a one-word
+    modulus dividing 2^32 - 1, such as 3, keeps its kernel)."""
     if native.available and ctypes.sizeof(ctypes.c_void_p) == 8:
         assert (ctx.kernel() is None) == bool(ctx.nwords % 2)
 
 
 @given(words=st.integers(2, 8), top=st.integers(1, 15),
        low=st.integers(0, 2**256), exp=st.integers(1, 2**96),
-       base=st.sampled_from(["zero", "one", "n-1", "short", "full"]))
+       base=st.sampled_from(["zero", "one", "n-1", "short", "full", "n+5",
+                             "wide"]))
 @settings(max_examples=40, deadline=None)
 def test_mod_exp_kernel_on_small_top_words(words, top, low, exp, base):
     """Moduli whose top word is 1-15 leave many intermediates a word
     shorter than the modulus, so their products are charged by plans of
     both word counts, and bases 0, 1, n - 1 and one whose Montgomery form
-    is one word keep the table's operands short too."""
+    is one word keep the table's operands short too.  Bases n + 5 and
+    one with more words than n are reduced, and charged ``BN_div``,
+    before their conversion."""
     n = (top << (32 * (words - 1))) | (low % (1 << (32 * (words - 1)))) | 1
     base_int = {"zero": 0, "one": 1, "n-1": n - 1,
                 "short": short_form_base(n, words, (low >> 7) % 2**32 | 1),
-                "full": low % n}[base]
+                "full": low % n, "n+5": n + 5,
+                "wide": (low | 1) << (32 * words)}[base]
     assert_kernel_when_even(mod_exp_three_ways(n, base_int, exp))
 
 
@@ -237,8 +242,52 @@ def test_mod_exp_kernel_on_random_moduli(bits, exp_bits):
     words = bits // 32
     exp = rng.getrandbits(exp_bits) | (1 << (exp_bits - 1))
     for base in (0, 1, n - 1, short_form_base(n, words, 5),
-                 rng.getrandbits(bits) % n):
+                 rng.getrandbits(bits) % n, n + 5, wider_than(rng, bits)):
         assert_kernel_when_even(mod_exp_three_ways(n, base, exp))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mod_exp_on_one_word_moduli(n):
+    """The one-word moduli 1 and 3.  Modulo 1 every value, RR included,
+    is 0, so ``one()``'s charge includes a ``BN_div``; bases n + 5 and
+    2^70 are reduced before their conversion."""
+    for base in (0, 1, 2, n + 5, 1 << 70):
+        for exp in (1, 2, 65537):
+            mod_exp_three_ways(n, base, exp)
+
+
+def wider_than(rng: random.Random, bits: int) -> int:
+    """A base 40 bits wider than a ``bits``-bit modulus."""
+    return rng.getrandbits(bits + 40) | (1 << (bits + 39))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a word-array Montgomery operation ran")
+
+
+@pytest.mark.parametrize("bits,on", [(1024, True), (544, True),
+                                     (1024, False)],
+                         ids=["kernel", "int-registers", "binding-off"])
+def test_fast_mod_exp_makes_no_word_array_product(monkeypatch, bits, on):
+    """On the fast path every product of ``mod_exp``, the conversions
+    into and out of Montgomery form included, is a register product:
+    the context's word-array operations, patched to raise, never run,
+    on the kernel, on the int registers of an odd word count, or with
+    the binding forced off.  A fallback to them keeps every signature,
+    so the equivalence tests cannot see one."""
+    for name in ("mul", "sqr", "to_mont", "from_mont", "one"):
+        monkeypatch.setattr(MontgomeryContext, name, _refuse)
+    rng = random.Random(bits)
+    n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    modulus = BigNum.from_int(n)
+    with runtime.fastpath(True), binding(on and native.available), \
+            perf.activate(perf.Profiler()):
+        ctx = MontgomeryContext(modulus)
+        for base in (0, 1, n - 1, n + 5, wider_than(rng, bits)):
+            for exp in (65537, rng.getrandbits(bits) | (1 << (bits - 1))):
+                assert mod_exp(BigNum.from_int(base), BigNum.from_int(exp),
+                               modulus, ctx).to_int() == pow(base, exp, n)
+        assert_kernel_when_even(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro import perf
 from repro.crypto import rsa
 from repro.crypto.rand import PseudoRandom
 from repro.ssl import DES_CBC3_SHA, SslClient, SslServer
-from repro.ssl.ciphersuites import RC4_MD5
+from repro.ssl.ciphersuites import AES128_SHA, RC4_MD5
 from repro.ssl.loopback import pump
 from repro.webserver import SHARED, ServerFarm
 from repro.webserver.overload import (
@@ -210,42 +210,26 @@ class TestSuitePolicy:
         with pytest.raises(ValueError):
             SuitePolicy(queue_high=0)
 
-    def test_server_hook_steers_selection(self, identity512):
-        """The SslServer suite_policy hook: same server preference, but
-        the hook's override decides the negotiated suite."""
+    @pytest.mark.parametrize("order", [(DES_CBC3_SHA, RC4_MD5),
+                                       (RC4_MD5, DES_CBC3_SHA)],
+                             ids=["3des-first", "rc4-first"])
+    def test_server_order_picks_among_offered(self, identity512, order):
+        """The farm steers a connection's suite by the ``suites`` order
+        it gives that connection's server: the server picks the first
+        suite of its order that the client offers, whatever the
+        client's own order, and skips one the client does not offer."""
         key, cert = identity512
-
-        def prefer_cheap(offered):
-            return (RC4_MD5, DES_CBC3_SHA)
-
         sp, cp = perf.Profiler(), perf.Profiler()
         with perf.activate(sp):
-            server = SslServer(key, cert,
-                               suites=(DES_CBC3_SHA, RC4_MD5),
-                               rng=PseudoRandom(b"hook-s"),
-                               suite_policy=prefer_cheap)
+            server = SslServer(key, cert, suites=(AES128_SHA,) + order,
+                               rng=PseudoRandom(b"order-s"))
         with perf.activate(cp):
             client = SslClient(suites=(DES_CBC3_SHA, RC4_MD5),
-                               rng=PseudoRandom(b"hook-c"))
+                               rng=PseudoRandom(b"order-c"))
             client.start_handshake()
         pump(client, server, cp, sp)
         assert server.handshake_complete
-        assert server.cipher_suite.suite_id == RC4_MD5.suite_id
-
-    def test_server_hook_none_keeps_preference(self, identity512):
-        key, cert = identity512
-        sp, cp = perf.Profiler(), perf.Profiler()
-        with perf.activate(sp):
-            server = SslServer(key, cert,
-                               suites=(DES_CBC3_SHA, RC4_MD5),
-                               rng=PseudoRandom(b"nohook-s"),
-                               suite_policy=lambda offered: None)
-        with perf.activate(cp):
-            client = SslClient(suites=(DES_CBC3_SHA, RC4_MD5),
-                               rng=PseudoRandom(b"nohook-c"))
-            client.start_handshake()
-        pump(client, server, cp, sp)
-        assert server.cipher_suite.suite_id == DES_CBC3_SHA.suite_id
+        assert server.cipher_suite.suite_id == order[0].suite_id
 
     def test_farm_counts_downgrades(self, identity512):
         """Under a zero-gap burst the farm's suite policy engages and the
