@@ -32,21 +32,23 @@ RAND_CALL = mix(movl=16, addl=4, andl=2, cmpl=4, jnz=4, pushl=3, popl=3,
 
 _POOL_SIZE = 1024
 _IV = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+#: The pool's index ramp, byte ``i`` = ``i & 0xFF``, as one integer.
+_RAMP = int.from_bytes(bytes(range(256)) * (_POOL_SIZE // 256), "big")
 
 
 class PseudoRandom:
     """MD5-feedback PRNG over a 1 KB state pool (md_rand equivalent)."""
 
     def __init__(self, seed: bytes = b"repro-ssl-anatomy"):
-        self._pool = bytearray(_POOL_SIZE)
-        self._counter = 0
         self.seed(seed)
 
     def seed(self, material: bytes) -> None:
-        """Mix seed material through the pool."""
+        """Mix seed material through the pool: byte ``i`` is
+        ``digest[i % 16] ^ (i & 0xFF)``, made as one integer XOR."""
         digest = MD5(material).digest()
-        for i in range(_POOL_SIZE):
-            self._pool[i] = digest[i % 16] ^ (i & 0xFF)
+        self._pool = bytearray(
+            (int.from_bytes(digest * (_POOL_SIZE // 16), "big") ^ _RAMP)
+            .to_bytes(_POOL_SIZE, "big"))
         self._counter = 0
 
     def _stir(self) -> bytes:

@@ -167,10 +167,10 @@ class OffloadPool:
     """Worker-local asynchronous offload queue over a pool of engine cores.
 
     The pool never touches real bytes: callers run the genuine software
-    crypto under a *scratch* profiler (so the transcript stays
-    bit-identical to a software run) and this class accounts the modeled
-    cost -- dispatch mixes on the live profiler, service time on the
-    per-unit timelines.
+    crypto under a :class:`~repro.perf.Discard` sink (so the transcript
+    stays bit-identical to a software run) and this class accounts the
+    modeled cost -- dispatch mixes on the live profiler, service time on
+    the per-unit timelines.
     """
 
     def __init__(self, config: OffloadConfig):
@@ -237,7 +237,7 @@ class OffloadPool:
         On success the dispatch mix is charged to the live profiler (in
         an ``engine_offload`` region), the chosen cipher+hash units'
         timelines advance, and the caller must run the real crypto under
-        a scratch profiler.  On refusal nothing is charged and the
+        a discard sink.  On refusal nothing is charged and the
         caller takes the ordinary software path.
         """
         if data_bytes < self.config.min_record_bytes:
@@ -276,7 +276,7 @@ class OffloadPool:
     def rsa_decrypt(self, key, ciphertext: bytes) -> bytes:
         """Private-key decrypt through the modexp unit, if one is free.
 
-        The real decrypt still runs (under a scratch profiler) so the
+        The real decrypt still runs (under a discard sink) so the
         pre-master bytes, blinding RNG advance and padding-failure
         behaviour are identical to software; only the modeled cost moves
         to the engine.  Saturated or absent modexp units fall back to
@@ -294,7 +294,7 @@ class OffloadPool:
         service = unit.design.rate("rsa") * scale
         with perf.region("engine_offload"):
             # The one-shot error-string load is CPU-side library state;
-            # pay it on the live profiler before the scratch run.
+            # pay it on the live profiler before the discarded run.
             key.charge_error_load()
             charge(MODEXP_DISPATCH, function="engine_dispatch",
                    module=perf.LIBCRYPTO)
@@ -305,7 +305,7 @@ class OffloadPool:
             self.latency_cycles += done - now
             self.ops += 1
             self.modexp_ops += 1
-        with perf.activate(perf.Profiler()):
+        with perf.activate(perf.Discard()):
             return key.decrypt(ciphertext)
 
     # -- reporting ----------------------------------------------------------

@@ -11,7 +11,7 @@ from .cpu import CpuModel, DEFAULT_COSTS, PENTIUM3, PENTIUM4, WIDE_CORE
 from .isa import CATEGORY, I, InstrMix, MixAccumulator, left_sum, mix
 from .profiler import (
     HTTPD, LIBCRYPTO, LIBSSL, OTHER, VMLINUX,
-    ChargePlan, FunctionStats, Profiler, RegionNode,
+    ChargePlan, Discard, FunctionStats, Profiler, RegionNode,
     activate, charge, charge_cycles, charge_plans, current, region,
     reset_default,
 )
@@ -29,7 +29,7 @@ __all__ = [
     "CpuModel", "PENTIUM3", "PENTIUM4", "WIDE_CORE", "DEFAULT_COSTS",
     "CATEGORY", "I", "InstrMix", "MixAccumulator", "left_sum", "mix",
     "HTTPD", "LIBCRYPTO", "LIBSSL", "OTHER", "VMLINUX",
-    "ChargePlan", "FunctionStats", "Profiler", "RegionNode",
+    "ChargePlan", "Discard", "FunctionStats", "Profiler", "RegionNode",
     "activate", "charge", "charge_cycles", "charge_plans", "current",
     "region", "reset_default",
     "format_table", "kcycles", "percent",

@@ -337,6 +337,38 @@ class Profiler:
         return node.inclusive_cycles() if node is not None else 0.0
 
 
+class Discard(Profiler):
+    """A profiler for charges nobody reads: the simulated client
+    machine, and work that runs only for its bytes (an engine's
+    software crypto, configuration).
+
+    ``charge`` and ``charge_cycles`` check their arguments as
+    :class:`Profiler` does and return 0.0; ``charge_plans`` returns at
+    once.  Nothing is added: no chain, no pending mix, no plan binding,
+    no mix cost memo, so every total reads 0.  Regions nest and unwind
+    as on any profiler.  The code under it runs in full, so one-time
+    state it touches (RSA error tables, Montgomery contexts) evolves as
+    under a recording profiler; a plan's binding and a mix's cost memo
+    give the same bits whoever fills them.
+    """
+
+    def charge(self, m: InstrMix, times: float = 1.0, *,
+               function: str = "<anon>", module: str = LIBCRYPTO,
+               stall: float = 1.0) -> float:
+        if stall <= 0:
+            raise ValueError("stall_factor must be positive")
+        return 0.0
+
+    def charge_plans(self, plans: Sequence[ChargePlan]) -> None:
+        return None
+
+    def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
+                      module: str = OTHER) -> float:
+        if cycles < 0:
+            raise ValueError("cannot charge negative cycles")
+        return 0.0
+
+
 # ---------------------------------------------------------------------------
 # Active-profiler stack
 # ---------------------------------------------------------------------------

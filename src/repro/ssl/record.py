@@ -87,7 +87,7 @@ class ConnectionState:
         ``offload`` (an :class:`repro.engines.offload.OffloadPool`) routes
         bulk cipher+MAC work through modeled crypto engines when one is
         capable and unsaturated; the real crypto still runs -- under a
-        scratch profiler -- so the wire bytes are identical either way."""
+        discard sink -- so the wire bytes are identical either way."""
         if version not in SUPPORTED_VERSIONS:
             raise ValueError(f"unsupported protocol version 0x{version:04x}")
         if not 1 <= seq_cap <= self.SEQ_NUM_CAP:
@@ -134,10 +134,10 @@ class ConnectionState:
             if pool.submit_record("seal", suite.cipher, suite.mac,
                                   len(fragment), tail):
                 # Engine path: the pool charged dispatch + engine latency;
-                # run the genuine crypto under a scratch profiler so the
+                # run the genuine crypto under a discard sink so the
                 # ciphertext (and seq/MAC state) is bit-identical to the
                 # software path without double-charging CPU cycles.
-                with perf.activate(perf.Profiler()):
+                with perf.activate(perf.Discard()):
                     return self._seal_software(content_type, fragment)
         return self._seal_software(content_type, fragment)
 
@@ -197,10 +197,10 @@ class ConnectionState:
             data_est = max(0, len(body) - self.suite.mac_size)
             if pool.submit_record("open", self.suite.cipher, self.suite.mac,
                                   data_est, len(body) - data_est):
-                # BadRecordMac still propagates from the scratch-profiled
-                # run -- engine or not, failures stay uniform (the engine's
+                # BadRecordMac still propagates from the discarded run --
+                # engine or not, failures stay uniform (the engine's
                 # service time depends only on the record length).
-                with perf.activate(perf.Profiler()):
+                with perf.activate(perf.Discard()):
                     return self._open_software(content_type, body)
         return self._open_software(content_type, body)
 

@@ -70,7 +70,7 @@ def _identity(bits: int = 512, seed: bytes = b"perfgate"):
     """A deterministic server identity built outside the captured profiler
     (key generation is not part of any paper table's steady state)."""
     from ..ssl.loopback import make_server_identity
-    with perf.activate(Profiler()):
+    with perf.activate(perf.Discard()):
         return make_server_identity(bits, seed=seed)
 
 
@@ -143,7 +143,7 @@ def _resumed_session():
     from ..ssl.session import SessionCache
     key, cert = _identity(seed=b"pg-resume")
     cache = SessionCache()
-    with perf.activate(Profiler()):
+    with perf.activate(perf.Discard()):
         first = run_session(b"", suite=DES_CBC3_SHA, key=key, cert=cert,
                             session_cache=cache, seed=b"pg-resume-1")
     assert first.session is not None, "first handshake minted no session"
@@ -252,7 +252,7 @@ def _batch_rsa_flush():
     from ..crypto.rand import PseudoRandom
     from ..webserver.simulator import WebServerSimulator
     from ..webserver.workload import RequestWorkload
-    with perf.activate(Profiler()):
+    with perf.activate(perf.Discard()):
         key_set = generate_batch_keys(512, 4,
                                       rng=PseudoRandom(b"pg-batch"))
     sim = WebServerSimulator(use_crt=True, key_set=key_set,
@@ -544,7 +544,7 @@ def capture_scenario(name: str) -> Dict[str, Any]:
     """
     scn = SCENARIOS[name]
     rsa.reset_error_tables()
-    with perf.activate(Profiler()):
+    with perf.activate(perf.Discard()):
         profiler, extra = scn.run()
     return baseline.capture(profiler, scenario=name, extra=extra,
                             meta={"table": scn.table,

@@ -4,8 +4,9 @@ Runs a stream of HTTPS transactions against a simulated Apache+Linux stack:
 the SSL processing is the real instrumented protocol implementation; the
 kernel/httpd/libc components are the calibrated cost models of
 :mod:`repro.webserver.costs`.  Measurements are taken on the *server* side
-(its profiler), exactly as in the paper; the client runs under a separate,
-discarded profiler.
+(its profiler), exactly as in the paper; the client machine computes every
+byte but charges into a :class:`~repro.perf.Discard` sink, which keeps
+nothing.
 
 Regenerates the data behind Table 1 (module breakdown) and Figure 2
 (crypto-category split versus request size).
@@ -193,7 +194,7 @@ class _Transaction:
     # cross-resumption annotation, defaulted here so simulator-only
     # transactions stay readable.
     __slots__ = ("_sim", "_requests", "_nrequests", "_server_prof",
-                 "_result", "_client_prof", "phase", "_hs_start",
+                 "_result", "phase", "_hs_start",
                  "_abandon", "_abandon_step", "_renegs_left",
                  "_client_key", "server", "client", "_farm_offered_owner")
 
@@ -206,7 +207,6 @@ class _Transaction:
         self._nrequests = len(requests)
         self._server_prof = server_prof
         self._result = result
-        self._client_prof = perf.Profiler()  # client machine: discarded
         self.phase = _Transaction.HANDSHAKE
         # Handshake latency starts at admission, before the kernel's
         # connection-setup charges: time already on this worker's clock
@@ -243,7 +243,7 @@ class _Transaction:
                 session_lifetime=sim._session_lifetime,
                 offload=sim._engines,
                 ticket_keys=sim._tickets)
-        with perf.activate(self._client_prof):
+        with perf.activate(sim._client_sink):
             self.client = SslClient(suites=sim._client_suites,
                                     session=resume,
                                     version=sim._version,
@@ -290,13 +290,13 @@ class _Transaction:
 
     def _exchange(self) -> bool:
         """Relay pending bytes both ways once (one flight each)."""
-        with perf.activate(self._client_prof):
+        with perf.activate(self._sim._client_sink):
             c_out = self.client.pending_output()
         with perf.activate(self._server_prof):
             s_out = self.server.pending_output()
             if c_out:
                 self.server.receive(c_out)
-        with perf.activate(self._client_prof):
+        with perf.activate(self._sim._client_sink):
             if s_out:
                 self.client.receive(s_out)
         return bool(c_out or s_out)
@@ -329,7 +329,7 @@ class _Transaction:
         """
         self._abandon_step += 1
         if self._abandon_step == 1:
-            with perf.activate(self._client_prof):
+            with perf.activate(self._sim._client_sink):
                 c_out = self.client.pending_output()
             with perf.activate(self._server_prof):
                 self.server.receive(c_out)
@@ -342,7 +342,7 @@ class _Transaction:
             return True
         with perf.activate(self._server_prof):
             s_out = self.server.pending_output()
-        with perf.activate(self._client_prof):
+        with perf.activate(self._sim._client_sink):
             self.client.receive(s_out)
             c_out = self.client.pending_output()
         with perf.activate(self._server_prof):
@@ -365,14 +365,14 @@ class _Transaction:
                 # server burns a fresh RSA decrypt each time).
                 self._renegs_left -= 1
                 self._hs_start = self._server_prof.seconds()
-                with perf.activate(self._client_prof):
+                with perf.activate(self._sim._client_sink):
                     self.client.renegotiate()
                 self.phase = _Transaction.HANDSHAKE
                 return True
             self.phase = _Transaction.CLOSING
             return True
         request = self._requests[0]
-        with perf.activate(self._client_prof):
+        with perf.activate(self._sim._client_sink):
             self.client.write(build_request(request.path))
             wire = self.client.pending_output()
         with perf.activate(self._server_prof):
@@ -381,7 +381,7 @@ class _Transaction:
             response = worker.handle(self.server.read())
             self.server.write(response)
             wire = self.server.pending_output()
-        with perf.activate(self._client_prof):
+        with perf.activate(self._sim._client_sink):
             self.client.receive(wire)
             status, body = parse_response(self.client.read())
         self._requests.popleft()
@@ -393,7 +393,7 @@ class _Transaction:
         return True
 
     def _step_close(self) -> bool:
-        with perf.activate(self._client_prof):
+        with perf.activate(self._sim._client_sink):
             self.client.close()
             wire = self.client.pending_output()
         with perf.activate(self._server_prof):
@@ -478,6 +478,10 @@ class WebServerSimulator:
                 for i, member in enumerate(key_set.members)]
         self._next_identity = 0
         self._engines = OffloadPool(engines) if engines is not None else None
+        # The client machine's charges: measurements are server-side.  A
+        # step never leaves a client region open, so every transaction
+        # shares this one sink.
+        self._client_sink = perf.Discard()
 
     def _next_server_identity(self) -> tuple:
         """Round-robin (key, cert) assignment across batch members."""

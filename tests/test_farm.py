@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import repro
+from repro import perf
 from repro.crypto import rsa
 from repro.crypto.batch_rsa import BatchRsaError, generate_batch_keys
 from repro.crypto.rand import PseudoRandom
@@ -29,6 +30,7 @@ from repro.webserver import (
 )
 
 from tests.test_fastpath_equivalence import snapshot
+from tests.test_webserver import record_charged_profilers
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +359,23 @@ class TestFarmMetrics:
         stats = fr.worker_stats()
         assert [w.worker for w in stats] == [0, 1]
         assert all(w.cycles > 0 for w in stats)
+
+    def test_every_charge_lands_in_a_worker_profile(self, identity512,
+                                                   monkeypatch):
+        """The workers are simulators, so each one's clients charge its
+        discard sink; the workload's draws charge the caller's active
+        profiler, here a sink too."""
+        key, cert = identity512
+        farm = ServerFarm(2, key=key, cert=cert)
+        charged = record_charged_profilers(monkeypatch)
+        with perf.activate(perf.Discard()):
+            fr = farm.run(workload(), 6, concurrency_per_worker=2)
+        assert fr.requests_completed == 6
+        workers = [r.profiler for r in fr.results]
+        assert len(workers) == 2
+        assert [p for p in charged.values()
+                if not any(p is w for w in workers)] == []
+        assert all(id(w) in charged for w in workers)
 
     def test_farm_requests_per_second(self):
         # Two workers at 1e9 cycles for 10 requests each on a 1e9 Hz CPU

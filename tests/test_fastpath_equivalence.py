@@ -696,12 +696,23 @@ def test_mac_context_matches_plain(hash_cls, secret_len):
 
 def session_snapshots(fast: bool, data: bytes):
     """One full loopback session under ``fast``; fresh identity and error
-    tables per run so lazy per-key state evolves identically."""
+    tables per run so lazy per-key state evolves identically.
+
+    The client side is the one client profile that is read (the Table 2
+    and 3 client columns), so it must be a recording profiler that holds
+    the client's work, the RSA public operation included: two empty
+    profiles would compare equal."""
     with runtime.fastpath(True):
         key, cert = make_server_identity(seed=b"equivalence")
     with runtime.fastpath(fast):
         rsa.reset_error_tables()
         result = run_session(data, key=key, cert=cert)
+    client = result.client_profiler
+    assert type(client) is perf.Profiler
+    assert client.total_cycles() > 0
+    assert client.functions["BN_mod_exp_mont"].calls > 0
+    assert client.region_cycles(
+        "get_server_done/send_client_kx/rsa_public_encryption") > 0
     session = result.session
     return (result.echoed, session.master_secret,
             snapshot(result.server_profiler),

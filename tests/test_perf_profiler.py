@@ -3,7 +3,7 @@
 import pytest
 
 from repro import perf
-from repro.perf import Profiler, mix
+from repro.perf import ChargePlan, Discard, Profiler, mix
 
 
 class TestCharging:
@@ -163,6 +163,40 @@ class TestRegions:
         with pytest.raises(AssertionError, match="region stack corrupted"):
             with p.region("a"):
                 p._stack.append(p.root.child("stray"))
+
+
+class TestDiscard:
+    """The sink for charges nobody reads checks each charge as a
+    profiler does, keeps none of it, and nests regions as usual."""
+
+    @pytest.mark.parametrize("cls", [Profiler, Discard])
+    def test_argument_checks_match_the_profiler(self, cls):
+        p = cls()
+        with pytest.raises(ValueError, match="stall_factor"):
+            p.charge(mix(movl=1), function="f", stall=0)
+        with pytest.raises(ValueError, match="negative"):
+            p.charge_cycles(-1)
+
+    def test_keeps_nothing_and_unwinds_its_regions(self):
+        d = Discard()
+        plan = ChargePlan([(mix(movl=3), 2.0, "g", perf.LIBSSL, 1.5),
+                           (mix(addl=1), 1.0, "h", perf.LIBCRYPTO, 1.0)])
+        with perf.activate(d):
+            perf.charge(mix(movl=10), function="f")
+            with perf.region("outer"):
+                perf.charge_plans([plan, plan, plan])
+                with pytest.raises(RuntimeError):
+                    with perf.region("inner"):
+                        perf.charge_cycles(100.0, function="k")
+                        raise RuntimeError("boom")
+                d.charge(mix(addl=2), times=3, function="f", stall=2.0)
+        assert d.total_cycles() == 0.0 == d.now()
+        assert d.functions == {} and not d.modules
+        assert d.global_mix.snapshot().total() == 0
+        assert d._stack == [d.root]
+        assert [n.path() for n in d.root.walk()][1:] == ["outer",
+                                                         "outer/inner"]
+        assert d.find_region("outer/inner").entries == 1
 
 
 class TestActiveProfilerStack:

@@ -3,11 +3,27 @@
 import pytest
 
 from repro import perf
+from repro.engines import default_engine_config
 from repro.webserver import (
     ApacheWorker, DEFAULT_COSTS, HttpError, RequestWorkload,
     SystemCostModel, WebServerSimulator, build_request, build_response,
     document_bytes, parse_request, parse_response,
 )
+
+
+def record_charged_profilers(monkeypatch) -> dict:
+    """Wrap ``Profiler.charge``, ``charge_plans`` and ``charge_cycles`` on
+    the base class so each call records the profiler it charges, keyed by
+    id.  :class:`~repro.perf.Discard` overrides all three, so charges into
+    a discard sink are not recorded."""
+    charged: dict = {}
+    for name in ("charge", "charge_plans", "charge_cycles"):
+        def recorder(self, *args, _method=getattr(perf.Profiler, name),
+                     **kwargs):
+            charged[id(self)] = self
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(perf.Profiler, name, recorder)
+    return charged
 
 
 class TestHttp:
@@ -212,6 +228,34 @@ class TestSimulation:
             RequestWorkload.fixed(512, resumption_rate=1.0), 2)
         assert resumed.resumed_handshakes >= 1
         assert resumed.cycles_per_request() < full.cycles_per_request()
+
+
+class TestClientSink:
+    """Measurements are server-side: the client machine and the engines'
+    software crypto charge a discard sink, so every charge a run makes
+    lands in the worker's profile.  The workload's own draws charge the
+    caller's active profiler, so the run is made under a sink, as the
+    gate makes its scenarios."""
+
+    @pytest.mark.parametrize("engines", [False, True],
+                             ids=["software", "engines"])
+    def test_every_charge_lands_in_the_worker_profile(
+            self, identity512, monkeypatch, engines):
+        key, cert = identity512
+        sim = WebServerSimulator(
+            key=key, cert=cert, use_crt=True, seed=b"client-sink",
+            engines=default_engine_config() if engines else None)
+        charged = record_charged_profilers(monkeypatch)
+        with perf.activate(perf.Discard()):
+            result = sim.run(RequestWorkload.fixed(4096, resumption_rate=0.5),
+                             6, concurrency=2)
+        assert result.requests_completed == 6
+        if engines:
+            assert result.offload["record_ops"] > 0
+            assert result.offload["modexp_ops"] > 0
+        stray = [p for p in charged.values() if p is not result.profiler]
+        assert stray == []
+        assert id(result.profiler) in charged
 
 
 class TestTransactionAccounting:
