@@ -6,6 +6,7 @@ from .capacity import (
 )
 from .clientpool import ClientPool
 from .costs import DEFAULT_COSTS, SystemCostModel
+from .counters import RunCounters
 from .farm import (
     PARTITIONED, POLICIES, SHARED, TOPOLOGIES,
     FarmResult, LeastConnectionsPolicy, LoadBalancerPolicy,
@@ -28,7 +29,7 @@ __all__ = [
     "LoadResult", "LoadSimulator", "MixedLoadSimulator",
     "farm_requests_per_second", "requests_per_second",
     "ClientPool",
-    "DEFAULT_COSTS", "SystemCostModel",
+    "DEFAULT_COSTS", "SystemCostModel", "RunCounters",
     "PARTITIONED", "POLICIES", "SHARED", "TOPOLOGIES",
     "FarmResult", "LeastConnectionsPolicy", "LoadBalancerPolicy",
     "RoundRobinPolicy", "ServerFarm", "SessionAffinityPolicy",

@@ -25,7 +25,8 @@ minted its session -- which recovers resumption hits even under the
 partitioned topology).
 
 **The N=1 invariant**: a one-worker farm is *bit-identical* -- cycle
-totals, charge stream, transcript bytes, handshake latencies -- to
+totals, charge stream, handshake latencies and every field of the
+:class:`~repro.webserver.counters.RunCounters` record -- to
 ``WebServerSimulator.run(..., concurrency=k)`` on every workload.  The
 farm does not model anything new at N=1; it only adds the sharding axis.
 Both run the same round loop (``simulator._run_rounds``: admission,
@@ -33,6 +34,9 @@ stepping order, batch ticking, stall handling), and both admit a
 connection no earlier than its :attr:`~repro.webserver.workload.Request.
 arrival_round`; the farm adds the balancer, admission and suite
 policies, and the owner annotation for cross-worker resumption.
+A :class:`FarmResult`'s counters are one merge of its workers' records,
+its accept queue's and the farm's own two, checked before ``run()``
+returns.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from ..ssl.x509 import Certificate
 from .capacity import farm_requests_per_second
 from .clientpool import ClientPool
 from .costs import DEFAULT_COSTS, SystemCostModel
+from .counters import RunCounters
 from .overload import AcceptQueue, AdmissionPolicy, PressureSignal, SuitePolicy
 from .simulator import (
     SimulationResult, WebServerSimulator, _Transaction, _WorkerState,
@@ -164,8 +169,12 @@ class WorkerStats:
 
 
 @dataclass
-class FarmResult:
+class FarmResult(RunCounters):
     """Aggregate + per-shard measurements of one farm run.
+
+    The :class:`~repro.webserver.counters.RunCounters` fields are the
+    merge of ``results`` (whose queue and farm fields read 0), the
+    accept queue's counters and the farm's own two.
 
     Every time figure here is **virtual (modeled) time**: each worker's
     private :class:`~repro.perf.Profiler` accumulates the Pentium 4
@@ -186,83 +195,6 @@ class FarmResult:
     #: shared), each ``{"shard", "workers", "hits", "misses",
     #: "evictions", "size", "capacity"}``.
     shard_stats: List[Dict] = field(default_factory=list)
-    #: Resumptions served by a worker other than the session's minter
-    #: (only possible under the shared topology).
-    cross_worker_resumptions: int = 0
-
-    # -- aggregates ---------------------------------------------------------
-    @property
-    def requests_completed(self) -> int:
-        return sum(r.requests_completed for r in self.results)
-
-    @property
-    def failures(self) -> int:
-        return sum(r.failures for r in self.results)
-
-    @property
-    def resumed_handshakes(self) -> int:
-        return sum(r.resumed_handshakes for r in self.results)
-
-    @property
-    def bytes_served(self) -> int:
-        return sum(r.bytes_served for r in self.results)
-
-    @property
-    def wire_bytes(self) -> int:
-        return sum(r.wire_bytes for r in self.results)
-
-    @property
-    def batched_ops(self) -> int:
-        return sum(r.batched_ops for r in self.results)
-
-    @property
-    def tickets_minted(self) -> int:
-        return sum(r.tickets_minted for r in self.results)
-
-    @property
-    def tickets_accepted(self) -> int:
-        return sum(r.tickets_accepted for r in self.results)
-
-    @property
-    def tickets_rejected(self) -> int:
-        return sum(r.tickets_rejected for r in self.results)
-
-    @property
-    def tickets_renewed(self) -> int:
-        return sum(r.tickets_renewed for r in self.results)
-
-    # -- overload anatomy ---------------------------------------------------
-    #: Connections the workload offered (arrived at the accept queue).
-    offered_connections: int = 0
-    #: Connections the admission policy shed at a full backlog.
-    shed_queue_full: int = 0
-    #: Connections the admission policy shed past their queue deadline.
-    shed_deadline: int = 0
-    #: Requests lost with the shed connections.
-    requests_shed: int = 0
-    #: Deepest the accept queue ever got.
-    peak_queue_depth: int = 0
-    #: Total scheduling rounds admitted connections spent queued.
-    queue_wait_rounds_total: int = 0
-    #: Connections whose ServerHello the :class:`~repro.webserver.
-    #: overload.SuitePolicy` steered to the downgrade suite.
-    connections_downgraded: int = 0
-
-    @property
-    def connections_shed(self) -> int:
-        return self.shed_queue_full + self.shed_deadline
-
-    @property
-    def handshakes_abandoned(self) -> int:
-        return sum(r.handshakes_abandoned for r in self.results)
-
-    @property
-    def requests_abandoned(self) -> int:
-        return sum(r.requests_abandoned for r in self.results)
-
-    @property
-    def renegotiations_served(self) -> int:
-        return sum(r.renegotiations_served for r in self.results)
 
     @property
     def handshake_latencies(self) -> List[float]:
@@ -280,8 +212,10 @@ class FarmResult:
 
     def handshake_latency_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of the modeled handshake latency, in
-        virtual seconds (``pct`` in (0, 100]); 0.0 with no completed
-        handshakes."""
+        virtual seconds (``pct`` in (0, 100], else :class:`ValueError`);
+        0.0 with no completed handshakes."""
+        if not 0.0 < pct <= 100.0:
+            raise ValueError(f"percentile {pct} is not in (0, 100]")
         latencies = sorted(self.handshake_latencies)
         if not latencies:
             return 0.0
@@ -492,7 +426,6 @@ class ServerFarm:
         self._shared_cache = shared_cache
         self.admission = admission
         self.suite_policy = suite_policy
-        self._downgraded = 0
         self._states: List[_WorkerState] = []
 
     # -- policy callbacks ---------------------------------------------------
@@ -534,7 +467,7 @@ class ServerFarm:
             round=queue.round)
         order = self.suite_policy.suites_for(pressure)
         if order[0].suite_id != self.suite_policy.primary.suite_id:
-            self._downgraded += 1
+            self._counts.connections_downgraded += 1
         return order
 
     def _admit(self, queue: AcceptQueue, txn_id: int) -> int:
@@ -588,23 +521,22 @@ class ServerFarm:
         self._states = [_WorkerState(i, sim)
                         for i, sim in enumerate(self._sims)]
         queue = AcceptQueue(groups, self.admission)
-        self._downgraded = 0
+        counts = self._counts = RunCounters()
         pool = self._pool
-        cross_resumed = 0
 
         def on_done(txn: _Transaction) -> None:
             # A resumption served by a worker other than the minter.
-            nonlocal cross_resumed
             owner = txn._farm_offered_owner
             if (txn.server.resumed and owner is not None
                     and owner != pool.current_worker):
-                cross_resumed += 1
+                counts.cross_worker_resumptions += 1
 
         _run_rounds(queue, self._states, self._admit, on_done)
-        return self._assemble_result(queue, cross_resumed)
+        result = self._assemble_result(queue)
+        result.check()
+        return result
 
-    def _assemble_result(self, queue: AcceptQueue,
-                         cross_resumed: int) -> FarmResult:
+    def _assemble_result(self, queue: AcceptQueue) -> FarmResult:
         shard_stats = []
         if self._shared_cache is not None:
             shard_stats.append({"shard": 0,
@@ -614,16 +546,10 @@ class ServerFarm:
             for i, sim in enumerate(self._sims):
                 shard_stats.append({"shard": i, "workers": [i],
                                     **sim._session_cache.stats()})
-        return FarmResult(
+        result = FarmResult(
             nworkers=self.nworkers, topology=self.topology,
             policy=self.policy.name,
             results=[s.finish() for s in self._states],
-            shard_stats=shard_stats,
-            cross_worker_resumptions=cross_resumed,
-            offered_connections=queue.offered_connections,
-            shed_queue_full=queue.shed_queue_full,
-            shed_deadline=queue.shed_deadline,
-            requests_shed=queue.requests_shed,
-            peak_queue_depth=queue.peak_queue_depth,
-            queue_wait_rounds_total=queue.queue_wait_rounds_total,
-            connections_downgraded=self._downgraded)
+            shard_stats=shard_stats)
+        result.merge(*result.results, queue.counters, self._counts)
+        return result

@@ -44,8 +44,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..perf import activate
 from ..ssl.ciphersuites import CipherSuite, DEFAULT_SUITE, RC4_MD5
-from .workload import Request, RequestWorkload, _DRAW_SPAN
+from .counters import RunCounters
+from .workload import _DRAWS, Request, RequestWorkload, _DRAW_SPAN
 
 #: ``Request.abandon`` markers for the two handshake-flood behaviours.
 ABANDON_HELLO = "hello"
@@ -149,30 +151,26 @@ class AdversarialWorkload(RequestWorkload):
             raise ValueError("count must be non-negative")
         at_round = 0
         for i in range(count):
-            size = self._pick_size()
-            resume = (self._resumption_rate > 0.0
-                      and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
-                      < self._resumption_rate)
-            client_id = (self._rng.int_below(self._clients)
-                         if self._clients is not None else None)
-            at_round += self._next_gap(at_round)
-            abandon = None
-            if (self._flood_rate > 0.0
-                    and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
-                    < self._flood_rate):
-                if self._flood_mode == "mix":
-                    abandon = (ABANDON_MID_KX if self._rng.int_below(2)
-                               else ABANDON_HELLO)
-                else:
-                    abandon = self._flood_mode
-                # A flood client never completes a handshake, so it has
-                # no session to resume (and nothing to store).
-                resume = False
-            renegotiations = 0
-            if (abandon is None and self._reneg_rate > 0.0
-                    and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
-                    < self._reneg_rate):
-                renegotiations = self._reneg_storm
+            with activate(_DRAWS):
+                size, resume, client_id = self._draw()
+                at_round += self._next_gap(at_round)
+                abandon = None
+                if (self._flood_rate > 0.0
+                        and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
+                        < self._flood_rate):
+                    if self._flood_mode == "mix":
+                        abandon = (ABANDON_MID_KX if self._rng.int_below(2)
+                                   else ABANDON_HELLO)
+                    else:
+                        abandon = self._flood_mode
+                    # A flood client never completes a handshake, so it has
+                    # no session to resume (and nothing to store).
+                    resume = False
+                renegotiations = 0
+                if (abandon is None and self._reneg_rate > 0.0
+                        and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
+                        < self._reneg_rate):
+                    renegotiations = self._reneg_storm
             yield Request(path=f"/doc-{size}-{i}.html", size_bytes=size,
                           resumable=resume, client_id=client_id,
                           arrival_round=at_round, abandon=abandon,
@@ -202,6 +200,8 @@ class AcceptQueue:
     arrivals not yet released never materialize.  Released ones wait in
     the backlog, which only an admission policy bounds: without one, a
     stream whose groups all arrive at round 0 is held in full.
+    The queue counts the offered requests and connections, the shed
+    ones, its peak depth and its wait rounds into :attr:`counters`.
     ``next_arrival_round`` -- the lookahead's release round -- is what
     lets the round loop jump the clock across empty arrival gaps; the
     companion ``begin_round(to_round=...)`` form lands the clock
@@ -221,12 +221,7 @@ class AcceptQueue:
         self._queue: deque = deque()  # (group, round it was queued)
         self.admission = admission
         self.round = -1  # becomes 0 on the first begin_round()
-        self.offered_connections = 0
-        self.shed_queue_full = 0
-        self.shed_deadline = 0
-        self.requests_shed = 0
-        self.peak_queue_depth = 0
-        self.queue_wait_rounds_total = 0
+        self.counters = RunCounters()
 
     def _advance(self) -> None:
         """Pull the next arrival into the one-group lookahead."""
@@ -239,15 +234,12 @@ class AcceptQueue:
 
     # -- bookkeeping the policies call --------------------------------------
     def shed(self, group: List[Request], reason: str) -> None:
+        counters = self.counters
         if reason == "deadline":
-            self.shed_deadline += 1
+            counters.shed_deadline += 1
         else:
-            self.shed_queue_full += 1
-        self.requests_shed += len(group)
-
-    @property
-    def connections_shed(self) -> int:
-        return self.shed_queue_full + self.shed_deadline
+            counters.shed_queue_full += 1
+        counters.requests_shed += len(group)
 
     # -- round structure ----------------------------------------------------
     def begin_round(self, to_round: Optional[int] = None) -> None:
@@ -267,14 +259,16 @@ class AcceptQueue:
             self.round = to_round
         if self.admission is not None:
             self.admission.prune(self)
+        counters = self.counters
         while self._next is not None and self._next[1] <= self.round:
             group, _ = self._next
             self._advance()
-            self.offered_connections += 1
+            counters.offered_connections += 1
+            counters.requests_offered += len(group)
             if self.admission is None or self.admission.admit(self, group):
                 self._queue.append((group, self.round))
-        if len(self._queue) > self.peak_queue_depth:
-            self.peak_queue_depth = len(self._queue)
+        if len(self._queue) > counters.peak_queue_depth:
+            counters.peak_queue_depth = len(self._queue)
 
     def next_arrival_round(self) -> Optional[int]:
         """Release round of the next pending arrival (``None`` when the
@@ -291,7 +285,7 @@ class AcceptQueue:
 
     def pop(self) -> List[Request]:
         group, queued_round = self._queue.popleft()
-        self.queue_wait_rounds_total += self.round - queued_round
+        self.counters.queue_wait_rounds_total += self.round - queued_round
         return group
 
     def __bool__(self) -> bool:
@@ -304,10 +298,9 @@ class AdmissionPolicy:
 
     ``admit`` runs once per arriving connection group and returns
     ``True`` to queue it; a policy that sheds must call
-    :meth:`AcceptQueue.shed` itself (that is where the offered/shed
-    anatomy counters live).  ``prune`` runs at each round boundary
-    before new arrivals and may shed already-queued entries (deadline
-    shedding).
+    :meth:`AcceptQueue.shed` itself, which counts the shed connection
+    and its requests.  ``prune`` runs at each round boundary before new
+    arrivals and may shed already-queued entries (deadline shedding).
     """
 
     name = "accept-all"

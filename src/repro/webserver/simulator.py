@@ -6,7 +6,9 @@ kernel/httpd/libc components are the calibrated cost models of
 :mod:`repro.webserver.costs`.  Measurements are taken on the *server* side
 (its profiler), exactly as in the paper; the client machine computes every
 byte but charges into a :class:`~repro.perf.Discard` sink, which keeps
-nothing.
+nothing.  :class:`SimulationResult` carries the run's
+:class:`~repro.webserver.counters.RunCounters`, its accept queue's
+included, and a run raises unless its requests add up.
 
 Regenerates the data behind Table 1 (module breakdown) and Figure 2
 (crypto-category split versus request size).
@@ -34,6 +36,7 @@ from ..ssl.ticket import TicketKeyRing
 from ..ssl.x509 import Certificate, make_self_signed
 from .clientpool import ClientPool
 from .costs import DEFAULT_COSTS, SystemCostModel
+from .counters import RunCounters
 from .events import TxnScheduler
 from .httpd import ApacheWorker, build_request, parse_response
 from .overload import AcceptQueue
@@ -41,42 +44,18 @@ from .workload import Request, RequestWorkload, connection_groups
 
 
 @dataclass
-class SimulationResult:
-    """Aggregate measurements of one simulation run."""
+class SimulationResult(RunCounters):
+    """Aggregate measurements of one simulation run: the
+    :class:`~repro.webserver.counters.RunCounters` fields plus what is
+    not an integer counter."""
 
     profiler: perf.Profiler
-    requests_completed: int = 0
-    bytes_served: int = 0
-    resumed_handshakes: int = 0
-    failures: int = 0
-    #: Transcript volume: wire bytes into + out of the server endpoint,
-    #: totalled over every connection at teardown.  The farm's N=1
-    #: bit-exactness check compares this alongside the cycle totals.
-    wire_bytes: int = 0
     #: Batch-size histogram from the handshake batcher ({size: flushes});
     #: empty when batching is off.
     batches: Dict[int, int] = field(default_factory=dict)
-    #: RSA key-exchange decrypts that went through the batch queue.
-    batched_ops: int = 0
     #: Crypto-engine offload snapshot (:meth:`OffloadPool.snapshot`);
     #: ``None`` when the run had no engine pool.
     offload: Optional[Dict[str, object]] = None
-    #: Stateless session-ticket counters, folded from every server
-    #: endpoint at teardown; all zero when tickets are off.
-    tickets_minted: int = 0
-    tickets_accepted: int = 0
-    tickets_rejected: int = 0
-    tickets_renewed: int = 0
-    #: Overload anatomy: handshake-flood connections that abandoned
-    #: after the ClientHello or mid-key-exchange (their server-side work
-    #: -- including the RSA decrypt in the mid-kx case -- stays charged
-    #: to the profile), and the requests they took with them.  Abandons
-    #: are deliberate client behaviour, not :attr:`failures`.
-    handshakes_abandoned: int = 0
-    requests_abandoned: int = 0
-    #: Full renegotiation handshakes served on established connections
-    #: (renegotiation storms), folded from every server endpoint.
-    renegotiations_served: int = 0
     #: Modeled latency of every *completed* handshake (including resumed
     #: and renegotiation handshakes), in virtual seconds on the server's
     #: clock, in completion order: the time from transaction admission
@@ -140,13 +119,6 @@ def _first_record(data: bytes) -> bytes:
     if len(data) < 5:
         return data
     return data[:5 + int.from_bytes(data[3:5], "big")]
-
-
-def _fold_ticket_counters(result: SimulationResult, server: SslServer) -> None:
-    result.tickets_minted += server.tickets_minted
-    result.tickets_accepted += server.tickets_accepted
-    result.tickets_rejected += server.tickets_rejected
-    result.tickets_renewed += server.tickets_renewed
 
 
 def _admit_transaction(sim: "WebServerSimulator", txn_id: int,
@@ -269,10 +241,14 @@ class _Transaction:
         counters) into the result; runs exactly once per transaction."""
         server = getattr(self, "server", None)
         if server is not None:
-            self._result.wire_bytes += (server.stats.bytes_sent
-                                        + server.stats.bytes_received)
-            _fold_ticket_counters(self._result, server)
-            self._result.renegotiations_served += server.renegotiations
+            result = self._result
+            result.wire_bytes += (server.stats.bytes_sent
+                                  + server.stats.bytes_received)
+            result.tickets_minted += server.tickets_minted
+            result.tickets_accepted += server.tickets_accepted
+            result.tickets_rejected += server.tickets_rejected
+            result.tickets_renewed += server.tickets_renewed
+            result.renegotiations_served += server.renegotiations
 
     def step(self) -> bool:
         """Advance one increment; returns True if any progress was made."""
@@ -504,9 +480,10 @@ class WebServerSimulator:
         overlap for the batch queue to fill).  No connection is admitted
         before its :attr:`~repro.webserver.workload.Request.arrival_round`:
         the run is the one-worker case of the farm's round loop
-        (:func:`_run_rounds`) behind a policy-free accept queue.
-        Handshake failures are counted in :attr:`SimulationResult.failures`,
-        not raised.
+        (:func:`_run_rounds`) behind a policy-free accept queue, whose
+        counters the result carries.  Handshake failures are counted in
+        :attr:`SimulationResult.failures`, not raised; a result whose
+        requests do not add up raises (:meth:`RunCounters.check`).
         """
         if requests_per_connection < 1:
             raise ValueError("requests_per_connection must be >= 1")
@@ -529,7 +506,10 @@ class WebServerSimulator:
             return txn_id
 
         _run_rounds(queue, [state], admit)
-        return state.finish()
+        result = state.finish()
+        result.merge(queue.counters)
+        result.check()
+        return result
 
 
 class _WorkerState:

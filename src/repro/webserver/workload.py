@@ -20,10 +20,17 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto.rand import PseudoRandom
-from ..perf import left_sum
+from ..perf import Discard, activate, left_sum
 
 #: Resolution of the size/resumption draws: one draw in [0, 10^6).
 _DRAW_SPAN = 1_000_000
+
+#: What the workload generators' draws charge.  The draws are the
+#: clients' traffic, not server work, so they charge neither a worker's
+#: profile nor the caller's.  A stream closes its ``with`` before each
+#: ``yield``: the active-profiler stack is process-wide, and a suspended
+#: generator must not leave the sink on top of it.
+_DRAWS = Discard()
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +106,8 @@ class RequestWorkload:
         self._thresholds[-1] = (_DRAW_SPAN, self._thresholds[-1][1])
         self._resumption_rate = resumption_rate
         self._clients = clients
-        self._rng = PseudoRandom(seed)
+        with activate(_DRAWS):
+            self._rng = PseudoRandom(seed)
 
     @classmethod
     def fixed(cls, size_bytes: int, resumption_rate: float = 0.0,
@@ -125,17 +133,23 @@ class RequestWorkload:
                 return size
         return self._thresholds[-1][1]
 
+    def _draw(self) -> Tuple[int, bool, Optional[int]]:
+        """One request's size, resumption and client draws, in order."""
+        size = self._pick_size()
+        resume = (self._resumption_rate > 0.0
+                  and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
+                  < self._resumption_rate)
+        client_id = (self._rng.int_below(self._clients)
+                     if self._clients is not None else None)
+        return size, resume, client_id
+
     def requests(self, count: int) -> Iterator[Request]:
         """Yield ``count`` requests."""
         if count < 0:
             raise ValueError("count must be non-negative")
         for i in range(count):
-            size = self._pick_size()
-            resume = (self._resumption_rate > 0.0
-                      and self._rng.int_below(_DRAW_SPAN) / _DRAW_SPAN
-                      < self._resumption_rate)
-            client_id = (self._rng.int_below(self._clients)
-                         if self._clients is not None else None)
+            with activate(_DRAWS):
+                size, resume, client_id = self._draw()
             yield Request(path=f"/doc-{size}-{i}.html", size_bytes=size,
                           resumable=resume, client_id=client_id)
 

@@ -13,13 +13,16 @@ from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.crypto import rsa
 from repro.perf import baseline
 from repro.ssl.loopback import make_server_identity
 from repro.webserver import ServerFarm, WebServerSimulator
 from repro.webserver.events import STALL_LIMIT, TxnScheduler
 from repro.webserver.overload import AcceptQueue, AdversarialWorkload
-from repro.webserver.workload import Request, connection_groups
+from repro.webserver.workload import (
+    Request, RequestWorkload, connection_groups,
+)
 from repro.perf import Profiler
 
 
@@ -314,6 +317,34 @@ def test_million_request_stream_drains_in_flat_memory():
     # Measured ~4 KiB; 64 KiB leaves slack without letting a
     # re-materialization (tens of MB) sneak back in.
     assert peak < 64 * 1024, f"streaming admission peaked at {peak} bytes"
+
+
+def test_workload_draws_charge_nothing():
+    """The draws are the clients' traffic: building two real workloads
+    and draining them through the accept queue leaves the active
+    profiler's cycles, functions and pending mix entries as they were,
+    and a suspended stream never leaves its sink active."""
+    profiler = Profiler()
+    drained = 0
+    with perf.activate(profiler):
+        streams = [
+            RequestWorkload([(1024, 1.0), (8192, 1.0)], resumption_rate=0.5,
+                            seed=b"draws", clients=8),
+            AdversarialWorkload.fixed(
+                2048, resumption_rate=0.5, seed=b"draws", clients=8,
+                mean_gap_rounds=1.0, flash=(4, 3.0), flood_rate=0.3,
+                reneg_rate=0.2)]
+        for workload in streams:
+            queue = AcceptQueue(connection_groups(workload.requests(200), 2))
+            while queue:
+                queue.begin_round()
+                while queue.depth():
+                    drained += len(queue.pop())
+                    assert perf.current() is profiler
+    assert drained == 400
+    assert profiler.total_cycles() == 0.0
+    assert profiler.functions == {}
+    assert profiler.global_mix._pending == []
 
 
 def test_farm_consumes_workload_lazily():

@@ -11,11 +11,13 @@ the partitioned misses, and batch-RSA continuations stay worker-local.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import perf
@@ -23,11 +25,16 @@ from repro.crypto import rsa
 from repro.crypto.batch_rsa import BatchRsaError, generate_batch_keys
 from repro.crypto.rand import PseudoRandom
 from repro.ssl.loopback import make_server_identity
+from repro.ssl.ticket import TicketKeyRing
 from repro.webserver import (
     PARTITIONED, POLICIES, SHARED,
-    AdversarialWorkload, RequestWorkload, RoundRobinPolicy, ServerFarm,
+    AdversarialWorkload, DeadlineShedPolicy, DropTailPolicy, RequestWorkload,
+    ResumptionPreferredPolicy, RoundRobinPolicy, ServerFarm,
     WebServerSimulator, farm_requests_per_second,
 )
+from repro.webserver.counters import RunCounters
+from repro.webserver.farm import FarmResult
+from repro.webserver.simulator import SimulationResult, _Transaction
 
 from tests.test_fastpath_equivalence import snapshot
 from tests.test_webserver import record_charged_profilers
@@ -41,6 +48,12 @@ def batch_keys():
 def workload(resumption_rate=0.5, size=2048):
     """Fresh builder per run: the workload RNG is stateful across calls."""
     return RequestWorkload.fixed(size, resumption_rate=resumption_rate)
+
+
+def counters(result):
+    """Every :class:`RunCounters` field of a simulator or farm result."""
+    return {f.name: getattr(result, f.name)
+            for f in dataclasses.fields(RunCounters)}
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +76,9 @@ class TestSingleWorkerEquivalence:
         worker = fr.results[0]
 
         assert snapshot(worker.profiler) == snapshot(base.profiler)
-        assert worker.wire_bytes == base.wire_bytes
-        assert worker.requests_completed == base.requests_completed
-        assert worker.resumed_handshakes == base.resumed_handshakes
-        assert worker.failures == base.failures
-        assert worker.bytes_served == base.bytes_served
-        assert fr.cross_worker_resumptions == 0
+        assert counters(fr) == counters(base)
+        assert base.requests_offered == base.requests_completed == 6
+        assert base.resumed_handshakes > 0
 
     def test_bit_identical_with_batching(self, batch_keys):
         base_sim = WebServerSimulator(key_set=batch_keys, batch_size=3)
@@ -82,8 +92,7 @@ class TestSingleWorkerEquivalence:
         worker = fr.results[0]
 
         assert snapshot(worker.profiler) == snapshot(base.profiler)
-        assert worker.wire_bytes == base.wire_bytes
-        assert worker.batched_ops == base.batched_ops
+        assert counters(fr) == counters(base)
         assert worker.batches == base.batches
         assert base.batched_ops > 0
 
@@ -107,7 +116,9 @@ class TestSingleWorkerEquivalence:
         worker = fr.results[0]
 
         assert snapshot(worker.profiler) == snapshot(base.profiler)
-        assert worker.wire_bytes == base.wire_bytes
+        # The simulator's result carries its accept queue's counters.
+        assert counters(fr) == counters(base)
+        assert base.offered_connections == 6
         assert worker.handshake_latencies == base.handshake_latencies
 
     def test_farm_aggregates_match_single_worker(self, identity512):
@@ -363,19 +374,31 @@ class TestFarmMetrics:
     def test_every_charge_lands_in_a_worker_profile(self, identity512,
                                                    monkeypatch):
         """The workers are simulators, so each one's clients charge its
-        discard sink; the workload's draws charge the caller's active
-        profiler, here a sink too."""
+        discard sink, and the workload's draws charge the draw sink: the
+        caller's active profiler gets nothing."""
         key, cert = identity512
         farm = ServerFarm(2, key=key, cert=cert)
         charged = record_charged_profilers(monkeypatch)
-        with perf.activate(perf.Discard()):
-            fr = farm.run(workload(), 6, concurrency_per_worker=2)
+        fr = farm.run(workload(), 6, concurrency_per_worker=2)
         assert fr.requests_completed == 6
         workers = [r.profiler for r in fr.results]
         assert len(workers) == 2
         assert [p for p in charged.values()
                 if not any(p is w for w in workers)] == []
         assert all(id(w) in charged for w in workers)
+
+    def test_latency_percentile_rejects_out_of_range(self):
+        latencies = [0.004, 0.001, 0.003, 0.002]
+        fr = FarmResult(nworkers=1, topology=SHARED, policy="round-robin",
+                        results=[SimulationResult(
+                            profiler=perf.Profiler(),
+                            handshake_latencies=latencies)])
+        assert fr.handshake_latency_percentile(100) == 0.004
+        assert fr.handshake_latency_percentile(50) == 0.002
+        assert fr.handshake_latency_percentile(1e-9) == 0.001
+        for pct in (0, -5, 100.5, 250):
+            with pytest.raises(ValueError, match="not in"):
+                fr.handshake_latency_percentile(pct)
 
     def test_farm_requests_per_second(self):
         # Two workers at 1e9 cycles for 10 requests each on a 1e9 Hz CPU
@@ -392,6 +415,108 @@ class TestFarmMetrics:
             farm_requests_per_second([], [], cpu)
         with pytest.raises(ValueError):
             farm_requests_per_second([-1.0], [1], cpu)
+
+
+# ---------------------------------------------------------------------------
+# The counter record: merged field by field, checked by every run
+# ---------------------------------------------------------------------------
+
+#: The fields the accept queue and the farm count; workers leave them 0.
+QUEUE_AND_FARM_FIELDS = frozenset({
+    "requests_offered", "requests_shed", "offered_connections",
+    "shed_queue_full", "shed_deadline", "peak_queue_depth",
+    "queue_wait_rounds_total", "cross_worker_resumptions",
+    "connections_downgraded"})
+
+ADMISSIONS = {
+    "none": lambda: None,
+    "drop-tail": lambda: DropTailPolicy(max_queue=4),
+    "deadline-shed": lambda: DeadlineShedPolicy(max_queue=4,
+                                                deadline_rounds=2),
+    "resumption-preferred": lambda: ResumptionPreferredPolicy(max_queue=4),
+}
+
+
+def _uncounted_abandon(self):
+    """``_Transaction._abandon_now`` dropping its requests uncounted."""
+    self._requests.clear()
+    self._account_wire()
+    self.phase = _Transaction.DONE
+    return True
+
+
+def hello_flood():
+    return AdversarialWorkload.fixed(1024, seed=b"uncounted",
+                                     flood_rate=1.0, flood_mode="hello",
+                                     mean_gap_rounds=0.0)
+
+
+class TestRunCounters:
+    def test_merge_sums_every_field_but_the_peak(self):
+        total = RunCounters(requests_offered=1, peak_queue_depth=3)
+        total.merge(RunCounters(requests_offered=2, peak_queue_depth=1),
+                    RunCounters(requests_offered=4, peak_queue_depth=5))
+        assert counters(total) == {**counters(RunCounters()),
+                                   "requests_offered": 7,
+                                   "peak_queue_depth": 5}
+
+    def test_check_names_the_numbers(self):
+        RunCounters(requests_offered=4, requests_completed=1, failures=1,
+                    requests_shed=1, requests_abandoned=1).check()
+        with pytest.raises(RuntimeError,
+                           match=r"completed 2 \+ failed 0 \+ shed 1 "
+                                 r"\+ abandoned 0 = 3, but 4 were offered"):
+            RunCounters(requests_offered=4, requests_completed=2,
+                        requests_shed=1).check()
+
+    def test_simulator_run_raises_on_uncounted_requests(
+            self, identity512, monkeypatch):
+        key, cert = identity512
+        monkeypatch.setattr(_Transaction, "_abandon_now", _uncounted_abandon)
+        with pytest.raises(RuntimeError, match="3 were offered"):
+            WebServerSimulator(key=key, cert=cert).run(hello_flood(), 3)
+
+    def test_farm_run_raises_on_uncounted_requests(
+            self, identity512, monkeypatch):
+        key, cert = identity512
+        monkeypatch.setattr(_Transaction, "_abandon_now", _uncounted_abandon)
+        with pytest.raises(RuntimeError, match="4 were offered"):
+            ServerFarm(2, key=key, cert=cert).run(
+                hello_flood(), 4, concurrency_per_worker=2)
+
+    @given(seed=st.integers(0, 3),
+           gap=st.sampled_from([0.0, 1.0, 3.0]),
+           flash=st.sampled_from([None, (2, 4.0)]),
+           flood_rate=st.sampled_from([0.0, 0.3, 1.0]),
+           reneg_rate=st.sampled_from([0.0, 0.3]),
+           per_connection=st.integers(1, 3),
+           admission=st.sampled_from(sorted(ADMISSIONS)),
+           tickets=st.booleans(), batch=st.booleans())
+    @settings(max_examples=48, deadline=None, derandomize=True)
+    def test_farm_totals_are_the_worker_sums(
+            self, identity512, batch_keys, seed, gap, flash, flood_rate,
+            reneg_rate, per_connection, admission, tickets, batch):
+        """Any overload run adds up (``run()`` returns), and each
+        worker-side total is the sum over the workers' results."""
+        key, cert = identity512
+        farm = ServerFarm(
+            2, topology=SHARED, key=key, cert=cert, use_crt=True,
+            key_set=batch_keys if batch else None,
+            tickets=TicketKeyRing(b"counters") if tickets else None,
+            admission=ADMISSIONS[admission]())
+        workload = AdversarialWorkload.fixed(
+            1024, resumption_rate=0.75, seed=b"counters-%d" % seed,
+            clients=3, mean_gap_rounds=gap, flash=flash,
+            flood_rate=flood_rate, reneg_rate=reneg_rate)
+        fr = farm.run(workload, 16, requests_per_connection=per_connection,
+                      concurrency_per_worker=2)
+        assert fr.requests_offered == 16
+        for name, total in counters(fr).items():
+            per_worker = [getattr(r, name) for r in fr.results]
+            if name in QUEUE_AND_FARM_FIELDS:
+                assert per_worker == [0, 0], name
+            else:
+                assert total == sum(per_worker), name
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TestAcceptQueue:
         groups = [group(), group(), group()]
         queue = AcceptQueue(groups, None)
         queue.begin_round()
-        assert queue.offered_connections == 3
+        assert queue.counters.offered_connections == 3
         assert [queue.pop() for _ in range(3)] == groups
         assert not queue
 
@@ -129,7 +129,7 @@ class TestAcceptQueue:
         assert queue.depth() == 1
         queue.begin_round()
         assert queue.depth() == 3
-        assert queue.offered_connections == 3
+        assert queue.counters.offered_connections == 3
 
     def test_wait_rounds_accumulate(self):
         queue = AcceptQueue([group(0)], None)
@@ -137,16 +137,16 @@ class TestAcceptQueue:
         queue.begin_round()
         queue.begin_round()
         queue.pop()
-        assert queue.queue_wait_rounds_total == 2
+        assert queue.counters.queue_wait_rounds_total == 2
 
     def test_drop_tail_sheds_at_full_queue(self):
         queue = AcceptQueue([group() for _ in range(5)], DropTailPolicy(2))
         queue.begin_round()
         assert queue.depth() == 2
-        assert queue.shed_queue_full == 3
-        assert queue.requests_shed == 3
-        assert queue.offered_connections == 5
-        assert queue.peak_queue_depth == 2
+        assert queue.counters.shed_queue_full == 3
+        assert queue.counters.requests_shed == 3
+        assert queue.counters.offered_connections == 5
+        assert queue.counters.peak_queue_depth == 2
 
     def test_deadline_sheds_stale_entries(self):
         policy = DeadlineShedPolicy(max_queue=8, deadline_rounds=1)
@@ -155,7 +155,7 @@ class TestAcceptQueue:
             queue.begin_round()
         # The round-0 arrival outwaited its deadline; the round-3 one is
         # fresh.
-        assert queue.shed_deadline == 1
+        assert queue.counters.shed_deadline == 1
         assert queue.depth() == 1
 
     def test_resumption_preferred_evicts_full_handshake(self):
@@ -164,7 +164,7 @@ class TestAcceptQueue:
             [group(), group(), group(resumable=True)], policy)
         queue.begin_round()
         assert queue.depth() == 2
-        assert queue.shed_queue_full == 1
+        assert queue.counters.shed_queue_full == 1
         # The survivor set prefers the resuming client.
         assert any(g[0].resumable for g, _ in queue._queue)
 
@@ -179,7 +179,7 @@ class TestAcceptQueue:
         queue = AcceptQueue([group() for _ in range(4)], AdmissionPolicy())
         queue.begin_round()
         assert queue.depth() == 4
-        assert queue.connections_shed == 0
+        assert queue.counters.connections_shed == 0
 
 
 # ---------------------------------------------------------------------------

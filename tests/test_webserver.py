@@ -231,11 +231,10 @@ class TestSimulation:
 
 
 class TestClientSink:
-    """Measurements are server-side: the client machine and the engines'
-    software crypto charge a discard sink, so every charge a run makes
-    lands in the worker's profile.  The workload's own draws charge the
-    caller's active profiler, so the run is made under a sink, as the
-    gate makes its scenarios."""
+    """Measurements are server-side: the client machine, the engines'
+    software crypto and the workload's draws charge discard sinks, so
+    every charge a run makes lands in the worker's profile, none in the
+    caller's active one."""
 
     @pytest.mark.parametrize("engines", [False, True],
                              ids=["software", "engines"])
@@ -246,9 +245,8 @@ class TestClientSink:
             key=key, cert=cert, use_crt=True, seed=b"client-sink",
             engines=default_engine_config() if engines else None)
         charged = record_charged_profilers(monkeypatch)
-        with perf.activate(perf.Discard()):
-            result = sim.run(RequestWorkload.fixed(4096, resumption_rate=0.5),
-                             6, concurrency=2)
+        result = sim.run(RequestWorkload.fixed(4096, resumption_rate=0.5),
+                         6, concurrency=2)
         assert result.requests_completed == 6
         if engines:
             assert result.offload["record_ops"] > 0
