@@ -16,7 +16,7 @@ with :func:`mix`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -213,13 +213,20 @@ class MixAccumulator:
     appends to a pending list and folds into the counter only when a result
     is requested, because profiled kernels charge millions of times while
     results are read once per experiment.
+
+    A pending item is an ``(InstrMix, times)`` entry or a charge-plan
+    record ``(plans, key)``, one per :meth:`Profiler.charge_plans` call,
+    which stands for each plan's ``_shares[key]`` entries in plan order:
+    key None for all of a plan's steps, a function name for that
+    function's.  A fold expands a record into those entries, so it folds
+    the ``(mix, times)`` sequence the expanded charges would have added.
     """
 
     __slots__ = ("_counts", "_pending", "_total")
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()
-        self._pending: List[Tuple[InstrMix, float]] = []
+        self._pending: List[tuple] = []
         # The instruction total, summed entry by entry in the order the
         # entries were added, and *never* recomputed from ``_counts``:
         # summing the per-mnemonic columns would group the float additions
@@ -231,12 +238,20 @@ class MixAccumulator:
     def add(self, m: InstrMix, times: float = 1.0) -> None:
         self._pending.append((m, times))
 
+    def _entries(self) -> Iterator[Tuple[InstrMix, float]]:
+        for head, key in self._pending:
+            if isinstance(head, tuple):
+                for plan in head:
+                    yield from plan._shares.get(key, ())
+            else:
+                yield head, key
+
     def _fold(self) -> None:
         if not self._pending:
             return
         counts = self._counts
         total = self._total
-        for m, times in self._pending:
+        for m, times in self._entries():
             total += m._total * times
             for k, v in m._counts.items():
                 counts[k] += v * times

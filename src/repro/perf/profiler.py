@@ -33,9 +33,11 @@ instead of one per phase.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import frexp, ldexp
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cpu import CpuModel, PENTIUM4
@@ -115,54 +117,129 @@ class RegionNode:
 #: :meth:`Profiler.charge` call: ``(mix, times, function, module, stall)``.
 PlanStep = Tuple[InstrMix, float, str, str, float]
 
+#: A plan's addends to one chain and its memo of their whole-ulp sums:
+#: ``(cycles of the steps, {exponent: _ulps(cycles, exponent)})``.
+Chain = Tuple[Tuple[float, ...], Dict[int, int]]
+
+_MIN_NORMAL = sys.float_info.min
+_TWO53 = 2.0 ** 53
+
+
+def _ulps(addends: Sequence[float], e: int) -> int:
+    """The whole ulps ``addends`` add to a float in ``[2**(e-1), 2**e)``.
+
+    There the ulp is ``u = 2**(e-53)`` and ``v + c`` rounds to ``v +
+    round(c / u) * u`` whatever ``v`` is, as long as the sum stays below
+    ``2**e``.  Returns the sum of ``round(c / u)``, or -1 if an addend is
+    negative, reaches ``2**e`` or lies on an exact half ulp, where the
+    tie goes to the even neighbour and so depends on ``v``.
+    """
+    top = ldexp(1.0, e)
+    total = 0
+    for c in addends:
+        if not 0.0 <= c < top:
+            return -1
+        q = ldexp(c, 53 - e)
+        k = round(q)
+        if abs(q - k) == 0.5:
+            return -1
+        total += k
+    return total
+
+
+def _walk(v: float, plans: Sequence["ChargePlan"],
+          chains: Dict["ChargePlan", Chain]) -> float:
+    """``v`` plus the addends of each plan's chain, one ``+=`` at a time
+    in the order of ``plans``: the additions the expanded ``charge``
+    calls make."""
+    for plan in plans:
+        chain = chains.get(plan)
+        if chain is not None:
+            for c in chain[0]:
+                v += c
+    return v
+
+
+def _advance(v: float, terms: Sequence[Tuple[int, "ChargePlan", Chain]],
+             plans: Sequence["ChargePlan"]) -> float:
+    """One chain at ``v`` after ``plans``, where ``terms`` gives each
+    distinct plan's count in ``plans`` and its chain.
+
+    Bit-identical to :func:`_walk`.  Within one binade every addition
+    adds a whole number of ulps that depends on the addend only
+    (:func:`_ulps`), so the chain moves by the counted sum of those in
+    one exact step.  It walks instead when ``v`` is 0, subnormal or not
+    finite, when an addend is negative, reaches the binade's top or lies
+    on a half ulp, or when the sum would reach the next binade.
+    """
+    if v >= _MIN_NORMAL:
+        mant, e = frexp(v)
+        ulps = 0
+        for n, _, (addends, memo) in terms:
+            s = memo.get(e)
+            if s is None:
+                s = memo[e] = _ulps(addends, e)
+            if s < 0:
+                break
+            ulps += n * s
+        else:
+            if ulps < (1.0 - mant) * _TWO53:
+                return v + ldexp(ulps, e - 53)
+    return _walk(v, plans, {plan: chain for _, plan, chain in terms})
+
 
 class ChargePlan:
     """A fixed sequence of :meth:`Profiler.charge` calls, charged as one.
 
     A plan precomputes each step's cycles, from :meth:`CpuModel.cycles`
     on the CPU the plan was last charged on (a profiler with another CPU
-    rebinds it first), but never adds steps together: float addition is
-    not associative, so :meth:`Profiler.charge_plans` must still make
-    every addition the expanded ``charge`` calls would.  The
-    ``(mix, times)`` entries appended to the pending mixes are built once
-    and shared by every charge of the plan.
+    rebinds it first), grouped into the plan's chains: all steps (the
+    region and the clock), each module's and each function's.  Each
+    chain memoizes the whole ulps its addends add to a value of a given
+    binade, which is how :meth:`Profiler.charge_plans` moves a chain by
+    many charges in one exact step; a rebind clears the memos.  Its
+    ``(mix, times)`` entries, whole and per function, are built once and
+    expanded from one pending-mix record per call when a mix folds.
     """
 
-    __slots__ = ("steps", "_entries", "_cpu", "_cycles", "_modules",
+    __slots__ = ("steps", "_shares", "_cpu", "_chain", "_modules",
                  "_functions")
 
     def __init__(self, steps: Iterable[PlanStep]):
         self.steps: Tuple[PlanStep, ...] = tuple(steps)
-        for _, _, _, _, stall in self.steps:
+        shares: Dict[Optional[str], List[Tuple[InstrMix, float]]] = {
+            None: []}
+        for m, times, function, _, stall in self.steps:
             if stall <= 0:
                 raise ValueError("stall_factor must be positive")
-        self._entries = tuple((m, times) for m, times, _, _, _ in self.steps)
+            shares[None].append((m, times))
+            shares.setdefault(function, []).append((m, times))
+        #: ``(mix, times)`` entries of every step (key None) and of each
+        #: function's steps, in step order: what a pending-mix record
+        #: ``(plans, key)`` expands to, plan by plan.
+        self._shares = {key: tuple(e) for key, e in shares.items()}
         self._cpu: Optional[CpuModel] = None
-        self._cycles: Tuple[float, ...] = ()
-        #: ``(module, cycles of its steps)`` in first-charged order.
-        self._modules: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-        #: ``(function, module of its first step, cycles and (mix, times)
-        #: entries of its steps)``, in first-charged order.
-        self._functions: Tuple[tuple, ...] = ()
+        self._chain: Chain = ((), {})
+        #: ``(module, chain)`` in first-step order.
+        self._modules: Tuple[Tuple[str, Chain], ...] = ()
+        #: ``(function, module of its first step, chain)`` in first-step
+        #: order.
+        self._functions: Tuple[Tuple[str, str, Chain], ...] = ()
 
     def _bind(self, cpu: CpuModel) -> None:
         cycles = [cpu.cycles(m, stall) * times
                   for m, times, _, _, stall in self.steps]
         modules: Dict[str, List[float]] = {}
-        functions: Dict[str, tuple] = {}
-        for i, (_, _, function, module, _) in enumerate(self.steps):
-            modules.setdefault(module, []).append(cycles[i])
-            group = functions.get(function)
-            if group is None:
-                group = functions[function] = (module, [], [])
-            group[1].append(cycles[i])
-            group[2].append(self._entries[i])
-        self._cycles = tuple(cycles)
-        self._modules = tuple((module, tuple(c))
+        functions: Dict[str, Tuple[str, List[float]]] = {}
+        for c, (_, _, function, module, _) in zip(cycles, self.steps):
+            modules.setdefault(module, []).append(c)
+            functions.setdefault(function, (module, []))[1].append(c)
+        self._chain = (tuple(cycles), {})
+        self._modules = tuple((module, (tuple(c), {}))
                               for module, c in modules.items())
         self._functions = tuple(
-            (function, module, tuple(c), tuple(e))
-            for function, (module, c, e) in functions.items())
+            (function, module, (tuple(c), {}))
+            for function, (module, c) in functions.items())
         self._cpu = cpu
 
 
@@ -213,54 +290,54 @@ class Profiler:
     def charge_plans(self, plans: Sequence[ChargePlan]) -> None:
         """Charge every step of ``plans``, in order, as :meth:`charge` would.
 
-        Each chain -- region exclusive cycles, module cycles, function
-        cycles, calls and pending mix, the global pending mix, the clock
-        -- receives the same additions or entries in the same order as
-        the expanded ``charge`` calls; only the interleaving *between*
-        chains differs, and no chain reads another.  No region opens
-        inside the call, so one region node takes every step.  A run of
-        ``k`` consecutive charges of one plan walks each chain once over
-        the plan's addends repeated ``k`` times.
+        Each chain -- region exclusive cycles, the clock, module cycles,
+        function cycles -- ends with the bits the expanded ``charge``
+        calls give it.  No chain reads another, and no region opens
+        inside the call, so one region node takes every step.  The plans
+        are counted in first-occurrence order, the order in which the
+        expanded calls create modules and functions (a call of one
+        repeated plan, like a CBC record's, by ``count``), and each chain
+        moves by one exact step of whole ulps, or walks where that step
+        does not apply (:func:`_advance`).  The global pending mix takes
+        one record per call, and each function's pending mix one that
+        names the function; a fold expands them into the expanded calls'
+        ``(mix, times)`` entries.
         """
+        if not plans:
+            return
         cpu = self.cpu
-        node = self._stack[-1]
-        mc = self.modules
-        functions = self.functions
-        gpending = self.global_mix._pending
-        exclusive = node.exclusive_cycles
-        clock = self._cycles
-        end = len(plans)
-        i = 0
-        while i < end:
-            plan = plans[i]
-            j = i + 1
-            while j < end and plans[j] is plan:
-                j += 1
-            k = j - i
-            i = j
+        first = plans[0]
+        counts = ({first: len(plans)}
+                  if plans.count(first) == len(plans) else Counter(plans))
+        whole = []
+        modules: Dict[str, list] = {}
+        functions: Dict[str, tuple] = {}
+        for plan, n in counts.items():
             if plan._cpu is not cpu:
                 plan._bind(cpu)
-            for c in plan._cycles * k:
-                exclusive += c
-                clock += c
-            gpending.extend(plan._entries * k)
-            for module, cycles in plan._modules:
-                v = mc.get(module, 0)
-                for c in cycles * k:
-                    v += c
-                mc[module] = v
-            for function, module, cycles, entries in plan._functions:
-                fs = functions.get(function)
-                if fs is None:
-                    fs = functions[function] = FunctionStats(function, module)
-                v = fs.cycles
-                for c in cycles * k:
-                    v += c
-                fs.cycles = v
-                fs.calls += len(cycles) * k
-                fs.mix._pending.extend(entries * k)
-        node.exclusive_cycles = exclusive
-        self._cycles = clock
+            whole.append((n, plan, plan._chain))
+            for module, chain in plan._modules:
+                modules.setdefault(module, []).append((n, plan, chain))
+            for function, module, chain in plan._functions:
+                functions.setdefault(function, (module, []))[1].append(
+                    (n, plan, chain))
+        node = self._stack[-1]
+        node.exclusive_cycles = _advance(node.exclusive_cycles, whole, plans)
+        self._cycles = _advance(self._cycles, whole, plans)
+        mc = self.modules
+        for module, terms in modules.items():
+            mc[module] = _advance(mc.get(module, 0), terms, plans)
+        record = tuple(plans)
+        self.global_mix._pending.append((record, None))
+        stats = self.functions
+        for function, (module, terms) in functions.items():
+            fs = stats.get(function)
+            if fs is None:
+                fs = stats[function] = FunctionStats(function, module)
+            fs.cycles = _advance(fs.cycles, terms, plans)
+            for n, _, (addends, _) in terms:
+                fs.calls += n * len(addends)
+            fs.mix._pending.append((record, function))
 
     def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
                       module: str = OTHER) -> float:

@@ -21,6 +21,11 @@ backends as well:
 Montgomery products in libcrypto against the same call with the binding
 forced off, on Python ints; both charge the same plans.
 
+``check_charge_plans`` times one ``charge_plans`` call of 1,024 AES-128
+block plans into warm chains against the same charges made one
+``charge()`` per step: the call must move each chain in one exact step,
+not walk its addends.
+
 On Linux the binding must load and a 1024-bit context must get its
 kernel; the script prints why not.
 
@@ -39,7 +44,7 @@ from unittest import mock
 from repro import perf, runtime
 from repro.bignum import BigNum, MontgomeryContext, mod_exp
 from repro.crypto import native
-from repro.crypto.aes import AES
+from repro.crypto.aes import _ENCRYPT_PLANS, AES
 from repro.crypto.des import TripleDES
 from repro.crypto.md5 import MD5
 from repro.crypto.modes import CBC
@@ -61,6 +66,10 @@ BOUND_RAND = 15
 #: 7.5-12.8 ms as the host's speed drifted between runs); charging, the
 #: same on both sides, is half of what the kernel side has left.
 BOUND_MODEXP = 1.5
+#: Lowest expanded/planned ratio for 1,024 AES-128 block plans charged
+#: into warm chains.  Ten runs on the same VM read 84.7x to 172x; the
+#: same check against a walk of every addend read 9.6x to 13.4x in nine.
+BOUND_CHARGE_PLANS = 40
 
 
 def best_of(key, cert, n: int) -> float:
@@ -161,6 +170,36 @@ def check_modexp(key) -> None:
         f"(libcrypto binding: {native.reason or 'loaded'})")
 
 
+def check_charge_plans() -> None:
+    """1,024 AES-128 block plans charged in one call into a profiler
+    whose chains are warm (20,000 plans charged first), against the same
+    charges made one ``charge()`` per step into another such profiler;
+    best of nine each, both ending on the same bits."""
+    plans = _ENCRYPT_PLANS[10]
+    steps = plans[0].steps * 1024
+    best = {"plans": float("inf"), "charges": float("inf")}
+    for _ in range(9):
+        warm = {}
+        for arm in best:
+            p = warm[arm] = perf.Profiler()
+            p.charge_plans(plans * 20_000)
+            t0 = time.perf_counter()
+            if arm == "plans":
+                p.charge_plans(plans * 1024)
+            else:
+                for m, times, function, module, stall in steps:
+                    p.charge(m, times, function=function, module=module,
+                             stall=stall)
+            best[arm] = min(best[arm], time.perf_counter() - t0)
+        assert warm["plans"].now() == warm["charges"].now()
+    ratio = best["charges"] / best["plans"]
+    print(f"1,024 AES-128 block plans, warm: charge_plans "
+          f"{best['plans'] * 1e6:.0f} us, charge() per step "
+          f"{best['charges'] * 1e3:.2f} ms ({ratio:.1f}x)")
+    assert ratio >= BOUND_CHARGE_PLANS, (
+        f"charge_plans: {ratio:.1f}x, under {BOUND_CHARGE_PLANS}x")
+
+
 def main() -> None:
     key, cert = make_server_identity()
     run_session(b"", key=key, cert=cert)  # warm caches
@@ -180,6 +219,7 @@ def main() -> None:
     check_3des()
     check_rand()
     check_modexp(key)
+    check_charge_plans()
 
 
 if __name__ == "__main__":

@@ -4,22 +4,32 @@ A :class:`~repro.perf.ChargePlan` is charged by one
 :meth:`Profiler.charge_plans` call instead of one ``charge()`` per step.
 These tests feed two profilers the same random program -- single
 charges, raw-cycle charges, region opens and closes, and batches of
-plans -- one through ``charge_plans`` and one through the expanded
+plans, some repeated hundreds of times, some after a large opening
+charge -- one through ``charge_plans`` and one through the expanded
 ``charge()`` calls, and require the canonical signatures and clocks to
-match exactly, not approximately.
+match exactly, not approximately.  The exact step that moves a chain by
+a whole batch is checked on its own against the left-to-right ``+=``
+loop, and a warm profiler must take it without walking.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import math
+from collections import Counter
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro import perf
+from repro.bignum import BigNum
 from repro.bignum import kernels as K
-from repro.crypto.aes import AES_INIT, AES_ROUND
+from repro.crypto.aes import _ENCRYPT_PLANS, AES_INIT, AES_ROUND
 from repro.perf import (
     LIBCRYPTO, LIBSSL, OTHER, PENTIUM3, PENTIUM4, ChargePlan, InstrMix,
     Profiler, baseline, mix,
 )
+from repro.perf import profiler as profiler_module
 from repro.perf.isa import ALL_MNEMONICS
 
 FUNCTIONS = ("f0", "f1", "f2", "f3", "f4")
@@ -42,24 +52,40 @@ steps = st.tuples(mixes, st.one_of(fractions, st.integers(1, 64)),
                   st.one_of(st.just(1.0), fractions))
 
 
+#: How often a plan repeats in a row within a batch: mostly a few times,
+#: sometimes hundreds, as in a CBC record or an exponent scan.
+repeats = st.one_of(st.integers(1, 3), st.integers(1, 300))
+
+
 def program(n_plans: int):
-    """Operations over ``n_plans`` plans, as plain tuples."""
+    """Operations over ``n_plans`` plans, as plain tuples.  A batch is a
+    list of plan indices built from runs of one index."""
+    batch = st.lists(st.tuples(st.integers(0, n_plans - 1), repeats),
+                     min_size=1, max_size=6).map(
+        lambda runs: [i for i, k in runs for _ in range(k)])
     return st.lists(st.one_of(
         st.tuples(st.just("charge"), steps),
         st.tuples(st.just("cycles"), fractions, st.sampled_from(FUNCTIONS),
                   st.sampled_from(MODULES)),
-        st.tuples(st.just("plans"), st.lists(
-            st.integers(0, n_plans - 1), min_size=1, max_size=6)),
+        st.tuples(st.just("plans"), batch),
         st.tuples(st.just("open"), st.sampled_from(REGIONS)),
         st.tuples(st.just("close")),
     ), max_size=40)
+
+
+#: Large raw-cycle charges that may open a program, so that batches land
+#: on old chains (the exact step, and its binade crossings) as well as
+#: on young ones.
+openings = st.lists(st.tuples(
+    st.just("cycles"), st.floats(min_value=1e3, max_value=1e12),
+    st.sampled_from(FUNCTIONS), st.sampled_from(MODULES)), max_size=3)
 
 
 @st.composite
 def plans_and_program(draw):
     plans = draw(st.lists(st.lists(steps, max_size=8).map(ChargePlan),
                           min_size=1, max_size=4))
-    return plans, draw(program(len(plans)))
+    return plans, draw(openings) + draw(program(len(plans)))
 
 
 class _Arm:
@@ -144,7 +170,7 @@ def test_plan_rebinds_between_cpus(case):
 
 
 def test_repeated_plan_keeps_every_addition():
-    """Charging one plan k times is k charges, not one pre-added one."""
+    """Charging one plan k times gives the bits of k charges."""
     plan = ChargePlan([(mix(movl=0.1), 1.0, "f", LIBCRYPTO, 1.0),
                        (mix(xorl=0.2), 3.0, "g", LIBCRYPTO, 1.3)])
     [(planned, _)] = _run_pairs(
@@ -154,13 +180,137 @@ def test_repeated_plan_keeps_every_addition():
     assert planned.profiler.functions["g"].calls == 10
 
 
-def test_plan_appends_shared_entries():
-    plan = ChargePlan([(mix(movl=1), 2.0, "f", LIBCRYPTO, 1.0)])
+def test_plan_call_leaves_one_pending_record():
+    """One call leaves one record in the global pending mix and one in
+    each function's, and they fold to the expanded charges' mixes."""
+    plan = ChargePlan([(mix(movl=1), 2.0, "f", LIBCRYPTO, 1.0),
+                       (mix(xorl=0.3), 3.0, "g", LIBSSL, 1.1),
+                       (mix(addl=0.7), 1.0, "f", LIBCRYPTO, 1.0)])
+    planned, expanded = Profiler(), Profiler()
+    planned.charge_plans([plan, plan])
+    for _ in range(2):
+        for m, times, function, module, stall in plan.steps:
+            expanded.charge(m, times, function=function, module=module,
+                            stall=stall)
+    assert len(planned.global_mix._pending) == 1
+    assert [len(fs.mix._pending) for fs in planned.functions.values()] \
+        == [1, 1]
+    assert planned.total_instructions() == expanded.total_instructions()
+    assert planned.global_mix.snapshot() == expanded.global_mix.snapshot()
+    for name, fs in planned.functions.items():
+        other = expanded.functions[name]
+        assert fs.mix.total() == other.mix.total()
+        assert fs.mix.snapshot() == other.mix.snapshot()
+        assert (fs.module, fs.calls) == (other.module, other.calls)
+
+
+def test_private_decryption_pending_is_per_call(rsa1024):
+    """A charged 1024-bit private decryption leaves one global pending
+    item per ``charge`` or ``charge_plans`` call, and one per function
+    per call, not two per charged step."""
+    key = rsa1024.replica()
+    c = BigNum.from_int(key.n.to_int() // 3)
+    key.raw_private(c)  # builds the Montgomery contexts, uncharged below
     p = Profiler()
-    p.charge_plans([plan, plan])
-    first, second = p.global_mix._pending
-    assert first is second
-    assert p.functions["f"].mix._pending[0] is first
+    batches = []
+    real = Profiler.charge_plans
+
+    def charge_plans(self, plans):
+        batches.append(list(plans))
+        real(self, plans)
+
+    charges = mock.patch.object(Profiler, "charge", autospec=True,
+                                side_effect=Profiler.charge)
+    with charges as charge, \
+            mock.patch.object(Profiler, "charge_plans", charge_plans), \
+            perf.activate(p):
+        key.raw_private(c)
+    per_call = sum(len({step[2] for plan in batch for step in plan.steps})
+                   for batch in batches)
+    steps = sum(len(plan.steps) for batch in batches for plan in batch)
+    assert steps > 10_000
+    assert len(p.global_mix._pending) == charge.call_count + len(batches)
+    assert (sum(len(fs.mix._pending) for fs in p.functions.values())
+            == charge.call_count + per_call)
+    assert len(p.global_mix._pending) < 100
+
+
+# -- the exact step -----------------------------------------------------------
+
+def _loop(v, addends, order):
+    """The left-to-right ``+=`` chain: ``v`` plus each plan's addends in
+    the order ``order`` names the plans."""
+    for i in order:
+        for c in addends[i]:
+            v += c
+    return v
+
+
+@st.composite
+def chain_cases(draw):
+    """A start, up to three plans' addends and an order of up to 3 x 10^4
+    plan charges, built from runs of one plan."""
+    v = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2e-308),  # subnormal
+        st.floats(min_value=1e-300, max_value=1e12),
+        st.floats(min_value=1e15, max_value=1e300),
+        st.integers(-1000, 1000).map(
+            lambda k: math.nextafter(2.0 ** k, 0.0)),
+    ))
+    ulp = math.ulp(v)
+    addend = st.one_of(
+        st.floats(min_value=0.0, max_value=1e4),
+        st.just(0.0),
+        st.integers(0, 8).map(lambda k: (k + 0.5) * ulp),  # exact half
+        st.integers(0, 8).map(lambda k: k * ulp),
+        st.floats(min_value=1.0, max_value=4.0).map(lambda f: f * v),
+        st.floats(min_value=-1e3, max_value=-1e-3),
+    )
+    addends = draw(st.lists(st.lists(addend, max_size=5), min_size=1,
+                            max_size=3))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(addends) - 1),
+                                   st.integers(1, 10_000)),
+                         min_size=1, max_size=3))
+    return v, addends, [i for i, k in runs for _ in range(k)]
+
+
+@given(chain_cases())
+@example((1e-300, [[1e4]], [0, 0]))  # an addend far above the binade
+@example((0.75, [[2.0 ** -54, 0.0]], [0] * 5))  # on a half ulp
+@settings(max_examples=200, deadline=None)
+def test_exact_step_matches_left_to_right_loop(case):
+    v, addends, order = case
+    plans = [object() for _ in addends]
+    chains = [(tuple(a), {}) for a in addends]
+    counts = Counter(order)
+    terms = [(n, plans[i], chains[i]) for i, n in counts.items()]
+    got = profiler_module._advance(v, terms, [plans[i] for i in order])
+    assert got.hex() == _loop(v, addends, order).hex()
+
+
+def test_warm_chains_take_the_exact_step():
+    """1,024 AES-128 block plans into a profiler whose every chain is
+    already large make no walk: a regression to walking keeps the bits
+    and only shows here."""
+    planned, expanded = Profiler(), Profiler()
+    for p in (planned, expanded):
+        p.charge_cycles(1.5 * 2.0 ** 30, function="AES_encrypt",
+                        module=LIBCRYPTO)
+    walk = mock.Mock(side_effect=profiler_module._walk)
+    with mock.patch.object(profiler_module, "_walk", walk):
+        planned.charge_plans(_ENCRYPT_PLANS[10] * 1024)
+    assert walk.call_count == 0
+    for _ in range(1024):
+        for m, times, function, module, stall in _ENCRYPT_PLANS[10][0].steps:
+            expanded.charge(m, times, function=function, module=module,
+                            stall=stall)
+    fs = planned.functions["AES_encrypt"]
+    other = expanded.functions["AES_encrypt"]
+    assert (fs.cycles, fs.calls) == (other.cycles, other.calls)
+    assert planned.modules == expanded.modules
+    assert planned.now() == expanded.now()
+    assert planned.root.exclusive_cycles == expanded.root.exclusive_cycles
 
 
 @pytest.mark.parametrize("stall", [0.0, -1.0])
