@@ -121,7 +121,12 @@ PlanStep = Tuple[InstrMix, float, str, str, float]
 #: ``(cycles of the steps, {exponent: _ulps(cycles, exponent)})``.
 Chain = Tuple[Tuple[float, ...], Dict[int, int]]
 
+#: A distinct plan of a call, as one chain sees it: ``(count, plan, the
+#: plan's chain)``.
+Term = Tuple[int, "ChargePlan", Chain]
+
 _MIN_NORMAL = sys.float_info.min
+_INF = float("inf")
 _TWO53 = 2.0 ** 53
 
 
@@ -147,45 +152,121 @@ def _ulps(addends: Sequence[float], e: int) -> int:
     return total
 
 
-def _walk(v: float, plans: Sequence["ChargePlan"],
-          chains: Dict["ChargePlan", Chain]) -> float:
-    """``v`` plus the addends of each plan's chain, one ``+=`` at a time
-    in the order of ``plans``: the additions the expanded ``charge``
-    calls make."""
-    for plan in plans:
-        chain = chains.get(plan)
-        if chain is not None:
-            for c in chain[0]:
-                v += c
+def _add(v: float, addends: Sequence[float]) -> float:
+    """``v`` plus ``addends``, one ``+=`` at a time, as the expanded
+    ``charge`` calls add them: every addition :func:`_advance` does not
+    fold into a step."""
+    for c in addends:
+        v += c
     return v
 
 
-def _advance(v: float, terms: Sequence[Tuple[int, "ChargePlan", Chain]],
+def _tally(plans: Sequence["ChargePlan"], terms: Sequence[Term], i: int,
+           k: int) -> Dict["ChargePlan", int]:
+    """How often each plan of ``terms`` occurs in ``plans[i:k]``, where
+    ``terms`` counts it in ``plans[i:]``: counted on the shorter side of
+    ``k``."""
+    if k - i <= len(plans) - k:
+        part = plans[i:k]
+        return {plan: part.count(plan) for _, plan, _ in terms}
+    part = plans[k:]
+    return {plan: n - part.count(plan) for n, plan, _ in terms}
+
+
+def _crossing(plans: Sequence["ChargePlan"], terms: Sequence[Term], i: int,
+              e: int, room: int) -> Tuple[int, Dict["ChargePlan", int], int]:
+    """Where a chain leaves its binade ``[2**(e-1), 2**e)`` in
+    ``plans[i:]``.
+
+    The chain lies ``room`` whole ulps below ``2**e``, and ``terms``
+    counts the plans of ``plans[i:]`` that touch it, whose whole ulps at
+    ``e`` are memoized; a plan with an addend :func:`_ulps` rejects
+    weighs the whole room.  Returns ``(k, before, ulps)``: ``plans[k]``
+    is the first plan after which the sum reaches ``room``, ``before``
+    counts each plan of ``terms`` in ``plans[i:k]`` and ``ulps`` is
+    their sum.  ``k`` is estimated from the share of the call's ulps
+    that fits in ``room``, counted there (:func:`_tally`) and moved one
+    plan at a time to the exact index.
+    """
+    weights = {}
+    total = 0
+    for n, plan, (_, memo) in terms:
+        s = memo[e]
+        weights[plan] = w = s if s >= 0 else room
+        total += n * w
+    k = i + (len(plans) - i) * room // total
+    before = _tally(plans, terms, i, k)
+    ulps = 0
+    for plan, n in before.items():
+        ulps += n * weights[plan]
+    while ulps >= room:  # past the crossing plan: back to it
+        k -= 1
+        plan = plans[k]
+        if plan in before:
+            before[plan] -= 1
+            ulps -= weights[plan]
+    while True:  # short of it: on to it
+        plan = plans[k]
+        if plan in before:
+            if ulps + weights[plan] >= room:
+                return k, before, ulps
+            before[plan] += 1
+            ulps += weights[plan]
+        k += 1
+
+
+def _advance(v: float, terms: Sequence[Term],
              plans: Sequence["ChargePlan"]) -> float:
     """One chain at ``v`` after ``plans``, where ``terms`` gives each
     distinct plan's count in ``plans`` and its chain.
 
-    Bit-identical to :func:`_walk`.  Within one binade every addition
+    Bit-identical to adding each plan's addends, in the order of
+    ``plans``, one ``+=`` at a time.  Within one binade every addition
     adds a whole number of ulps that depends on the addend only
     (:func:`_ulps`), so the chain moves by the counted sum of those in
-    one exact step.  It walks instead when ``v`` is 0, subnormal or not
-    finite, when an addend is negative, reaches the binade's top or lies
-    on a half ulp, or when the sum would reach the next binade.
+    one exact step.  Where that sum would reach the next binade, or a
+    plan holds an addend the step cannot take (negative, at or above the
+    binade's top, or on a half ulp), the chain jumps: it steps over the
+    plans before the first such plan (:func:`_crossing`), adds that
+    plan's addends one at a time and goes on with the rest of ``plans``
+    from its new binade.  A chain at 0, subnormal or negative adds its
+    next plan's addends one at a time; only a chain that is not finite
+    adds all of them so.
     """
-    if v >= _MIN_NORMAL:
-        mant, e = frexp(v)
-        ulps = 0
-        for n, _, (addends, memo) in terms:
-            s = memo.get(e)
-            if s is None:
-                s = memo[e] = _ulps(addends, e)
-            if s < 0:
-                break
-            ulps += n * s
+    i = 0
+    while terms:
+        if _MIN_NORMAL <= v < _INF:
+            mant, e = frexp(v)
+            room = (1.0 - mant) * _TWO53  # ulps below 2**e, a whole number
+            total = 0
+            for n, _, (addends, memo) in terms:
+                s = memo.get(e)
+                if s is None:
+                    s = memo[e] = _ulps(addends, e)
+                total += n * s if s >= 0 else room
+            if total < room:
+                return v + ldexp(total, e - 53)
+            k, before, ulps = _crossing(plans, terms, i, e, int(room))
+            v += ldexp(ulps, e - 53)
+        elif -_INF < v < _MIN_NORMAL:
+            k = min(plans.index(plan, i) for _, plan, _ in terms)
+            before = {plan: 0 for _, plan, _ in terms}
         else:
-            if ulps < (1.0 - mant) * _TWO53:
-                return v + ldexp(ulps, e - 53)
-    return _walk(v, plans, {plan: chain for _, plan, chain in terms})
+            chains = {plan: chain for _, plan, chain in terms}
+            for plan in plans[i:]:
+                if plan in chains:
+                    v = _add(v, chains[plan][0])
+            return v
+        walked = plans[k]
+        before[walked] += 1
+        rest = []
+        for n, plan, chain in terms:
+            if plan is walked:
+                v = _add(v, chain[0])
+            if n > before[plan]:
+                rest.append((n - before[plan], plan, chain))
+        terms, i = rest, k + 1
+    return v
 
 
 class ChargePlan:
@@ -197,9 +278,11 @@ class ChargePlan:
     region and the clock), each module's and each function's.  Each
     chain memoizes the whole ulps its addends add to a value of a given
     binade, which is how :meth:`Profiler.charge_plans` moves a chain by
-    many charges in one exact step; a rebind clears the memos.  Its
-    ``(mix, times)`` entries, whole and per function, are built once and
-    expanded from one pending-mix record per call when a mix folds.
+    many charges in one exact step, or, where the chain crosses into the
+    next binade, in one step to the crossing plan and one after it; a
+    rebind clears the memos.  Its ``(mix, times)`` entries, whole and
+    per function, are built once and expanded from one pending-mix
+    record per call when a mix folds.
     """
 
     __slots__ = ("steps", "_shares", "_cpu", "_chain", "_modules",
@@ -297,11 +380,12 @@ class Profiler:
         are counted in first-occurrence order, the order in which the
         expanded calls create modules and functions (a call of one
         repeated plan, like a CBC record's, by ``count``), and each chain
-        moves by one exact step of whole ulps, or walks where that step
-        does not apply (:func:`_advance`).  The global pending mix takes
-        one record per call, and each function's pending mix one that
-        names the function; a fold expands them into the expanded calls'
-        ``(mix, times)`` entries.
+        moves by one exact step of whole ulps.  A chain that would cross
+        into the next binade steps to the plan where it crosses, adds that
+        plan's addends one at a time and steps on (:func:`_advance`).
+        The global pending mix takes one record per call, and each
+        function's pending mix one that names the function; a fold
+        expands them into the expanded calls' ``(mix, times)`` entries.
         """
         if not plans:
             return

@@ -21,10 +21,13 @@ backends as well:
 Montgomery products in libcrypto against the same call with the binding
 forced off, on Python ints; both charge the same plans.
 
-``check_charge_plans`` times one ``charge_plans`` call of 1,024 AES-128
-block plans into warm chains against the same charges made one
-``charge()`` per step: the call must move each chain in one exact step,
-not walk its addends.
+``check_charge_plans`` times ``charge_plans`` against the same charges
+made one ``charge()`` per step, on two loads: one call of 1,024 AES-128
+block plans into warm chains, which must move each chain in one exact
+step, and the 12 charged private decryptions of a ``full_handshake``
+run, 1024-bit and non-CRT, into a fresh profiler, whose young chains
+cross binades inside a scan: a crossing must add only one plan's
+addends one at a time, not its whole call's.
 
 On Linux the binding must load and a 1024-bit context must get its
 kernel; the script prints why not.
@@ -67,9 +70,14 @@ BOUND_RAND = 15
 #: same on both sides, is half of what the kernel side has left.
 BOUND_MODEXP = 1.5
 #: Lowest expanded/planned ratio for 1,024 AES-128 block plans charged
-#: into warm chains.  Ten runs on the same VM read 84.7x to 172x; the
+#: into warm chains.  Ten runs on the same VM read 196x to 285x; the
 #: same check against a walk of every addend read 9.6x to 13.4x in nine.
 BOUND_CHARGE_PLANS = 40
+#: Lowest expanded/planned ratio for the 12 private-decryption batches
+#: charged into a fresh profiler.  Ten runs on the same VM read 41.7x to
+#: 63.2x; the same check against a walk of every addend of each call
+#: that crosses a binade read 13.1x to 16.4x in ten.
+BOUND_CROSSING = 25
 
 
 def best_of(key, cert, n: int) -> float:
@@ -170,34 +178,67 @@ def check_modexp(key) -> None:
         f"(libcrypto binding: {native.reason or 'loaded'})")
 
 
-def check_charge_plans() -> None:
-    """1,024 AES-128 block plans charged in one call into a profiler
-    whose chains are warm (20,000 plans charged first), against the same
-    charges made one ``charge()`` per step into another such profiler;
-    best of nine each, both ending on the same bits."""
-    plans = _ENCRYPT_PLANS[10]
-    steps = plans[0].steps * 1024
+def charge_ratio(label: str, warm, batches, bound: float) -> None:
+    """Time ``batches`` charged one ``charge_plans`` call per batch
+    against the same charges made one ``charge()`` per step, each into a
+    fresh profiler first charged the plans ``warm`` (untimed); best of
+    nine each, both ending on the same bits, and require charges / plans
+    >= bound."""
+    steps = [step for batch in batches for plan in batch
+             for step in plan.steps]
     best = {"plans": float("inf"), "charges": float("inf")}
     for _ in range(9):
-        warm = {}
+        ends = {}
         for arm in best:
-            p = warm[arm] = perf.Profiler()
-            p.charge_plans(plans * 20_000)
+            p = perf.Profiler()
+            p.charge_plans(warm)
             t0 = time.perf_counter()
             if arm == "plans":
-                p.charge_plans(plans * 1024)
+                for batch in batches:
+                    p.charge_plans(batch)
             else:
                 for m, times, function, module, stall in steps:
                     p.charge(m, times, function=function, module=module,
                              stall=stall)
             best[arm] = min(best[arm], time.perf_counter() - t0)
-        assert warm["plans"].now() == warm["charges"].now()
+            ends[arm] = (p.now(), dict(p.modules),
+                         {name: fs.cycles for name, fs in p.functions.items()})
+        assert ends["plans"] == ends["charges"], label
     ratio = best["charges"] / best["plans"]
-    print(f"1,024 AES-128 block plans, warm: charge_plans "
-          f"{best['plans'] * 1e6:.0f} us, charge() per step "
-          f"{best['charges'] * 1e3:.2f} ms ({ratio:.1f}x)")
-    assert ratio >= BOUND_CHARGE_PLANS, (
-        f"charge_plans: {ratio:.1f}x, under {BOUND_CHARGE_PLANS}x")
+    print(f"{label}: charge_plans {best['plans'] * 1e6:.0f} us, charge() "
+          f"per step {best['charges'] * 1e3:.2f} ms ({ratio:.1f}x)")
+    assert ratio >= bound, f"{label}: {ratio:.1f}x, under {bound}x"
+
+
+def check_charge_plans(key) -> None:
+    """Two arms.  Warm: 1,024 AES-128 block plans in one call into a
+    profiler whose chains are warm (20,000 plans charged first), which
+    must move each chain in one exact step.  Crossing: the two
+    ``charge_plans`` batches of a charged 1024-bit non-CRT private
+    decryption, charged 12 times into a fresh profiler as one
+    ``full_handshake`` run charges them, whose young chains cross
+    binades inside a scan: each crossing must add only its crossing
+    plan's addends one at a time, not the whole call's."""
+    plans = _ENCRYPT_PLANS[10]
+    charge_ratio("1,024 AES-128 block plans, warm", plans * 20_000,
+                 [plans * 1024], BOUND_CHARGE_PLANS)
+    key = key.replica()
+    key.use_crt = False
+    c = BigNum.from_int(key.n.to_int() // 3)
+    key.raw_private(c)  # builds the Montgomery context, uncharged
+    batches = []
+    real = perf.Profiler.charge_plans
+
+    def capture(self, plans):
+        batches.append(list(plans))
+        real(self, plans)
+
+    with mock.patch.object(perf.Profiler, "charge_plans", capture), \
+            perf.activate(perf.Profiler()):
+        key.raw_private(c)
+    charge_ratio(f"RSA-1024 non-CRT batches ({len(batches[0])} and "
+                 f"{len(batches[1])} plans) x 12, fresh",
+                 (), batches * 12, BOUND_CROSSING)
 
 
 def main() -> None:
@@ -219,7 +260,7 @@ def main() -> None:
     check_3des()
     check_rand()
     check_modexp(key)
-    check_charge_plans()
+    check_charge_plans(key)
 
 
 if __name__ == "__main__":

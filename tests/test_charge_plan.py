@@ -9,13 +9,15 @@ charge -- one through ``charge_plans`` and one through the expanded
 ``charge()`` calls, and require the canonical signatures and clocks to
 match exactly, not approximately.  The exact step that moves a chain by
 a whole batch is checked on its own against the left-to-right ``+=``
-loop, and a warm profiler must take it without walking.
+loop, and a warm profiler must take it without adding an addend one at
+a time; a private decryption's crossings add only a few.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -204,6 +206,21 @@ def test_plan_call_leaves_one_pending_record():
         assert (fs.module, fs.calls) == (other.module, other.calls)
 
 
+@contextmanager
+def _plan_batches():
+    """Records the plans of each ``charge_plans`` call, which charges
+    them as usual."""
+    batches = []
+    real = Profiler.charge_plans
+
+    def charge_plans(self, plans):
+        batches.append(list(plans))
+        real(self, plans)
+
+    with mock.patch.object(Profiler, "charge_plans", charge_plans):
+        yield batches
+
+
 def test_private_decryption_pending_is_per_call(rsa1024):
     """A charged 1024-bit private decryption leaves one global pending
     item per ``charge`` or ``charge_plans`` call, and one per function
@@ -212,18 +229,9 @@ def test_private_decryption_pending_is_per_call(rsa1024):
     c = BigNum.from_int(key.n.to_int() // 3)
     key.raw_private(c)  # builds the Montgomery contexts, uncharged below
     p = Profiler()
-    batches = []
-    real = Profiler.charge_plans
-
-    def charge_plans(self, plans):
-        batches.append(list(plans))
-        real(self, plans)
-
     charges = mock.patch.object(Profiler, "charge", autospec=True,
                                 side_effect=Profiler.charge)
-    with charges as charge, \
-            mock.patch.object(Profiler, "charge_plans", charge_plans), \
-            perf.activate(p):
+    with charges as charge, _plan_batches() as batches, perf.activate(p):
         key.raw_private(c)
     per_call = sum(len({step[2] for plan in batch for step in plan.steps})
                    for batch in batches)
@@ -241,15 +249,17 @@ def _loop(v, addends, order):
     """The left-to-right ``+=`` chain: ``v`` plus each plan's addends in
     the order ``order`` names the plans."""
     for i in order:
-        for c in addends[i]:
+        for c in addends[i] or ():
             v += c
     return v
 
 
 @st.composite
 def chain_cases(draw):
-    """A start, up to three plans' addends and an order of up to 3 x 10^4
-    plan charges, built from runs of one plan."""
+    """A start, up to five plans' addends (None for a plan that does not
+    touch the chain) and an order of their charges: up to three runs of
+    up to 10^4, or up to 60 runs of up to 300, as a scan interleaves its
+    squarings and multiplies."""
     v = draw(st.one_of(
         st.just(0.0),
         st.floats(min_value=5e-324, max_value=2e-308),  # subnormal
@@ -257,6 +267,9 @@ def chain_cases(draw):
         st.floats(min_value=1e15, max_value=1e300),
         st.integers(-1000, 1000).map(
             lambda k: math.nextafter(2.0 ** k, 0.0)),
+        st.tuples(st.integers(8, 60), st.floats(0.0, 1e7)).map(
+            lambda kd: max(2.0 ** kd[0] - kd[1], 1.0)),  # crossing mid-call
+        st.just(math.inf),
     ))
     ulp = math.ulp(v)
     addend = st.one_of(
@@ -267,50 +280,111 @@ def chain_cases(draw):
         st.floats(min_value=1.0, max_value=4.0).map(lambda f: f * v),
         st.floats(min_value=-1e3, max_value=-1e-3),
     )
-    addends = draw(st.lists(st.lists(addend, max_size=5), min_size=1,
-                            max_size=3))
-    runs = draw(st.lists(st.tuples(st.integers(0, len(addends) - 1),
-                                   st.integers(1, 10_000)),
-                         min_size=1, max_size=3))
+    addends = draw(st.lists(st.one_of(st.lists(addend, max_size=5),
+                                      st.none()),
+                            min_size=1, max_size=5))
+    plan = st.integers(0, len(addends) - 1)
+    runs = draw(st.one_of(
+        st.lists(st.tuples(plan, st.integers(1, 10_000)),
+                 min_size=1, max_size=3),
+        st.lists(st.tuples(plan, st.integers(1, 300)),
+                 min_size=1, max_size=60)))
     return v, addends, [i for i, k in runs for _ in range(k)]
 
 
 @given(chain_cases())
 @example((1e-300, [[1e4]], [0, 0]))  # an addend far above the binade
 @example((0.75, [[2.0 ** -54, 0.0]], [0] * 5))  # on a half ulp
-@settings(max_examples=200, deadline=None)
+@example((math.inf, [[1.0], None], [1, 0, 1]))  # no binade to step in
+# Crosses into the next binade mid-call, past plans that do not touch it.
+@example((2.0 ** 20 - 3.0, [[1.0], None, [0.5, 1.0]], [1, 0, 2] * 3))
+@settings(max_examples=300, deadline=None)
 def test_exact_step_matches_left_to_right_loop(case):
     v, addends, order = case
     plans = [object() for _ in addends]
-    chains = [(tuple(a), {}) for a in addends]
-    counts = Counter(order)
-    terms = [(n, plans[i], chains[i]) for i, n in counts.items()]
+    counts = Counter(i for i in order if addends[i] is not None)
+    terms = [(n, plans[i], (tuple(addends[i]), {}))
+             for i, n in counts.items()]
     got = profiler_module._advance(v, terms, [plans[i] for i in order])
     assert got.hex() == _loop(v, addends, order).hex()
 
 
+def _assert_same_chains(planned, expanded):
+    """Every chain of ``planned`` has the bits of ``expanded``'s."""
+    for name, fs in planned.functions.items():
+        other = expanded.functions[name]
+        assert (fs.module, fs.cycles, fs.calls) \
+            == (other.module, other.cycles, other.calls)
+    assert list(planned.functions) == list(expanded.functions)
+    assert list(planned.modules.items()) == list(expanded.modules.items())
+    assert planned.now() == expanded.now()
+    assert planned.root.exclusive_cycles == expanded.root.exclusive_cycles
+
+
+def _expand(p, plans):
+    """Charge ``plans`` into ``p`` one ``charge()`` per step."""
+    for plan in plans:
+        for m, times, function, module, stall in plan.steps:
+            p.charge(m, times, function=function, module=module,
+                     stall=stall)
+
+
 def test_warm_chains_take_the_exact_step():
     """1,024 AES-128 block plans into a profiler whose every chain is
-    already large make no walk: a regression to walking keeps the bits
-    and only shows here."""
+    already large add nothing one at a time: a regression to adding
+    every addend keeps the bits and only shows here."""
     planned, expanded = Profiler(), Profiler()
     for p in (planned, expanded):
         p.charge_cycles(1.5 * 2.0 ** 30, function="AES_encrypt",
                         module=LIBCRYPTO)
-    walk = mock.Mock(side_effect=profiler_module._walk)
-    with mock.patch.object(profiler_module, "_walk", walk):
+    add = mock.Mock(side_effect=profiler_module._add)
+    with mock.patch.object(profiler_module, "_add", add):
         planned.charge_plans(_ENCRYPT_PLANS[10] * 1024)
-    assert walk.call_count == 0
-    for _ in range(1024):
-        for m, times, function, module, stall in _ENCRYPT_PLANS[10][0].steps:
-            expanded.charge(m, times, function=function, module=module,
-                            stall=stall)
-    fs = planned.functions["AES_encrypt"]
-    other = expanded.functions["AES_encrypt"]
-    assert (fs.cycles, fs.calls) == (other.cycles, other.calls)
-    assert planned.modules == expanded.modules
-    assert planned.now() == expanded.now()
-    assert planned.root.exclusive_cycles == expanded.root.exclusive_cycles
+    assert add.call_count == 0
+    _expand(expanded, _ENCRYPT_PLANS[10] * 1024)
+    _assert_same_chains(planned, expanded)
+
+
+def test_young_chain_adds_one_plan_per_binade():
+    """A chain at 0 charged 1,000 plans of 1.0 adds its first plan one
+    addend at a time, and then only the plan that crosses into each of
+    the nine binades it climbs to 1,000."""
+    plan = object()
+    add = mock.Mock(side_effect=profiler_module._add)
+    with mock.patch.object(profiler_module, "_add", add):
+        v = profiler_module._advance(0.0, [(1000, plan, ((1.0,), {}))],
+                                     [plan] * 1000)
+    assert v == 1000.0
+    assert add.call_count == 10
+
+
+def test_private_decryption_crossings_jump(rsa1024):
+    """The two ``charge_plans`` batches of a charged 1024-bit non-CRT
+    private decryption, charged 12 times into a fresh profiler as one
+    ``full_handshake`` run charges them: every young chain crosses
+    binades inside a scan, and each crossing adds only its crossing
+    plan one addend at a time (a whole-call walk here adds about
+    190,000), with the bits of the expanded calls."""
+    key = rsa1024.replica()
+    key.use_crt = False
+    c = BigNum.from_int(key.n.to_int() // 3)
+    key.raw_private(c)  # builds the Montgomery context, uncharged below
+    with _plan_batches() as batches, perf.activate(Profiler()):
+        key.raw_private(c)
+    assert len(batches) == 2
+    assert len(batches[0]) == 33 and len(batches[1]) > 1_000
+    planned, expanded = Profiler(), Profiler()
+    add = mock.Mock(side_effect=profiler_module._add)
+    with mock.patch.object(profiler_module, "_add", add):
+        for _ in range(12):
+            for batch in batches:
+                planned.charge_plans(batch)
+    additions = sum(len(call.args[1]) for call in add.call_args_list)
+    assert 0 < additions < 2_000
+    for _ in range(12):
+        for batch in batches:
+            _expand(expanded, batch)
+    _assert_same_chains(planned, expanded)
 
 
 @pytest.mark.parametrize("stall", [0.0, -1.0])
