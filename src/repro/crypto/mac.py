@@ -12,9 +12,12 @@ models in :mod:`repro.engines` treat MAC units generically.
 
 from __future__ import annotations
 
+import hashlib
+from functools import lru_cache
 from typing import Callable, Union
 
-from ..perf import charge, mix
+from ..perf import ChargePlan, charge, charge_plans, mix, plan_of
+from ..runtime import fastpath_enabled
 from .md5 import MD5
 from .sha1 import SHA1
 
@@ -29,6 +32,12 @@ _PAD1 = 0x36
 _PAD2 = 0x5C
 
 
+#: The ``hashlib`` constructor and the pads of each hash the fast path
+#: computes an SSLv3 MAC with.
+_FAST = {MD5: (hashlib.md5, bytes([_PAD1]) * 48, bytes([_PAD2]) * 48),
+         SHA1: (hashlib.sha1, bytes([_PAD1]) * 40, bytes([_PAD2]) * 40)}
+
+
 def _pad_len(digest_size: int) -> int:
     # SSLv3: 48 pad bytes for MD5 (16-byte digest), 40 for SHA-1 (20-byte).
     return 48 if digest_size == 16 else 40
@@ -36,9 +45,40 @@ def _pad_len(digest_size: int) -> int:
 
 def ssl3_mac(hash_factory: HashFactory, secret: bytes, seq_num: int,
              content_type: int, data: bytes) -> bytes:
-    """The SSLv3 record MAC."""
+    """The SSLv3 record MAC.
+
+    On the fast path an MD5 or SHA-1 MAC hashes with ``hashlib`` and
+    charges one plan: the charges of the construction on the wrappers
+    (:func:`_ssl3_mac`, the faithful path), which depend on the hash and
+    the secret and data lengths only (:func:`_mac_plan`).
+    """
     if seq_num < 0 or seq_num >= 1 << 64:
         raise ValueError("sequence number must fit in 64 bits")
+    fast = _FAST.get(hash_factory) if fastpath_enabled() else None
+    if fast is None:
+        return _ssl3_mac(hash_factory, secret, seq_num, content_type, data)
+    new, pad1, pad2 = fast
+    inner = new(secret + pad1 + seq_num.to_bytes(8, "big")
+                + bytes([content_type]) + len(data).to_bytes(2, "big"),
+                usedforsecurity=False)
+    inner.update(data)
+    out = new(secret + pad2 + inner.digest(), usedforsecurity=False).digest()
+    charge_plans((_mac_plan(hash_factory, len(secret), len(data)),))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _mac_plan(hash_factory: HashFactory, secret_len: int,
+              data_len: int) -> ChargePlan:
+    """The plan of an SSLv3 MAC under ``hash_factory`` with a secret and
+    data of these lengths, recorded on zero bytes."""
+    return plan_of(_ssl3_mac, hash_factory, bytes(secret_len), 0, 0,
+                   bytes(data_len))
+
+
+def _ssl3_mac(hash_factory: HashFactory, secret: bytes, seq_num: int,
+              content_type: int, data: bytes) -> bytes:
+    """The SSLv3 record MAC on the charged hash wrappers."""
     probe = hash_factory()
     npad = _pad_len(probe.digest_size)
     charge(MAC_CALL, function="mac")

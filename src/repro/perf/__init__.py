@@ -11,8 +11,8 @@ from .cpu import CpuModel, DEFAULT_COSTS, PENTIUM3, PENTIUM4, WIDE_CORE
 from .isa import CATEGORY, I, InstrMix, MixAccumulator, left_sum, mix
 from .profiler import (
     HTTPD, LIBCRYPTO, LIBSSL, OTHER, VMLINUX,
-    ChargePlan, Discard, FunctionStats, Profiler, RegionNode,
-    activate, charge, charge_cycles, charge_plans, current, region,
+    ChargePlan, Discard, FunctionStats, Profiler, Recorder, RegionNode,
+    activate, charge, charge_cycles, charge_plans, current, plan_of, region,
     reset_default,
 )
 from .report import format_table, kcycles, percent
@@ -29,9 +29,9 @@ __all__ = [
     "CpuModel", "PENTIUM3", "PENTIUM4", "WIDE_CORE", "DEFAULT_COSTS",
     "CATEGORY", "I", "InstrMix", "MixAccumulator", "left_sum", "mix",
     "HTTPD", "LIBCRYPTO", "LIBSSL", "OTHER", "VMLINUX",
-    "ChargePlan", "Discard", "FunctionStats", "Profiler", "RegionNode",
-    "activate", "charge", "charge_cycles", "charge_plans", "current",
-    "region", "reset_default",
+    "ChargePlan", "Discard", "FunctionStats", "Profiler", "Recorder",
+    "RegionNode", "activate", "charge", "charge_cycles", "charge_plans",
+    "current", "plan_of", "region", "reset_default",
     "format_table", "kcycles", "percent",
     "merge_profilers", "profile_trace", "synthesize_trace",
     "trace_to_text",

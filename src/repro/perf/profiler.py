@@ -28,7 +28,10 @@ Kernels whose per-invocation charges form a fixed sequence (one
 Montgomery product, one cipher block) describe that sequence once as a
 :class:`ChargePlan` and charge it with :func:`charge_plans`, which is
 bit-identical to the expanded :func:`charge` calls but makes one call
-instead of one per phase.
+instead of one per phase.  A construction whose charges depend on its
+input lengths only (a record MAC, a key derivation) gets its plan from
+:func:`plan_of`, which records the charges of one call on a
+:class:`Recorder`.
 """
 
 from __future__ import annotations
@@ -128,6 +131,10 @@ Term = Tuple[int, "ChargePlan", Chain]
 _MIN_NORMAL = sys.float_info.min
 _INF = float("inf")
 _TWO53 = 2.0 ** 53
+
+#: The most plans a :meth:`Profiler.charge_plans` call adds one addend at
+#: a time (:meth:`Profiler._walk`); longer calls take the whole-ulp step.
+WALK_PLANS = 8
 
 
 def _ulps(addends: Sequence[float], e: int) -> int:
@@ -382,12 +389,17 @@ class Profiler:
         repeated plan, like a CBC record's, by ``count``), and each chain
         moves by one exact step of whole ulps.  A chain that would cross
         into the next binade steps to the plan where it crosses, adds that
-        plan's addends one at a time and steps on (:func:`_advance`).
-        The global pending mix takes one record per call, and each
-        function's pending mix one that names the function; a fold
-        expands them into the expanded calls' ``(mix, times)`` entries.
+        plan's addends one at a time and steps on (:func:`_advance`).  A
+        call of at most :data:`WALK_PLANS` plans adds every addend one at
+        a time instead (:meth:`_walk`), which costs less there than
+        counting and stepping.  The global pending mix takes one record
+        per call, and each function's pending mix one that names the
+        function; a fold expands them into the expanded calls' ``(mix,
+        times)`` entries.
         """
-        if not plans:
+        if len(plans) <= WALK_PLANS:
+            if plans:
+                self._walk(plans)
             return
         cpu = self.cpu
         first = plans[0]
@@ -421,6 +433,47 @@ class Profiler:
             fs.cycles = _advance(fs.cycles, terms, plans)
             for n, _, (addends, _) in terms:
                 fs.calls += n * len(addends)
+            fs.mix._pending.append((record, function))
+
+    def _walk(self, plans: Sequence[ChargePlan]) -> None:
+        """:meth:`charge_plans` for a short call: each chain adds each
+        plan's addends in order, one ``+=`` at a time, which are the
+        expanded ``charge`` calls' own additions.  The pending mixes take
+        one record per call, as in the step."""
+        cpu = self.cpu
+        node = self._stack[-1]
+        region, clock = node.exclusive_cycles, self._cycles
+        mc = self.modules
+        stats = self.functions
+        touched: Dict[str, FunctionStats] = {}
+        for plan in plans:
+            if plan._cpu is not cpu:
+                plan._bind(cpu)
+            for c in plan._chain[0]:
+                region += c
+                clock += c
+            for module, (addends, _) in plan._modules:
+                v = mc.get(module, 0)
+                for c in addends:
+                    v += c
+                mc[module] = v
+            for function, module, (addends, _) in plan._functions:
+                fs = touched.get(function)
+                if fs is None:
+                    fs = stats.get(function)
+                    if fs is None:
+                        fs = stats[function] = FunctionStats(function, module)
+                    touched[function] = fs
+                v = fs.cycles
+                for c in addends:
+                    v += c
+                fs.cycles = v
+                fs.calls += len(addends)
+        node.exclusive_cycles = region
+        self._cycles = clock
+        record = tuple(plans)
+        self.global_mix._pending.append((record, None))
+        for function, fs in touched.items():
             fs.mix._pending.append((record, function))
 
     def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
@@ -528,6 +581,58 @@ class Discard(Profiler):
         if cycles < 0:
             raise ValueError("cannot charge negative cycles")
         return 0.0
+
+
+class _Sealed(RegionNode):
+    """A region root no region opens under."""
+
+    __slots__ = ()
+
+    def child(self, name: str) -> RegionNode:
+        raise RuntimeError(f"a recorded call opened region {name!r}")
+
+
+class Recorder(Discard):
+    """A sink that keeps what it is charged as plan steps.
+
+    Each ``charge`` appends its arguments to :attr:`steps` as one
+    :data:`PlanStep`, and ``charge_plans`` appends its plans' steps, so
+    ``ChargePlan(steps)`` charges what the calls charged.  A plan holds
+    no region and no raw cycles: opening a region or calling
+    ``charge_cycles`` raises ``RuntimeError``.  Like any
+    :class:`Discard`, it adds to no total.
+    """
+
+    def __init__(self, cpu: CpuModel = PENTIUM4):
+        super().__init__(cpu)
+        self.root = _Sealed("<root>")
+        self._stack = [self.root]
+        self.steps: List[PlanStep] = []
+
+    def charge(self, m: InstrMix, times: float = 1.0, *,
+               function: str = "<anon>", module: str = LIBCRYPTO,
+               stall: float = 1.0) -> float:
+        if stall <= 0:
+            raise ValueError("stall_factor must be positive")
+        self.steps.append((m, times, function, module, stall))
+        return 0.0
+
+    def charge_plans(self, plans: Sequence[ChargePlan]) -> None:
+        for plan in plans:
+            self.steps.extend(plan.steps)
+
+    def charge_cycles(self, cycles: float, *, function: str = "<modelled>",
+                      module: str = OTHER) -> float:
+        raise RuntimeError("a recorded call charged raw cycles")
+
+
+def plan_of(fn, *args) -> ChargePlan:
+    """The plan of what ``fn(*args)`` charges, recorded on a
+    :class:`Recorder` made the active profiler for the call."""
+    recorder = Recorder()
+    with activate(recorder):
+        fn(*args)
+    return ChargePlan(recorder.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,12 @@ backends:
   in the libcrypto ``hashlib`` already loads (:mod:`repro.crypto.native`,
   or the Python cores and ints where that binding does not load), CBC
   hands each record to the cipher in one call, and every block and
-  product is charged one plan, as the faithful calls would be.  RC4
-  runs the same loop on both backends.
+  product is charged one plan, as the faithful calls would be.  The
+  SSLv3 record MAC, key derivation and finished hashes hash with
+  ``hashlib`` one-shots and charge one plan, recorded from the faithful
+  construction on zero bytes of the same lengths
+  (:func:`repro.perf.plan_of`).  RC4 runs the same loop on both
+  backends.
 * **faithful path** (``REPRO_FASTPATH=0`` in the environment, or
   :func:`set_fastpath` / :func:`fastpath` at runtime): the original
   word-by-word reference loops execute, mirroring the profiled OpenSSL

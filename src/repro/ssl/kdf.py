@@ -24,11 +24,15 @@ paper describes in handshake steps 5, 6 and 8 (Table 2's
 
 from __future__ import annotations
 
-from typing import Tuple
+import hashlib
+from functools import lru_cache
+from typing import Tuple, Union
 
 from ..crypto.md5 import MD5
 from ..crypto.sha1 import SHA1
-from ..perf import charge, mix
+from ..perf import ChargePlan, Discard, activate, charge, charge_plans, mix, \
+    plan_of
+from ..runtime import fastpath_enabled
 
 #: EVP-layer overhead per derivation block or finished-hash computation:
 #: digest-context allocation, method dispatch, parameter copies.  The
@@ -61,21 +65,13 @@ _PAD2_MD5 = b"\x5c" * 48
 _PAD1_SHA = b"\x36" * 40
 _PAD2_SHA = b"\x5c" * 40
 
+#: The derivation's salts: ``'A'``, ``'BB'``, ``'CCC'``, ...
+_SALTS = tuple(bytes([ord("A") + i]) * (i + 1) for i in range(26))
 
-def _derivation_block(secret: bytes, rand1: bytes, rand2: bytes,
-                      index: int) -> bytes:
-    """One 16-byte output block of the SSLv3 derivation."""
-    charge(PRF_BLOCK_OVERHEAD, function="ssl3_PRF")
-    salt = bytes([ord("A") + index]) * (index + 1)
-    inner = SHA1()
-    inner.update(salt)
-    inner.update(secret)
-    inner.update(rand1)
-    inner.update(rand2)
-    outer = MD5()
-    outer.update(secret)
-    outer.update(inner.digest())
-    return outer.digest()
+# On the fast path the constructions below hash with ``hashlib`` and each
+# call charges one plan: the charges of the construction on the MD5/SHA-1
+# wrappers (the faithful path), recorded on zero bytes of the lengths the
+# charges depend on.
 
 
 def derive(secret: bytes, rand1: bytes, rand2: bytes, length: int) -> bytes:
@@ -85,9 +81,42 @@ def derive(secret: bytes, rand1: bytes, rand2: bytes, length: int) -> bytes:
     nblocks = (length + 15) // 16
     if nblocks > 26:
         raise ValueError("SSLv3 derivation limited to 26 blocks (A..Z salts)")
-    out = b"".join(_derivation_block(secret, rand1, rand2, i)
-                   for i in range(nblocks))
+    if not fastpath_enabled():
+        return _derive_blocks(secret, rand1, rand2, nblocks)[:length]
+    tail = secret + rand1 + rand2
+    out = b"".join(
+        hashlib.md5(secret + hashlib.sha1(salt + tail, usedforsecurity=False)
+                    .digest(), usedforsecurity=False).digest()
+        for salt in _SALTS[:nblocks])
+    charge_plans((_derive_plan(len(secret), len(rand1), len(rand2),
+                               nblocks),))
     return out[:length]
+
+
+def _derive_blocks(secret: bytes, rand1: bytes, rand2: bytes,
+                   nblocks: int) -> bytes:
+    """The first ``nblocks`` 16-byte blocks of the SSLv3 derivation, on
+    the charged wrappers."""
+    out = []
+    for salt in _SALTS[:nblocks]:
+        charge(PRF_BLOCK_OVERHEAD, function="ssl3_PRF")
+        inner = SHA1()
+        inner.update(salt)
+        inner.update(secret)
+        inner.update(rand1)
+        inner.update(rand2)
+        outer = MD5()
+        outer.update(secret)
+        outer.update(inner.digest())
+        out.append(outer.digest())
+    return b"".join(out)
+
+
+@lru_cache(maxsize=64)
+def _derive_plan(secret_len: int, rand1_len: int, rand2_len: int,
+                 nblocks: int) -> ChargePlan:
+    return plan_of(_derive_blocks, bytes(secret_len), bytes(rand1_len),
+                   bytes(rand2_len), nblocks)
 
 
 def master_secret(pre_master: bytes, client_random: bytes,
@@ -127,19 +156,55 @@ def cert_verify_hashes(md5_ctx: MD5, sha1_ctx: SHA1,
 
 def finished_hashes(md5_ctx: MD5, sha1_ctx: SHA1, master: bytes,
                     sender: bytes) -> Tuple[bytes, bytes]:
-    charge(FINISHED_OVERHEAD, function="ssl3_final_finish_mac")
-    charge(PRF_BLOCK_OVERHEAD, times=2, function="ssl3_final_finish_mac")
-    return _finished_hashes(md5_ctx, sha1_ctx, master, sender)
+    """The SSLv3 finished hashes (:func:`_finished_hashes`).
+
+    The fast path needs both contexts on ``hashlib``; its plan depends
+    on each context's length mod 64 and the master and sender lengths.
+    """
+    md5_h, sha1_h = md5_ctx._hash, sha1_ctx._hash
+    if not fastpath_enabled() or md5_h is None or sha1_h is None:
+        return _finished_hashes(md5_ctx, sha1_ctx, master, sender)
+    plan = _finished_plan(md5_ctx._length % 64, sha1_ctx._length % 64,
+                          len(master), len(sender))
+    md5_inner = _absorb(md5_ctx, sender + master + _PAD1_MD5)
+    sha_inner = _absorb(sha1_ctx, sender + master + _PAD1_SHA)
+    out = (hashlib.md5(master + _PAD2_MD5 + md5_inner,
+                       usedforsecurity=False).digest(),
+           hashlib.sha1(master + _PAD2_SHA + sha_inner,
+                        usedforsecurity=False).digest())
+    charge_plans((plan,))
+    return out
+
+
+def _absorb(ctx: Union[MD5, SHA1], data: bytes) -> bytes:
+    """``ctx.update(data)`` then ``ctx.digest()`` on a ``hashlib``-backed
+    wrapper, uncharged: the context ends where the charged calls leave
+    it."""
+    ctx._hash.update(data)
+    ctx._length += len(data)
+    return ctx._hash.digest()
+
+
+@lru_cache(maxsize=64)
+def _finished_plan(md5_mod: int, sha1_mod: int, master_len: int,
+                   sender_len: int) -> ChargePlan:
+    with activate(Discard()):
+        md5_ctx, sha1_ctx = MD5(bytes(md5_mod)), SHA1(bytes(sha1_mod))
+    return plan_of(_finished_hashes, md5_ctx, sha1_ctx, bytes(master_len),
+                   bytes(sender_len))
 
 
 def _finished_hashes(md5_ctx: MD5, sha1_ctx: SHA1, master: bytes,
                      sender: bytes) -> Tuple[bytes, bytes]:
-    """The two finished-message hashes over the handshake transcript.
+    """The two finished-message hashes over the handshake transcript, on
+    the charged wrappers.
 
     ``md5_ctx`` / ``sha1_ctx`` are updated in place, not copied here: pass
     clones of the running handshake-hash contexts, positioned after all
     handshake messages so far.
     """
+    charge(FINISHED_OVERHEAD, function="ssl3_final_finish_mac")
+    charge(PRF_BLOCK_OVERHEAD, times=2, function="ssl3_final_finish_mac")
     md5_ctx.update(sender)
     md5_ctx.update(master)
     md5_ctx.update(_PAD1_MD5)

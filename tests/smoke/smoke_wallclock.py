@@ -29,6 +29,11 @@ run, 1024-bit and non-CRT, into a fresh profiler, whose young chains
 cross binades inside a scan: a crossing must add only one plan's
 addends one at a time, not its whole call's.
 
+``check_keyed_hashes`` times a 1 KB SHA-1 SSLv3 record MAC and a
+104-byte SSLv3 key derivation on the fast path, ``hashlib`` one-shots
+charged one recorded plan, against the same calls through the charged
+construction on the hash wrappers; both must end on the same bits.
+
 On Linux the binding must load and a 1024-bit context must get its
 kernel; the script prints why not.
 
@@ -47,12 +52,14 @@ from unittest import mock
 from repro import perf, runtime
 from repro.bignum import BigNum, MontgomeryContext, mod_exp
 from repro.crypto import native
+from repro.crypto import mac
 from repro.crypto.aes import _ENCRYPT_PLANS, AES
 from repro.crypto.des import TripleDES
 from repro.crypto.md5 import MD5
 from repro.crypto.modes import CBC
 from repro.crypto.rand import PseudoRandom
 from repro.crypto.sha1 import SHA1
+from repro.ssl import kdf
 from repro.ssl.loopback import make_server_identity, run_session
 
 
@@ -78,6 +85,13 @@ BOUND_CHARGE_PLANS = 40
 #: 63.2x; the same check against a walk of every addend of each call
 #: that crosses a binade read 13.1x to 16.4x in ten.
 BOUND_CROSSING = 25
+#: Lowest charged/fast ratios for a 1 KB SHA-1 ``ssl3_mac`` and a
+#: 104-byte ``derive``.  Ten runs on the same VM read 3.1x to 3.8x
+#: (7-12 us against 22-42 us) and 3.4x to 6.4x (22-40 us against
+#: 115-230 us); a fast path that falls back to the charged construction
+#: reads about 1x.
+BOUND_MAC = 2.0
+BOUND_DERIVE = 2.5
 
 
 def best_of(key, cert, n: int) -> float:
@@ -241,6 +255,47 @@ def check_charge_plans(key) -> None:
                  (), batches * 12, BOUND_CROSSING)
 
 
+def keyed_ratio(label: str, fast, charged, bound: float) -> None:
+    """Time ``fast()`` against ``charged()``, each in a fresh profiler
+    after one untimed call (which records the fast side's plan); best
+    of nine loops of 20 calls each, both ending on the same bits, and
+    require charged / fast >= bound."""
+    best = {"fast": float("inf"), "charged": float("inf")}
+    for _ in range(9):
+        ends = {}
+        for arm, op in (("fast", fast), ("charged", charged)):
+            p = perf.Profiler()
+            with perf.activate(p):
+                op()
+                t0 = time.perf_counter()
+                for _ in range(20):
+                    op()
+                best[arm] = min(best[arm], (time.perf_counter() - t0) / 20)
+            ends[arm] = (p.now(), dict(p.modules),
+                         {name: fs.cycles for name, fs in p.functions.items()})
+        assert ends["fast"] == ends["charged"], label
+    ratio = best["charged"] / best["fast"]
+    print(f"{label}: fast {best['fast'] * 1e6:.1f} us, charged "
+          f"{best['charged'] * 1e6:.1f} us ({ratio:.1f}x)")
+    assert ratio >= bound, f"{label}: {ratio:.1f}x, under {bound}x"
+
+
+def check_keyed_hashes() -> None:
+    """A 1 KB SHA-1 record MAC and a 104-byte key block (7 derivation
+    blocks): ``hashlib`` one-shots charged one recorded plan against
+    the charged construction on the wrappers."""
+    secret, data = bytes(range(20)), bytes(range(256)) * 4
+    keyed_ratio("SSLv3 SHA-1 MAC, 1 KB",
+                lambda: mac.ssl3_mac(SHA1, secret, 5, 23, data),
+                lambda: mac._ssl3_mac(SHA1, secret, 5, 23, data),
+                BOUND_MAC)
+    master, rand1, rand2 = bytes(range(48)), bytes(32), bytes(range(32))
+    keyed_ratio("SSLv3 key block, 104 bytes",
+                lambda: kdf.derive(master, rand1, rand2, 104),
+                lambda: kdf._derive_blocks(master, rand1, rand2, 7)[:104],
+                BOUND_DERIVE)
+
+
 def main() -> None:
     key, cert = make_server_identity()
     run_session(b"", key=key, cert=cert)  # warm caches
@@ -261,6 +316,7 @@ def main() -> None:
     check_rand()
     check_modexp(key)
     check_charge_plans(key)
+    check_keyed_hashes()
 
 
 if __name__ == "__main__":

@@ -61,10 +61,13 @@ repeats = st.one_of(st.integers(1, 3), st.integers(1, 300))
 
 def program(n_plans: int):
     """Operations over ``n_plans`` plans, as plain tuples.  A batch is a
-    list of plan indices built from runs of one index."""
-    batch = st.lists(st.tuples(st.integers(0, n_plans - 1), repeats),
-                     min_size=1, max_size=6).map(
-        lambda runs: [i for i, k in runs for _ in range(k)])
+    list of plan indices: a short one, which ``charge_plans`` walks, or
+    one built from runs of one index."""
+    plan = st.integers(0, n_plans - 1)
+    batch = st.one_of(
+        st.lists(plan, min_size=1, max_size=8),
+        st.lists(st.tuples(plan, repeats), min_size=1, max_size=6).map(
+            lambda runs: [i for i, k in runs for _ in range(k)]))
     return st.lists(st.one_of(
         st.tuples(st.just("charge"), steps),
         st.tuples(st.just("cycles"), fractions, st.sampled_from(FUNCTIONS),
@@ -188,22 +191,23 @@ def test_plan_call_leaves_one_pending_record():
     plan = ChargePlan([(mix(movl=1), 2.0, "f", LIBCRYPTO, 1.0),
                        (mix(xorl=0.3), 3.0, "g", LIBSSL, 1.1),
                        (mix(addl=0.7), 1.0, "f", LIBCRYPTO, 1.0)])
-    planned, expanded = Profiler(), Profiler()
-    planned.charge_plans([plan, plan])
-    for _ in range(2):
-        for m, times, function, module, stall in plan.steps:
-            expanded.charge(m, times, function=function, module=module,
-                            stall=stall)
-    assert len(planned.global_mix._pending) == 1
-    assert [len(fs.mix._pending) for fs in planned.functions.values()] \
-        == [1, 1]
-    assert planned.total_instructions() == expanded.total_instructions()
-    assert planned.global_mix.snapshot() == expanded.global_mix.snapshot()
-    for name, fs in planned.functions.items():
-        other = expanded.functions[name]
-        assert fs.mix.total() == other.mix.total()
-        assert fs.mix.snapshot() == other.mix.snapshot()
-        assert (fs.module, fs.calls) == (other.module, other.calls)
+    other_plan = ChargePlan([(mix(addl=0.9), 1.0, "g", LIBSSL, 1.2)])
+    # Walked (up to WALK_PLANS plans) and stepped calls alike.
+    for batch in ([plan, plan], [plan, other_plan] * 4,
+                  [other_plan] + [plan] * 8, [plan, other_plan] * 20):
+        planned, expanded = Profiler(), Profiler()
+        planned.charge_plans(batch)
+        _expand(expanded, batch)
+        assert len(planned.global_mix._pending) == 1
+        assert [len(fs.mix._pending) for fs in planned.functions.values()] \
+            == [1, 1]
+        assert planned.total_instructions() == expanded.total_instructions()
+        assert planned.global_mix.snapshot() == expanded.global_mix.snapshot()
+        for name, fs in planned.functions.items():
+            other = expanded.functions[name]
+            assert fs.mix.total() == other.mix.total()
+            assert fs.mix.snapshot() == other.mix.snapshot()
+            assert (fs.module, fs.calls) == (other.module, other.calls)
 
 
 @contextmanager
@@ -385,6 +389,99 @@ def test_private_decryption_crossings_jump(rsa1024):
         for batch in batches:
             _expand(expanded, batch)
     _assert_same_chains(planned, expanded)
+
+
+# -- short calls walk ---------------------------------------------------------
+
+#: Two plans with fractional addends over two modules and three functions.
+_SHORT_PLANS = (
+    ChargePlan([(mix(movl=0.1), 1.0, "f", LIBCRYPTO, 1.0),
+                (mix(xorl=0.7), 3.0, "g", LIBSSL, 1.3),
+                (mix(addl=0.3), 1.0, "f", LIBCRYPTO, 1.1)]),
+    ChargePlan([(mix(roll=0.9), 2.0, "h", LIBCRYPTO, 1.52)]),
+)
+
+
+@pytest.mark.parametrize("n,stepped", [(8, False), (9, True)])
+@pytest.mark.parametrize("start", [0.0, 2.0 ** 22 - 1.0])
+def test_short_call_walks(n, stepped, start):
+    """A call of at most ``WALK_PLANS`` plans adds every addend one at a
+    time and makes no ``_advance`` call; one more plan takes the step.
+    Both end with the expanded ``charge()`` calls' bits, on fresh
+    chains and on function chains that cross a binade inside the
+    call."""
+    assert profiler_module.WALK_PLANS == 8
+    batch = [_SHORT_PLANS[i % 3 // 2] for i in range(n)]
+    planned, expanded = Profiler(), Profiler()
+    for p in (planned, expanded):
+        if start:
+            for function in ("f", "g", "h"):
+                p.charge_cycles(start, function=function, module=LIBCRYPTO)
+    advance = mock.Mock(side_effect=profiler_module._advance)
+    with mock.patch.object(profiler_module, "_advance", advance):
+        planned.charge_plans(batch)
+    assert (advance.call_count > 0) == stepped
+    _expand(expanded, batch)
+    _assert_same_chains(planned, expanded)
+    assert planned.global_mix.snapshot() == expanded.global_mix.snapshot()
+
+
+# -- recorded plans -----------------------------------------------------------
+
+def _construction(k: int) -> None:
+    """Charges of a keyed-hash construction's shape: single charges
+    around a batch of plans."""
+    perf.charge(mix(movl=0.1), function="f")
+    perf.charge_plans(list(_SHORT_PLANS) * k)
+    perf.charge(mix(xorl=0.3), times=2, function="g", module=LIBSSL,
+                stall=1.3)
+
+
+def test_plan_of_records_the_charges_of_a_call():
+    """``plan_of`` keeps every charge of the call, a plan batch's as its
+    steps, and charges none of them to the active profiler; its plan,
+    charged in one call, gives the call's own bits."""
+    outer = Profiler()
+    with perf.activate(outer):
+        plan = perf.plan_of(_construction, 3)
+    assert outer.now() == 0.0 and outer.functions == {}
+    assert len(plan.steps) == 2 + 3 * 4
+    planned, called = Profiler(), Profiler()
+    planned.charge_plans([plan])
+    with perf.activate(called):
+        _construction(3)
+    _assert_same_chains(planned, called)
+    assert planned.global_mix.snapshot() == called.global_mix.snapshot()
+
+
+def _open_region() -> None:
+    with perf.region("inner"):
+        perf.charge(mix(movl=1), function="f")
+
+
+@pytest.mark.parametrize("call,what", [
+    (_open_region, "region"),
+    (lambda: perf.charge_cycles(5.0), "raw cycles"),
+], ids=["region", "charge_cycles"])
+def test_plan_of_refuses_what_a_plan_cannot_hold(call, what):
+    """A plan holds no region and no raw cycles: recording a call that
+    opens one or charges them raises, and the recorder is no longer
+    active afterwards."""
+    outer = Profiler()
+    with perf.activate(outer):
+        with pytest.raises(RuntimeError, match=what):
+            perf.plan_of(call)
+        assert perf.current() is outer
+    assert outer.now() == 0.0
+
+
+def test_recorder_checks_stall_and_adds_nothing():
+    r = perf.Recorder()
+    with pytest.raises(ValueError, match="stall_factor"):
+        r.charge(mix(movl=1), function="f", stall=0)
+    r.charge(mix(movl=1), 2.0, function="f", module=LIBSSL, stall=1.5)
+    assert r.steps == [(mix(movl=1), 2.0, "f", LIBSSL, 1.5)]
+    assert r.now() == 0.0 and r.functions == {}
 
 
 @pytest.mark.parametrize("stall", [0.0, -1.0])

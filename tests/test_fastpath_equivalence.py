@@ -38,6 +38,7 @@ from repro.crypto.modes import CBC
 from repro.crypto.rc4 import RC4
 from repro.crypto.sha1 import SHA1
 from repro.crypto.util import cbc_unchain
+from repro.ssl import kdf
 from repro.ssl.loopback import make_server_identity, run_session
 
 
@@ -688,6 +689,145 @@ def test_mac_context_matches_plain(hash_cls, secret_len):
         assert results[0] == results[1]
         # And the context path itself is backend-independent.
         assert_equivalent(ctx_fn)
+
+
+# ---------------------------------------------------------------------------
+# keyed hashes: hashlib one-shots charged one recorded plan
+# ---------------------------------------------------------------------------
+
+#: MAC data lengths: short records, a full 16 KB fragment, and totals on
+#: each side of the one-or-two-final-block edge and of a whole block.
+MAC_DATA_LENGTHS = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([55, 56, 63, 64, 119, 120, 16384]))
+
+
+@given(hash_cls=st.sampled_from([MD5, SHA1]), secret_len=st.integers(0, 100),
+       data_len=MAC_DATA_LENGTHS, seq=st.integers(0, 2**64 - 2),
+       content_type=st.integers(0, 255), seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_ssl3_mac_plan_equivalence(hash_cls, secret_len, data_len, seq,
+                                   content_type, seed):
+    """The fast SSLv3 MAC (``hashlib``, one recorded plan) equals the
+    charged construction on the Python cores in bytes and in the full
+    charge stream, the second call taking the cached plan."""
+    rng = random.Random(seed)
+    secret, data = rng.randbytes(secret_len), rng.randbytes(data_len)
+    assert_equivalent(lambda: [
+        ssl3_mac(hash_cls, secret, seq + k, content_type, data)
+        for k in range(2)])
+
+
+@given(secret_len=st.integers(1, 100), rand1_len=st.integers(0, 64),
+       rand2_len=st.integers(0, 64), length=st.integers(1, 7 * 16),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_derive_plan_equivalence(secret_len, rand1_len, rand2_len, length,
+                                 seed):
+    """``derive`` over 1-7 blocks, and the master secret and key block
+    built on it, on both backends: the same bytes and charge stream."""
+    rng = random.Random(seed)
+    secret = rng.randbytes(secret_len)
+    rand1, rand2 = rng.randbytes(rand1_len), rng.randbytes(rand2_len)
+    assert_equivalent(lambda: (
+        kdf.derive(secret, rand1, rand2, length),
+        kdf.master_secret(secret, rand1, rand2),
+        kdf.key_block(secret, rand1, rand2, length)))
+
+
+def finished_workload(md5_len, sha1_len, master, sender, transcript):
+    """Both finished-hash constructions on contexts that have taken
+    ``md5_len`` and ``sha1_len`` transcript bytes, each passed in and
+    then finished on more data: the contexts must end where the charged
+    calls leave them."""
+    def workload():
+        out = []
+        for construction in ("finished", "cert_verify"):
+            md5_ctx = MD5(transcript[:md5_len])
+            sha1_ctx = SHA1(transcript[:sha1_len])
+            if construction == "finished":
+                out.append(kdf.finished_hashes(md5_ctx, sha1_ctx, master,
+                                               sender))
+            else:
+                out.append(kdf.cert_verify_hashes(md5_ctx, sha1_ctx, master))
+            md5_ctx.update(transcript[-7:])
+            sha1_ctx.update(transcript[-7:])
+            out.append((md5_ctx.digest(), sha1_ctx.digest(),
+                        md5_ctx._length, sha1_ctx._length))
+        return out
+    return workload
+
+
+@pytest.mark.parametrize("sender", [kdf.SENDER_CLIENT, kdf.SENDER_SERVER])
+def test_finished_hashes_plan_at_every_offset(sender):
+    """Contexts at every offset mod 64 (the MD5 one at ``k``, the SHA-1
+    one at another residue a block further on), so each side of the
+    one-or-two-final-block edge is charged: the same digests, contexts
+    and charge stream on both backends, and the SSLv3 construction's
+    digests."""
+    rng = random.Random(0xF1 + len(sender) + sender[0])
+    master, transcript = rng.randbytes(48), rng.randbytes(200)
+    for k in range(64):
+        sha1_len = 64 + (37 * k + 11) % 64
+        out = assert_equivalent(
+            finished_workload(k, sha1_len, master, sender, transcript))
+        for (md5_h, sha1_h), label in ((out[0], sender), (out[2], b"")):
+            inner = hashlib.md5(transcript[:k] + label + master
+                                + b"\x36" * 48).digest()
+            assert md5_h == hashlib.md5(master + b"\x5c" * 48
+                                        + inner).digest()
+            inner = hashlib.sha1(transcript[:sha1_len] + label + master
+                                 + b"\x36" * 40).digest()
+            assert sha1_h == hashlib.sha1(master + b"\x5c" * 40
+                                          + inner).digest()
+
+
+@given(md5_len=st.integers(0, 200), sha1_len=st.integers(0, 200),
+       master_len=st.integers(0, 100),
+       sender=st.sampled_from([kdf.SENDER_CLIENT, kdf.SENDER_SERVER, b""]),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_finished_hashes_plan_equivalence(md5_len, sha1_len, master_len,
+                                          sender, seed):
+    rng = random.Random(seed)
+    assert_equivalent(finished_workload(
+        md5_len, sha1_len, rng.randbytes(master_len), sender,
+        rng.randbytes(200)))
+
+
+def _refuse_wrapper(*args, **kwargs):
+    raise AssertionError("a charged hash wrapper ran")
+
+
+def test_fast_keyed_hashes_make_no_wrapper_call(monkeypatch):
+    """Once their plans are recorded, the fast SSLv3 MAC, key derivation
+    and finished hashes never construct, update or finalize an
+    ``MD5``/``SHA1`` wrapper, all patched to raise.  A fallback to the
+    charged construction keeps every signature, so the equivalence
+    tests cannot see one."""
+    master, rand1, rand2 = bytes(range(48)), bytes(32), bytes(range(32))
+    data = bytes(range(256)) * 4
+
+    def contexts():
+        return MD5(data[:100]), SHA1(data[:100])
+
+    def run(finished, cert_verify):
+        return ([ssl3_mac(cls, master[:n], 9, 23, data)
+                 for cls, n in ((MD5, 16), (SHA1, 20))]
+                + [kdf.master_secret(master, rand1, rand2),
+                   kdf.key_block(master, rand1, rand2, 104),
+                   kdf.finished_hashes(*finished, master, kdf.SENDER_CLIENT),
+                   kdf.cert_verify_hashes(*cert_verify, master)])
+
+    with runtime.fastpath(True), perf.activate(perf.Profiler()):
+        expected = run(contexts(), contexts())  # records the plans
+        built = contexts(), contexts()
+        for cls in (MD5, SHA1):
+            for name in ("__init__", "update", "digest"):
+                monkeypatch.setattr(cls, name, _refuse_wrapper)
+        assert run(*built) == expected
+    with runtime.fastpath(False), pytest.raises(AssertionError):
+        ssl3_mac(SHA1, master[:20], 9, 23, data)
 
 
 # ---------------------------------------------------------------------------
