@@ -90,7 +90,8 @@ smoke-farm:
 
 smoke: smoke-wallclock smoke-farm
 
-artifacts: bench-overload
+# Every modeled BENCH_*.json, then the test and benchmark transcripts.
+artifacts: bench-engines bench-tickets bench-overload bench-farm
 	$(PY_ENV) pytest tests/ 2>&1 | tee test_output.txt
 	$(PY_ENV) pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 

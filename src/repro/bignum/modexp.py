@@ -9,13 +9,19 @@ The fast path runs the same scan over registers from
 :meth:`MontgomeryContext.registers`: BIGNUMs with one libcrypto
 ``BN_mod_mul_montgomery`` per product where the binding is on, Python
 ints otherwise.  Every product it makes is a register product, the
-conversions into and out of Montgomery form included.  Each product is
+conversions into and out of Montgomery form included.  The scan is one
+``chain`` call over the exponent's window decomposition, cached per
+exponent, and returns each product's bit length.  Each product is
 charged the plan of its operands' word counts, read from the bit length
-of the product before it, so every product must still be made one at a
-time where it is charged.
+of the product before it, so the plans are built from those lengths
+after the chain and charged as the faithful loop charges them.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+from typing import Tuple
 
 from ..perf import charge, charge_plans, mix
 from ..runtime import fastpath_enabled
@@ -63,7 +69,7 @@ def mod_exp(base: BigNum, exponent: BigNum, modulus: BigNum,
     charge(EXP_BIT_SCAN, times=bits, function="BN_mod_exp_mont")
 
     if mont.reduction == "interleaved" and fastpath_enabled():
-        return _mod_exp_fast(base, exponent, mont, bits, wsize)
+        return _mod_exp_fast(base, exponent, mont, wsize)
 
     # Precompute odd powers: table[i] = base^(2i+1) in Montgomery form.
     table = [mont.to_mont(base)]
@@ -100,8 +106,41 @@ def mod_exp(base: BigNum, exponent: BigNum, modulus: BigNum,
     return mont.from_mont(acc)
 
 
+@functools.lru_cache(maxsize=64)
+def _scan(e: int) -> Tuple[int, bytes]:
+    """The window scan of exponent ``e`` > 0, as the fast path runs it:
+    the table index of its first window, then the operand register of
+    each later product -- ``k`` to multiply by ``table[k]``, or the
+    accumulator's own number (the table size) to square.  The same
+    windows as the faithful loop above; cached because a key's few
+    exponents recur on every private operation."""
+    bits = e.bit_length()
+    wsize = window_bits_for_exponent_size(bits)
+    acc = 1 << (wsize - 1)
+    first = -1
+    ops = bytearray()
+    i = bits - 1
+    while i >= 0:
+        if not (e >> i) & 1:
+            ops.append(acc)
+            i -= 1
+            continue
+        # Take the longest window [j..i] that starts and ends with a set bit.
+        j = max(i - wsize + 1, 0)
+        while not (e >> j) & 1:
+            j += 1
+        k = ((e >> j) & ((1 << (i - j + 1)) - 1)) >> 1
+        if first < 0:
+            first = k  # the top bit is set: its window starts the scan
+        else:
+            ops += bytes([acc]) * (i - j + 1)
+            ops.append(k)
+        i = j - 1
+    return first, bytes(ops)
+
+
 def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
-                  bits: int, wsize: int) -> BigNum:
+                  wsize: int) -> BigNum:
     """Fast-path exponentiation: the window scan above over registers.
 
     Registers ``0 .. size - 1`` hold the odd powers, then come the
@@ -109,12 +148,13 @@ def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
     with ``base mod n`` is ``to_mont``, and then 1, whose product with
     the accumulator is ``from_mont``.  ``one()`` is charged, as
     ``BigNum.one().mod(n)`` and the plan of its product by RR, but not
-    made: the scan starts from its first window.  The exponent is read
-    as one int, so a window's value is one shift and mask.  Each product
-    appends the plan of its operands' word counts, taken from their bit
-    lengths, and each phase charges its plans in one call, in the order
-    the faithful loop would have charged them, so the modeled cost of an
-    exponentiation is unchanged.
+    made: the scan starts from its first window.  The scan itself is
+    one :meth:`chain` call over the exponent's cached :func:`_scan`,
+    which returns each product's bit length; each product's plan is
+    then keyed by its operands' word counts, taken from the bit length
+    before it.  Each phase charges its plans in one call, in the order
+    the faithful loop would have charged them, so the modeled cost of
+    an exponentiation is unchanged.
     """
     n = mont.nwords
     size = 1 << (wsize - 1)
@@ -135,35 +175,16 @@ def _mod_exp_fast(base: BigNum, exponent: BigNum, mont: MontgomeryContext,
             tbits.append(regs.product(i, i - 1, base_sq))
     charge_plans(plans)  # before one()'s charges
     plans = [by_rr[BigNum.one().mod(mont.n).nbits()]]
+    # The plan row of each operand register: table[k]'s, then, at the
+    # accumulator's number (the table size), the square's.
     rows = [_mul_row(-(-b // WORD_BITS), n) for b in tbits]
+    rows.append(sqr)
 
-    e = exponent.to_int()
-    abits = 0
-    started = False  # the top bit is set: its window starts the scan
-    i = bits - 1
-    while i >= 0:
-        if not (e >> i) & 1:
-            plans.append(sqr[abits])
-            abits = regs.product(acc, acc, acc)
-            i -= 1
-            continue
-        # Take the longest window [j..i] that starts and ends with a set bit.
-        j = max(i - wsize + 1, 0)
-        while not (e >> j) & 1:
-            j += 1
-        k = ((e >> j) & ((1 << (i - j + 1)) - 1)) >> 1
-        if started:
-            for _ in range(i - j + 1):
-                plans.append(sqr[abits])
-                abits = regs.product(acc, acc, acc)
-            plans.append(rows[k][abits])
-            abits = regs.product(acc, acc, k)
-        else:
-            regs.copy(acc, k)  # squaring in place must not touch table[k]
-            abits = tbits[k]
-            started = True
-        i = j - 1
-
+    first, ops = _scan(exponent.to_int())
+    regs.copy(acc, first)  # squaring in place must not touch table[first]
+    lengths = regs.chain(acc, ops)
+    plans += [rows[op][b]
+              for op, b in zip(ops, itertools.chain((tbits[first],), lengths))]
     plans.append(_redc_plan(n))
     regs.set(const, 1)
     regs.product(acc, acc, const)

@@ -27,8 +27,10 @@ product on :meth:`MontgomeryContext.registers`: in libcrypto, where the
 context builds a ``BN_MONT_CTX`` kernel (:mod:`repro.crypto.native`) the
 first time :meth:`MontgomeryContext.kernel` is asked for and keeps it
 because one product shows that libcrypto's radix is this model's R, or
-on whole Python ints.  Every product is charged the plan of its
-operands' word counts, whichever host computes it.  The single
+on whole Python ints.  A kernel keeps one register file for every
+exponentiation; only int registers need ``-n^-1 mod R``, so a context
+computes it the first time they do.  Every product is charged the plan
+of its operands' word counts, whichever host computes it.  The single
 operations :meth:`~MontgomeryContext.mul`, ``sqr``, ``to_mont``,
 ``from_mont`` and ``one`` run the word-array reference on both backends.
 """
@@ -162,6 +164,18 @@ class _IntRegisters:
         value = r[dst] = self._reduce(r[a] * r[b])
         return value.bit_length()
 
+    def chain(self, dst: int, operands) -> List[int]:
+        """``r[dst] = r[dst] * r[op] / R mod n`` for each register ``op``
+        of ``operands`` in turn (``dst`` itself squares); the bit length
+        of each product, in order."""
+        r, reduce = self._r, self._reduce
+        lengths: List[int] = []
+        append = lengths.append
+        for op in operands:
+            value = r[dst] = reduce(r[dst] * r[op])
+            append(value.bit_length())
+        return lengths
+
 
 class MontgomeryContext:
     """Precomputed state for repeated multiplication modulo one odd modulus."""
@@ -182,11 +196,10 @@ class MontgomeryContext:
         self.nwords = modulus.nwords()
         self._n_padded: List[int] = list(modulus.d)
         self.n0 = (-_word_inverse(modulus.d[0])) & WORD_MASK
-        # Native-int mirrors for the fast-path REDC (uncharged bookkeeping:
+        # Native-int mirrors for the fast path (uncharged bookkeeping:
         # the modeled setup cost below is identical with or without them).
         self._n_int = modulus.to_int()
         self._r_mask = (1 << (self.nwords * WORD_BITS)) - 1
-        self._ni_int = (-pow(self._n_int, -1, self._r_mask + 1)) & self._r_mask
         charge(MONT_SETUP, function="BN_MONT_CTX_set")
         # RR = R^2 mod n with R = 2^(32 * nwords); via BN_div (off hot path).
         r2 = BigNum.from_int(1 << (2 * self.nwords * WORD_BITS))
@@ -279,9 +292,16 @@ class MontgomeryContext:
     # libcrypto.  ``mod_exp`` charges each one the plan of its operand
     # word counts, which holds the exact sequence (mixes, times, order)
     # the faithful word-array path emits, so modeled cycles and
-    # instruction mixes are bit-identical between backends; it collects
-    # the plans of its table build and of its exponent scan and charges
-    # each group in one call.
+    # instruction mixes are bit-identical between backends; it makes its
+    # exponent scan in one ``chain`` call, collects the plans of its
+    # table build and of its scan, and charges each group in one call.
+
+    @functools.cached_property
+    def _ni_int(self) -> int:
+        """``-n^{-1} mod R`` for :meth:`_reduce_int`, computed the first
+        time int registers need it: Python's inverse takes ~125 us at
+        1024 bits, and a context with a kernel never needs it."""
+        return (-pow(self._n_int, -1, self._r_mask + 1)) & self._r_mask
 
     def _reduce_int(self, t: int) -> int:
         """Uncharged whole-operand REDC: m = (t mod R) * (-n^{-1} mod R)
@@ -308,9 +328,10 @@ class MontgomeryContext:
         return kernel or None
 
     def registers(self, count: int):
-        """``count`` uncharged fast-path registers for values below n:
-        BIGNUMs under :meth:`kernel`, or Python ints where there is
-        none.  Each has ``set``, ``get``, ``copy`` and ``product``."""
+        """At least ``count`` uncharged fast-path registers for values
+        below n: the register file of :meth:`kernel`, shared by every
+        caller, or fresh Python ints where there is no kernel.  Each has
+        ``set``, ``get``, ``copy``, ``product`` and ``chain``."""
         kernel = self.kernel()
         if kernel is None:
             return _IntRegisters(self._reduce_int, count)
@@ -318,15 +339,19 @@ class MontgomeryContext:
 
     def _build_kernel(self, native):
         """A libcrypto kernel for n, or False.  Its products divide by
-        libcrypto's radix, 2^(BN_BITS2 x words of n); they equal this
-        model's exactly when that radix's inverse mod n is R's, which
-        the product 1 * 1 shows (with 64-bit words: an even ``nwords``)."""
+        libcrypto's radix R', 2^(BN_BITS2 x words of n); they equal this
+        model's exactly when R' = R mod n, which one product shows:
+        ``(R mod n) * 1 / R'`` must be 1 (with 64-bit words: an even
+        ``nwords``)."""
         try:
             kernel = native.MontKernel(self._n_int)
         except ValueError:
             return False
-        return kernel if kernel.radix_inverse() == self._reduce_int(1) \
-            else False
+        regs = kernel.registers(2)
+        regs.set(0, (self._r_mask + 1) % self._n_int)
+        regs.set(1, 1)
+        regs.product(0, 0, 1)
+        return kernel if regs.get(0) == 1 % self._n_int else False
 
     # -- public operations -------------------------------------------------------
     def mul(self, a: BigNum, b: BigNum) -> BigNum:

@@ -16,13 +16,13 @@ At import, every bound function runs a check: FIPS-197 Appendix C
 (AES-128/192/256), FIPS 81's "Now is t" (DES) and the SP 800-67 example
 (3DES), each as a one-block CBC both ways and then over a two-block
 input that chains back to the same vector; RFC 1321's MD5("abc") as one
-raw compression of its padded block; and Montgomery products modulo a
-fixed 128-bit odd number against Python's integers.  If ``_hashlib``,
-its library, a symbol or an answer is missing or wrong,
-:data:`available` is False, :data:`reason` says why, and the fast path
-runs the Python cores instead.  No option or environment variable
-selects this: the binding is used wherever it loads and answers
-correctly.
+raw compression of its padded block; and Montgomery products, single
+and chained, modulo a fixed 128-bit odd number against Python's
+integers.  If ``_hashlib``, its library, a symbol or an answer is
+missing or wrong, :data:`available` is False, :data:`reason` says why,
+and the fast path runs the Python cores instead.  No option or
+environment variable selects this: the binding is used wherever it
+loads and answers correctly.
 
 This module only computes.  The callers charge the same plans whichever
 core runs, so no modeled number depends on it.  The inputs may be
@@ -183,17 +183,17 @@ def _release(free, pointers) -> None:
 
 class MontKernel:
     """Montgomery products modulo one odd modulus: its ``BN_MONT_CTX``,
-    and a ``BN_CTX`` for the scratch each product takes.
+    a ``BN_CTX`` for the scratch each product takes, and one register
+    file for every computation under it.
 
     A product is ``BN_mod_mul_montgomery``, ``a * b / R mod n`` with
     libcrypto's radix R = 2^(BN_BITS2 x words of n), which is not
-    necessarily the caller's; :meth:`radix_inverse` is the product that
-    tells.  The structures are freed once, when the kernel is collected,
-    and a kernel cannot be copied or pickled, so no copy frees them
-    again.
+    necessarily the caller's.  The structures and the register file are
+    freed once, when the kernel is collected, and a kernel cannot be
+    copied or pickled, so no copy frees them again.
     """
 
-    __slots__ = ("nbytes", "_lib", "_mont", "_ctx", "__weakref__")
+    __slots__ = ("nbytes", "_lib", "_mont", "_ctx", "_regs", "__weakref__")
     __reduce_ex__ = _uncopyable
 
     def __init__(self, modulus: int):
@@ -207,30 +207,29 @@ class MontKernel:
         weakref.finalize(self, lib.BN_MONT_CTX_free, self._mont)
         if not self._ctx or not self._mont:
             raise MemoryError("BN_CTX_new or BN_MONT_CTX_new failed")
-        regs = BnRegisters(self, 1)
+        regs = self._regs = BnRegisters(self, 1)
         regs.set(0, modulus)
         if lib.BN_MONT_CTX_set(self._mont, regs._r[0], self._ctx) != 1:
             raise ValueError("BN_MONT_CTX_set failed")
 
     def registers(self, count: int) -> "BnRegisters":
-        return BnRegisters(self, count)
-
-    def radix_inverse(self) -> int:
-        """``1 * 1 / R mod n``: libcrypto's R^-1 modulo n."""
-        regs = BnRegisters(self, 1)
-        regs.set(0, 1)
-        regs.product(0, 0, 0)
-        return regs.get(0)
+        """The kernel's register file, grown to at least ``count``
+        registers.  Every caller gets the same file, so its values last
+        only until the next computation under this kernel, and no two
+        computations under one kernel may overlap (as in two threads)."""
+        self._regs.grow(count)
+        return self._regs
 
 
 class BnRegisters:
-    """Numbered BIGNUMs for one computation under a :class:`MontKernel`.
+    """Numbered BIGNUMs for computations under a :class:`MontKernel`.
 
     Values below the modulus go in and out as Python ints; a product
     leaves ``a * b / R mod n`` in its destination, which may be either
-    operand, and returns its bit length.  The BIGNUMs are freed once,
-    when the registers are collected; they hold their kernel, so it
-    outlives them.
+    operand, and returns its bit length, and :meth:`chain` makes a run
+    of products into one register in one call.  The BIGNUMs are freed
+    once, when the registers are collected; they hold their kernel, so
+    it outlives them.
     """
 
     __slots__ = ("_kernel", "_r", "_buf", "_mul", "_bits", "_mont", "_ctx",
@@ -242,15 +241,20 @@ class BnRegisters:
         self._kernel = kernel
         self._r: List[int] = []
         weakref.finalize(self, _release, lib.BN_free, self._r)
-        for _ in range(count):
-            pointer = lib.BN_new()
-            if not pointer:
-                raise MemoryError("BN_new failed")
-            self._r.append(pointer)
+        self.grow(count)
         self._buf = ctypes.create_string_buffer(kernel.nbytes)
         self._mul = lib.BN_mod_mul_montgomery
         self._bits = lib.BN_num_bits
         self._mont, self._ctx = kernel._mont, kernel._ctx
+
+    def grow(self, count: int) -> None:
+        """At least ``count`` registers; the new ones hold 0."""
+        r, new = self._r, self._kernel._lib.BN_new
+        while len(r) < count:
+            pointer = new()
+            if not pointer:
+                raise MemoryError("BN_new failed")
+            r.append(pointer)
 
     def set(self, i: int, value: int) -> None:
         size = self._kernel.nbytes
@@ -277,6 +281,21 @@ class BnRegisters:
         if not self._mul(out, r[a], r[b], self._mont, self._ctx):
             raise ValueError("BN_mod_mul_montgomery failed")
         return self._bits(out)
+
+    def chain(self, dst: int, operands) -> List[int]:
+        """``r[dst] = r[dst] * r[op] / R mod n`` for each register ``op``
+        of ``operands`` in turn (``dst`` itself squares); the bit length
+        of each product, in order."""
+        r = self._r
+        out = r[dst]
+        mul, bits, mont, ctx = self._mul, self._bits, self._mont, self._ctx
+        lengths: List[int] = []
+        append = lengths.append
+        for op in operands:
+            if not mul(out, out, r[op], mont, ctx):
+                raise ValueError("BN_mod_mul_montgomery failed")
+            append(bits(out))
+        return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +354,11 @@ def _check_cipher(name: str, key, plain: bytes, cipher: bytes,
 def _check_montgomery() -> None:
     """Products modulo :data:`_BN_MODULUS` against Python's ints: the
     conversions both ways, ``a * b / R``, its bit length, a copy over a
-    register holding another value, and an in-place square."""
+    register holding another value, and a chain of an in-place square
+    and a product, with their bit lengths."""
     n = _BN_MODULUS
     r_inv = pow(1 << 128, -1, n)
-    regs = BnRegisters(MontKernel(n), 3)
+    regs = MontKernel(n).registers(3)
     regs.set(0, _BN_A)
     regs.set(1, _BN_B)
     if regs.get(0) != _BN_A:
@@ -353,9 +373,12 @@ def _check_montgomery() -> None:
     regs.copy(0, 2)
     if regs.get(0) != expected:
         raise ValueError("BN_copy did not copy")
-    regs.product(0, 0, 0)
-    if regs.get(0) != expected * expected * r_inv % n:
-        raise ValueError("BN_mod_mul_montgomery squared in place wrongly")
+    squared = expected * expected * r_inv % n
+    chained = squared * _BN_B * r_inv % n
+    lengths = regs.chain(0, (0, 1))
+    if regs.get(0) != chained or lengths != [squared.bit_length(),
+                                             chained.bit_length()]:
+        raise ValueError("BN_mod_mul_montgomery chained in place wrongly")
 
 
 def _self_check() -> None:

@@ -50,7 +50,7 @@ import time
 from unittest import mock
 
 from repro import perf, runtime
-from repro.bignum import BigNum, MontgomeryContext, mod_exp
+from repro.bignum import BigNum, MontgomeryContext, mod_exp, montgomery
 from repro.crypto import native
 from repro.crypto import mac
 from repro.crypto.aes import _ENCRYPT_PLANS, AES
@@ -72,9 +72,10 @@ BOUND_DECRYPT = 10
 BOUND_3DES = 30
 BOUND_RAND = 15
 #: Lowest int/kernel ratio for a charged 1024-bit non-CRT ``mod_exp``.
-#: Nine runs on the same VM read 1.82x to 2.60x (3.6-6.3 ms against
-#: 7.5-12.8 ms as the host's speed drifted between runs); charging, the
-#: same on both sides, is half of what the kernel side has left.
+#: With each scan one register chain, ten runs on the same VM read 3.70x
+#: to 3.88x (1.30-1.41 ms against 4.95-5.26 ms); the loop before the
+#: chain read 1.82x to 2.60x in nine.  Charging, the same on both sides,
+#: is about a ninth of what the kernel side has left.
 BOUND_MODEXP = 1.5
 #: Lowest expanded/planned ratio for 1,024 AES-128 block plans charged
 #: into warm chains.  Ten runs on the same VM read 196x to 285x; the
@@ -168,11 +169,22 @@ def check_rand() -> None:
 def check_modexp(key) -> None:
     """``c^d mod n`` for the 1024-bit key, charged, on one context: its
     products in libcrypto, then with the binding forced off, alternating
-    so both sides see the same phases of the host; best of nine each."""
+    so both sides see the same phases of the host; best of nine each.
+    The switch is flipped on a warmed context, so each int-side scan
+    must run on int registers: a register file kept where the switch
+    cannot see it would run both sides on the kernel."""
     ctx = MontgomeryContext(key.n)
     c = BigNum.from_int(key.n.to_int() // 3)
     best = {True: float("inf"), False: float("inf")}
-    with perf.activate(perf.Profiler()):
+    int_scans = []  # the binding's setting at each int-register scan
+    int_chain = montgomery._IntRegisters.chain
+
+    def counted(regs, *args):
+        int_scans.append(native.available)
+        return int_chain(regs, *args)
+
+    with perf.activate(perf.Profiler()), \
+            mock.patch.object(montgomery._IntRegisters, "chain", counted):
         for _ in range(9):
             for on in best:
                 with mock.patch.object(native, "available",
@@ -187,6 +199,9 @@ def check_modexp(key) -> None:
     kernel, ints = best[True], best[False]
     print(f"1024-bit non-CRT mod_exp: kernel {kernel * 1e3:.2f} ms, "
           f"Python ints {ints * 1e3:.2f} ms ({ints / kernel:.2f}x)")
+    assert int_scans == [False] * 9, (
+        f"{int_scans.count(False)} of 9 int-side scans ran on int "
+        f"registers, and {int_scans.count(True)} kernel-side scans did")
     assert ints / kernel >= BOUND_MODEXP, (
         f"mod_exp kernel: {ints / kernel:.2f}x, under {BOUND_MODEXP}x "
         f"(libcrypto binding: {native.reason or 'loaded'})")

@@ -262,6 +262,51 @@ def wider_than(rng: random.Random, bits: int) -> int:
     return rng.getrandbits(bits + 40) | (1 << (bits + 39))
 
 
+@pytest.mark.parametrize("n,on", [
+    (random.Random(1024).getrandbits(1024) | 1 << 1023 | 1, True),
+    (random.Random(544).getrandbits(544) | 1 << 543 | 1, True),
+    (random.Random(1024).getrandbits(1024) | 1 << 1023 | 1, False),
+    (3, True), (2**32 - 5, True)],
+    ids=["kernel", "int-registers", "binding-off", "one-word-kernel",
+         "one-word-ints"])
+def test_register_chain_matches_single_products(n, on):
+    """``chain(dst, ops)`` leaves every register as the same products
+    made one ``product(dst, dst, op)`` at a time, returns their bit
+    lengths, and agrees with Python's ints.  The accumulator starts a
+    word short and is held there by products with a register holding
+    R mod n, the Montgomery form of 1; then it squares and multiplies by
+    a full-width register and by n - 1.  A one-word modulus that divides
+    2^32 - 1 (3) keeps its kernel, and one that does not (2^32 - 5)
+    takes the int registers, as a 17-word one does."""
+    with binding(on and native.available):
+        ctx = MontgomeryContext(BigNum.from_int(n))
+        words, acc = ctx.nwords, 3
+        if ctypes.sizeof(ctypes.c_void_p) == 8:
+            assert (ctx.kernel() is not None) == (
+                native.available and on
+                and (words % 2 == 0 or (2**32 - 1) % n == 0))
+        r = 1 << (32 * words)
+        short = random.Random(n).getrandbits(32 * (words - 1)) | 1
+        start = [r % n, random.Random(words).getrandbits(32 * words) % n,
+                 n - 1, short]
+        ops = (0, 0, 0, acc, 1, 0, acc, 2, acc, 0, 1, 2, 2, acc)
+        values, expected = list(start), []
+        for op in ops:
+            values[acc] = values[acc] * values[op] * pow(r, -1, n) % n
+            expected.append(values[acc].bit_length())
+        assert expected[:3] == [short.bit_length()] * 3
+
+        runs = []
+        for single in (False, True):
+            regs = ctx.registers(len(start))
+            for i, value in enumerate(start):
+                regs.set(i, value)
+            lengths = ([regs.product(acc, acc, op) for op in ops] if single
+                       else regs.chain(acc, ops))
+            runs.append((lengths, [regs.get(i) for i in range(len(start))]))
+    assert runs[0] == runs[1] == (expected, values)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a word-array Montgomery operation ran")
 

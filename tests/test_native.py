@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 
 from repro import perf, runtime
-from repro.bignum import BigNum, MontgomeryContext, montgomery
+from repro.bignum import BigNum, MontgomeryContext, mod_exp, montgomery
 from repro.crypto import aes, des, md5, native
 from repro.crypto.aes import AES
 from repro.crypto.des import DES, TripleDES
@@ -184,7 +184,8 @@ def test_mod_exp_never_reaches_the_int_registers(monkeypatch):
     holds a kernel."""
     key = generate_key(CAMPAIGN_BITS, rng=PseudoRandom(b"kernel"))
     message = key.public().encrypt(b"premaster", PseudoRandom(b"pad"))
-    monkeypatch.setattr(montgomery._IntRegisters, "product", _refuse)
+    for name in ("product", "chain"):
+        monkeypatch.setattr(montgomery._IntRegisters, name, _refuse)
     with runtime.fastpath(True), perf.activate(perf.Profiler()):
         for crt in (False, True):
             key.use_crt = crt
@@ -201,19 +202,25 @@ def test_mod_exp_never_reaches_the_int_registers(monkeypatch):
                                         pickle.dumps(key))],
                          ids=["deepcopy", "pickle"])
 def test_a_copied_key_outlives_its_original(copier):
-    """A warmed key's copies leave its kernels behind and build their
-    own.  A replica shares the original's contexts, so they live on
-    after the original is deleted and collected; once the replica goes
-    too, the original's kernel is collected, and a copy still decrypts
-    on its own kernel to the same charges as a copy with the binding
-    forced off."""
+    """A warmed key's copies leave its kernels and their register files
+    behind and build their own.  A replica shares the original's
+    contexts, so they live on after the original is deleted and
+    collected; once the replica goes too, the original's kernel and its
+    register file are collected, and a copy still decrypts on its own
+    kernel, never computing Python's inverse of n, to the same charges
+    as a copy with the binding forced off, whose int registers compute
+    it."""
     key = generate_key(CAMPAIGN_BITS, rng=PseudoRandom(b"copied"),
                        use_crt=False)
     message = key.public().encrypt(b"premaster", PseudoRandom(b"pad"))
     with runtime.fastpath(True), perf.activate(perf.Profiler()):
         key.decrypt(message)                    # warm: build the kernels
     original = weakref.ref(key._ctx_n()._kernel)
+    original_regs = weakref.ref(original()._regs)
     twins, replica = [copier(key), copier(key)], key.replica()
+    for twin in twins:                          # no kernel, no registers
+        assert "_kernel" not in vars(twin._ctx_n())
+        assert "_ni_int" not in vars(twin._ctx_n())
     del key
     gc.collect()
     with runtime.fastpath(True), perf.activate(perf.Profiler()):
@@ -224,7 +231,7 @@ def test_a_copied_key_outlives_its_original(copier):
             copy_kernel(original())
     del replica
     gc.collect()
-    assert original() is None
+    assert original() is None and original_regs() is None
     signatures = []
     for twin, on in zip(twins, (True, False)):
         profiler = perf.Profiler()
@@ -235,6 +242,8 @@ def test_a_copied_key_outlives_its_original(copier):
                            profiler.total_instructions()))
     assert signatures[0] == signatures[1]
     assert isinstance(twins[0]._ctx_n()._kernel, native.MontKernel)
+    assert "_ni_int" not in vars(twins[0]._ctx_n())
+    assert "_ni_int" in vars(twins[1]._ctx_n())   # its int registers
 
 
 @needs_binding
@@ -252,6 +261,58 @@ def test_a_kernel_checks_its_radix():
     assert odd._kernel is False                 # built once, refused
     assert even.nwords == 16
     assert isinstance(even.kernel(), native.MontKernel)
+
+
+@needs_binding
+def test_a_warm_kernel_keeps_its_registers(monkeypatch):
+    """A warmed 1024-bit context keeps one register file on its kernel:
+    later exponentiations, window 6 (d) and window 1 (e), run on that
+    file and allocate no BIGNUM, and Python's inverse of n, which only
+    int registers need, is never computed."""
+    key = generate_key(CAMPAIGN_BITS, rng=PseudoRandom(b"kept"),
+                       use_crt=False)
+    message = key.public().encrypt(b"premaster", PseudoRandom(b"pad"))
+    with runtime.fastpath(True), perf.activate(perf.Profiler()):
+        assert key.decrypt(message) == b"premaster"       # warm
+        ctx = key._ctx_n()
+        regs = ctx.registers(1)
+        monkeypatch.setattr(ctx.kernel()._lib, "BN_new", _refuse)
+        expected = pow(12345, key.e.to_int(), key.n.to_int())
+        for _ in range(2):
+            assert key.decrypt(message) == b"premaster"
+            assert mod_exp(BigNum.from_int(12345), key.e, key.n,
+                           ctx).to_int() == expected
+        assert ctx.registers(35) is regs
+    assert isinstance(regs, native.BnRegisters)
+    assert "_ni_int" not in vars(ctx)
+
+
+@needs_binding
+def test_binding_forced_off_after_warm_up_runs_on_ints(monkeypatch):
+    """A context warmed on its kernel keeps it, but once the binding is
+    forced off ``mod_exp`` runs on int registers: the kernel's chain,
+    patched to raise, never runs, and the result and charges equal the
+    kernel's."""
+    rng = random.Random(CAMPAIGN_BITS)
+    n = rng.getrandbits(CAMPAIGN_BITS) | 1 << (CAMPAIGN_BITS - 1) | 1
+    modulus = BigNum.from_int(n)
+    base, exp = rng.getrandbits(CAMPAIGN_BITS) % n, rng.getrandbits(1000)
+    ctx = MontgomeryContext(modulus)
+    runs = []
+    for on in (True, False):
+        if not on:
+            assert "_ni_int" not in vars(ctx)
+            monkeypatch.setattr(native.BnRegisters, "chain", _refuse)
+        profiler = perf.Profiler()
+        with runtime.fastpath(True), perf.activate(profiler), \
+                mock.patch.object(native, "available", on):
+            result = mod_exp(BigNum.from_int(base), BigNum.from_int(exp),
+                             modulus, ctx).to_int()
+        runs.append((result, profiler.total_cycles(),
+                     profiler.total_instructions()))
+    assert runs[0] == runs[1] and runs[0][0] == pow(base, exp, n)
+    assert "_ni_int" in vars(ctx)                 # the int registers' REDC
+    assert isinstance(ctx._kernel, native.MontKernel)
 
 
 @pytest.mark.parametrize("nblocks", [0, 1, 2, 32])
